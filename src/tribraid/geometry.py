@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Union
@@ -91,6 +92,20 @@ def orientation(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> int:
     return (d > 0) - (d < 0)
 
 
+def _raise_if_collinear(points: tuple[RationalPoint, ...], s: int, others) -> None:
+    """GenericityError if point s lies on a line through two of `others`.
+
+    Indices are 0-based; for sorted `others` the triples are tried in the
+    lexicographic order of their sorted labels, as the full check does.
+    """
+    px, py = points[s].x, points[s].y
+    rel = [(k, points[k].x - px, points[k].y - py) for k in others]
+    for (a, ax, ay), (b, bx, by) in combinations(rel, 2):
+        if ax * by == ay * bx:
+            a, b, c = sorted((a + 1, b + 1, s + 1))
+            raise GenericityError(f"strands {a},{b},{c} are collinear")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """n labelled points with no three collinear (hence pairwise distinct)."""
@@ -107,9 +122,8 @@ class Configuration:
         for a, b in combinations(range(self.n), 2):
             if self.points[a] == self.points[b]:
                 raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
-        for a, b, c in combinations(range(self.n), 3):
-            if orientation(self.points[a], self.points[b], self.points[c]) == 0:
-                raise GenericityError(f"strands {a + 1},{b + 1},{c + 1} are collinear")
+        for a in range(self.n - 2):
+            _raise_if_collinear(self.points, a, range(a + 1, self.n))
 
     def point(self, strand: int) -> RationalPoint:
         if not 1 <= strand <= self.n:
@@ -117,10 +131,30 @@ class Configuration:
         return self.points[strand - 1]
 
     def moved(self, strand: int, target: RationalPoint) -> "Configuration":
+        """This configuration with `strand` at `target`.
+
+        Trusts `self` to be generic, so only the n-1 pairs and C(n-1,2)
+        triples through `strand` are checked: every other triple is
+        unchanged.  The errors are those the full check would raise.
+        """
         self.point(strand)
+        cfg = self._with_point(strand, target)
+        others = [k for k in range(self.n) if k != strand - 1]
+        for k in others:
+            if cfg.points[k] == target:
+                a, b = sorted((k + 1, strand))
+                raise GenericityError(f"strands {a} and {b} coincide")
+        _raise_if_collinear(cfg.points, strand - 1, others)
+        return cfg
+
+    def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
+        """`moved` without its check, for a target already known generic."""
         pts = list(self.points)
         pts[strand - 1] = target
-        return Configuration(self.n, tuple(pts))
+        cfg = object.__new__(Configuration)
+        object.__setattr__(cfg, "n", self.n)
+        object.__setattr__(cfg, "points", tuple(pts))
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -164,6 +198,10 @@ class MoveProgram:
     @property
     def n(self) -> int:
         return self.initial.n
+
+    @cached_property
+    def _boundaries(self) -> list[Configuration]:
+        return boundary_configurations(self)
 
 
 @dataclass(frozen=True)
@@ -234,38 +272,46 @@ def segment_events(
 ) -> list[CollinearityEvent]:
     """Collinearity events while strand s moves linearly to `target`.
 
-    For each static pair {a,b} the condition det(z_b - z_a, p(t) - z_a) = 0
+    For each static pair {a,b} the condition det(z_a - p(t), z_b - p(t)) = 0
     is linear in t, giving at most one exact rational root; roots strictly
-    inside (0,1) become events, sorted by time.  The start and end
-    configurations must be generic, event times must be pairwise distinct,
-    and the mover must not meet a static point.
+    inside (0,1) become events, sorted by (time, triple).  The start
+    configuration is trusted generic; the end configuration is checked
+    (its orientation on (s,a,b) is the root's numerator plus denominator),
+    and the mover must not meet a static point.  Events may share a time:
+    their static pairs are then disjoint (a shared strand would put it on
+    two distinct lines through the mover, or the mover on it), so their
+    letters far-commute and either order reads the same braid.
     """
     p0 = c.point(s)
     d = target - p0
-    c.moved(s, target)  # validates the end configuration
-    events: list[CollinearityEvent] = []
-    others = [i for i in range(1, c.n + 1) if i != s]
-    for a, b in combinations(others, 2):
-        za, zb = c.point(a), c.point(b)
-        v = zb - za
-        num = cross(v, p0 - za)  # nonzero: the start configuration is generic
-        den = cross(v, d)
+    # each static strand relative to the mover's start, with its cross with d
+    rel = []
+    for k, z in enumerate(c.points, start=1):
+        if k != s:
+            rx, ry = z.x - p0.x, z.y - p0.y
+            rel.append((k, rx, ry, rx * d.y - ry * d.x))
+    roots = []
+    for (a, ax, ay, ad), (b, bx, by, bd) in combinations(rel, 2):
+        # the orientation of (p0 + t*d, z_a, z_b) is num + t*den
+        num = ax * by - ay * bx  # nonzero: the start configuration is generic
+        den = bd - ad
+        if num + den == 0:
+            c.moved(s, target)  # the end configuration is degenerate: say how
         if den == 0:
             continue
         t = -num / den
-        if not 0 < t < 1:
-            continue
-        pos = p0 + d * t
-        central = _central_of_collinear(((s, pos), (a, za), (b, zb)))
-        events.append(
-            CollinearityEvent(move_index, t, GenTriple(c.n, (s, a, b)), central)
+        if 0 < t < 1:
+            roots.append((t, a, b))
+    events = [
+        CollinearityEvent(
+            move_index,
+            t,
+            GenTriple(c.n, (s, a, b)),
+            _central_of_collinear(((s, p0 + d * t), (a, c.point(a)), (b, c.point(b)))),
         )
+        for t, a, b in roots
+    ]
     events.sort(key=lambda e: (e.t, e.triple))
-    for e1, e2 in zip(events, events[1:]):
-        if e1.t == e2.t:
-            raise GenericityError(
-                f"events {e1.triple} and {e2.triple} coincide at t={e1.t}"
-            )
     return events
 
 
@@ -315,7 +361,7 @@ def compile_program(p: MoveProgram) -> CompileOutput:
             twist += mv.turns
         elif isinstance(mv, LinearMove):
             events.extend(segment_events(cur, mv.strand, mv.target, move_index=idx))
-            cur = cur.moved(mv.strand, mv.target)
+            cur = cur._with_point(mv.strand, mv.target)  # checked by segment_events
         else:
             raise InvalidMove(f"unknown move {mv!r}")
     if p.closed and cur != p.initial:
@@ -344,19 +390,19 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
     Computed as signed crossings of the positive x-ray over the piecewise
     linear difference path, plus one turn per full twist (a rigid rotation
     winds every nonzero difference exactly once per turn).  Integer-valued
-    for closed programs; counterclockwise is positive.
+    for closed programs; counterclockwise is positive.  Callers ask for
+    many pairs of one program, so the program keeps its validated boundary
+    configurations; an invalid program keeps none and raises on every call.
     """
     if i == j:
         raise BadTriple("linking needs two distinct strands")
-    cur = p.initial
-    d_prev = cur.point(i) - cur.point(j)
-    wn = 0
-    for mv in p.moves:
-        if isinstance(mv, FullTwistMove):
-            wn += mv.turns
-            continue
-        cur = cur.moved(mv.strand, mv.target)
-        d_next = cur.point(i) - cur.point(j)
+    p.initial.point(i)  # range checks
+    p.initial.point(j)
+    configs = p._boundaries
+    wn = sum(mv.turns for mv in p.moves if isinstance(mv, FullTwistMove))
+    d_prev = configs[0].points[i - 1] - configs[0].points[j - 1]
+    for cur in configs[1:]:
+        d_next = cur.points[i - 1] - cur.points[j - 1]
         wn += _ray_crossing(d_prev, d_next)
         d_prev = d_next
     return Fraction(wn)
@@ -513,7 +559,7 @@ def random_closed_program(
                 continue
             moves.append(LinearMove(s, target))
             displaced.setdefault(s, cfg.point(s))
-            cur = cur.moved(s, target)
+            cur = cur._with_point(s, target)
             break
         else:
             raise ConstructionFailure("could not draw a generic wander move")
@@ -524,20 +570,20 @@ def random_closed_program(
         try:
             segment_events(cur, s, home)
             moves.append(LinearMove(s, home))
-            cur = cur.moved(s, home)
+            cur = cur._with_point(s, home)
             continue
         except GenericityError:
             pass
         for _ in range(max_attempts):
             via = draw_point()
             try:
-                mid = cur.moved(s, via)
                 segment_events(cur, s, via)
+                mid = cur._with_point(s, via)
                 segment_events(mid, s, home)
             except GenericityError:
                 continue
             moves.extend((LinearMove(s, via), LinearMove(s, home)))
-            cur = mid.moved(s, home)
+            cur = mid._with_point(s, home)
             break
         else:
             raise ConstructionFailure("could not route a strand back home")

@@ -26,7 +26,7 @@ from .errors import (
     NotRealisable,
 )
 from .group_core import GWord, generator_parity
-from .index_state import classify_word, signed_index
+from .index_state import ClassifiedWord, classify_word, signed_index
 
 
 def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
@@ -119,6 +119,12 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
     if not cw.realisable:
         bad = [i for i, st in enumerate(cw.statuses) if not st.good]
         raise NotRealisable(f"letters at positions {bad} are not realisable")
+    return _swap_word(cw, axis)
+
+
+def _swap_word(cw: ClassifiedWord, axis: int) -> CylWord:
+    """`reconstruct_axis` of a word already classified realisable."""
+    w = cw.word
     order = list(initial_cyclic_order(w.n, axis))
     letters: list[CylLetter] = []
     for g, st, s in zip(w.letters, cw.statuses, cw.prefix_states):
@@ -134,7 +140,13 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
         sign = signed_index(s, axis, outer, inner)
         _swap_adjacent(order, inner, outer)
         letters.append(CylLetter(inner, outer, sign))
-    return CylWord(w.n, axis, tuple(letters), tuple(order))
+    # every swap was checked adjacent as it was made: skip CylWord's replay
+    cyl = object.__new__(CylWord)
+    object.__setattr__(cyl, "n", w.n)
+    object.__setattr__(cyl, "axis", axis)
+    object.__setattr__(cyl, "letters", tuple(letters))
+    object.__setattr__(cyl, "final_order", tuple(order))
+    return cyl
 
 
 @dataclass(frozen=True)
@@ -222,7 +234,8 @@ def invariants_equal_mod_full_twist(a: AnnularInvariants, b: AnnularInvariants):
         raise DimensionMismatch("invariants cover different strand sets")
     if a.perm != b.perm:
         return None
-    diffs = {b.linking_of(*pair) - a.linking_of(*pair) for pair, _ in a.linking}
+    b_linking = dict(b.linking)
+    diffs = {b_linking[pair] - value for pair, value in a.linking}
     if len(diffs) != 1:
         return None
     (m,) = diffs
@@ -252,7 +265,8 @@ def _deviating_pair(base: AnnularInvariants, inv: AnnularInvariants) -> tuple[in
     for src, dst in inv.perm:
         if src != dst:
             return tuple(sorted((src, dst)))  # type: ignore[return-value]
-    diffs = {pair: inv.linking_of(*pair) - base.linking_of(*pair) for pair, _ in base.linking}
+    inv_linking = dict(inv.linking)
+    diffs = {pair: inv_linking[pair] - value for pair, value in base.linking}
     counts = Counter(diffs.values())
     # the most frequent difference is the full-twist shift candidate
     mode = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
@@ -277,7 +291,7 @@ def kernel_witness(w: GWord) -> KernelVerdict:
     if not generator_parity(w).is_zero:
         return KernelVerdict(NONTRIVIAL_BY_PARITY)
     for axis in range(1, w.n + 1):
-        inv = annular_invariants(reconstruct_axis(w, axis))
+        inv = annular_invariants(_swap_word(cw, axis))
         base = annular_invariants(empty_cyl_word(w.n, axis))
         if invariants_equal_mod_full_twist(base, inv) is None:
             return KernelVerdict(NONTRIVIAL_BY_LINKING, axis, _deviating_pair(base, inv))

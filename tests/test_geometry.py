@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -20,11 +22,13 @@ from tribraid import (
     NotClosed,
     ProgramParseError,
     RationalPoint,
+    annular_invariants,
     boundary_configurations,
     compile_program,
     concat_programs,
     configuration_state,
     embed_at_infinity,
+    far_commutes,
     free_reduce,
     full_twist_program,
     geometric_linking,
@@ -37,6 +41,7 @@ from tribraid import (
     program_to_json,
     pure_braid_generator_program,
     random_closed_program,
+    reconstruct_axis,
     regular_rational_configuration,
     run_word,
     segment_events,
@@ -104,6 +109,39 @@ class TestConfiguration:
         with pytest.raises(BadTriple):
             cfg.point(5)
 
+    def test_moved_matches_full_check(self):
+        # moved re-checks only the triples through the moved strand; on a
+        # generic source it must agree with the full check on every target
+        rng = random.Random(53)
+        rejected = 0
+        for _ in range(300):
+            n = rng.randint(4, 7)
+            while True:
+                pts = [P(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)]
+                try:
+                    cfg = Configuration(n, pts)
+                    break
+                except GenericityError:
+                    continue
+            s = rng.randint(1, n)
+            a, b = rng.sample([k for k in range(1, n + 1) if k != s], 2)
+            za, zb = cfg.point(a), cfg.point(b)
+            target = rng.choice([
+                P(rng.randint(-6, 6), rng.randint(-6, 6)),
+                za + (zb - za) * F(rng.randint(-5, 5), rng.randint(1, 4)),
+                za,
+            ])
+            full = pts[: s - 1] + [target] + pts[s:]
+            try:
+                expected = Configuration(n, full)
+            except GenericityError as exc:
+                rejected += 1
+                with pytest.raises(GenericityError, match=re.escape(str(exc))):
+                    cfg.moved(s, target)
+                continue
+            assert cfg.moved(s, target) == expected
+        assert 100 < rejected < 250  # both outcomes are well exercised
+
 
 class TestSegmentEvents:
     def test_single_event_exact(self):
@@ -129,7 +167,7 @@ class TestSegmentEvents:
         with pytest.raises(GenericityError):
             segment_events(cfg, 4, P(0, 2))
 
-    def test_simultaneous_events_rejected(self):
+    def test_simultaneous_events_far_commute(self):
         # aim strand 5 so it crosses the (1,2) and (3,4) chords at one moment:
         # by mirror symmetry both chords meet the x-axis at the same point Q
         cfg = regular_rational_configuration(5)
@@ -138,8 +176,16 @@ class TestSegmentEvents:
         s = -p1.y / d.y
         qx = p1.x + s * d.x
         target = P(2 * qx - 1, 0)
-        with pytest.raises(GenericityError):
-            segment_events(cfg, 5, target)
+        events = segment_events(cfg, 5, target)
+        by_time = {}
+        for e in events:
+            by_time.setdefault(e.t, []).append(str(e.triple))
+        assert by_time[F(29, 142)] == ["a135", "a245"]
+        assert by_time[F(1, 2)] == ["a125", "a345"]
+        assert [e.t for e in events] == sorted(e.t for e in events)
+        for e1, e2 in zip(events, events[1:]):
+            if e1.t == e2.t:
+                assert e1.triple < e2.triple and far_commutes(e1.triple, e2.triple)
 
     def test_event_counts_match_orientation_flips(self):
         rng = random.Random(43)
@@ -226,6 +272,30 @@ class TestGeometricLinking:
         for i, j in combinations(range(1, 5), 2):
             assert geometric_linking(prog, i, j) == expected.get((i, j), 0)
 
+    def test_interleaved_programs_match_fresh_calls(self):
+        progs = [pure_braid_generator_program(5, 1, 3), random_closed_program(5, seed=1)]
+        pairs = list(combinations(range(1, 6), 2))
+        fresh = {
+            (k, pair): geometric_linking(dataclasses.replace(prog), *pair)
+            for k, prog in enumerate(progs)
+            for pair in pairs
+        }
+        for pair in pairs:
+            for k, prog in enumerate(progs):
+                assert geometric_linking(prog, *pair) == fresh[k, pair]
+                assert geometric_linking(prog, *pair[::-1]) == fresh[k, pair]
+
+    def test_invalid_program_raises_on_every_call(self):
+        good = pure_braid_generator_program(4, 1, 3)
+        cfg = regular_rational_configuration(4)
+        bad = MoveProgram(cfg, (LinearMove(4, P(0, 2)),))  # collinear with 1 and 3
+        for _ in range(3):
+            with pytest.raises(GenericityError):
+                geometric_linking(bad, 1, 2)
+            assert geometric_linking(good, 1, 3) == 1
+        with pytest.raises(BadTriple):
+            geometric_linking(good, 1, 5)
+
     def test_degenerate_path(self):
         cfg = regular_rational_configuration(4)
         through = cfg.point(2) * 2 - cfg.point(1)
@@ -279,6 +349,23 @@ class TestGeneratorProgram:
             pk = program_power(prog, k)
             assert pk.closed
             assert geometric_linking(pk, 1, 3) == k
+
+    def test_every_pair_round_trips(self):
+        for n in range(4, 8):
+            for i, j in permutations(range(1, n + 1), 2):
+                prog = pure_braid_generator_program(n, i, j)
+                assert prog.closed
+                word = compile_program(prog).word  # checks that it closes
+                cw = classify_word(word)
+                assert cw.realisable and cw.final_state == initial_state(n)
+                row = [geometric_linking(prog, i, k) for k in range(1, n + 1) if k != i]
+                assert row == [int(k == j) for k in range(1, n + 1) if k != i]
+                axis = min(k for k in range(1, n + 1) if k not in (i, j))
+                inv = annular_invariants(reconstruct_axis(word, axis))
+                assert inv.is_identity
+                linked = {pair for pair, value in inv.linking if value}
+                assert linked == {tuple(sorted((i, j)))}
+                assert inv.linking_of(i, j) == 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(BadTriple):
