@@ -8,6 +8,7 @@ or validation error, 2 parse or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -233,7 +234,10 @@ def cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="tribraid",
         description="Compile strand motions to words, classify realisability, "

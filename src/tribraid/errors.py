@@ -60,7 +60,3 @@ class NotRealisable(TribraidError):
 class AdjacencyViolation(TribraidError):
     """A ray swap between strands that are not adjacent in the running
     cyclic order."""
-
-
-class AmbiguousCentral(TribraidError):
-    """A letter whose status admits more than one central element."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Union
 
 from .errors import (
     BadTriple,
@@ -181,7 +180,9 @@ class FullTwistMove:
             raise InvalidMove(f"full twist needs a nonzero integer turn count, got {self.turns!r}")
 
 
-Move = Union[LinearMove, FullTwistMove]
+# not typing.Union: its process-wide cache would keep these classes, and
+# through them every module of a re-imported package, alive
+Move = LinearMove | FullTwistMove
 
 
 @dataclass(frozen=True)
@@ -322,9 +323,9 @@ def configuration_state(c: Configuration) -> OrientationState:
     program's initial configuration; programs starting at the regular
     configuration realise the all-plus initial state.
     """
-    minus = frozenset(
-        t
-        for t in all_triples(c.n)
+    minus = sum(
+        1 << b
+        for b, t in enumerate(all_triples(c.n))
         if orientation(c.point(t[0]), c.point(t[1]), c.point(t[2])) < 0
     )
     return OrientationState(c.n, minus)

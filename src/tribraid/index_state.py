@@ -7,13 +7,18 @@ central element: with central c flanked by x and y, every outside strand p
 must see the same sign on (x,c,p), (x,y,p) and (c,y,p).  Realisability
 drives the good/bad split of letters, the bad-letter projection, and the
 exhaustive census checks over all states.
+
+A state is an int bitmask over the sorted triples in lexicographic order
+(the order of `all_triples`): bit b is set when triple b carries -1.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from math import comb
 
 from .errors import BadTriple, DimensionMismatch, InvalidN, UnsupportedN
 from .group_core import GWord, GenTriple, all_generators, far_commutes
@@ -25,16 +30,41 @@ def all_triples(n: int) -> list[Triple]:
     return list(combinations(range(1, n + 1), 3))
 
 
+@cache
+def _bit_base(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row offsets of the triple order: a<b<c is bit `base[a][b] + c`.
+
+    O(n^2) entries, where a table of every triple would hold C(n,3).
+    """
+    base = [[0] * (n + 1) for _ in range(n + 1)]
+    rank = 0
+    for a in range(1, n - 1):
+        for b in range(a + 1, n):
+            base[a][b] = rank - b - 1
+            rank += n - b
+    return tuple(map(tuple, base))
+
+
+def _bit(base, g: GenTriple) -> int:
+    """The mask bit of g's triple."""
+    i, j, k = g.elems
+    return 1 << (base[i][j] + k)
+
+
 @dataclass(frozen=True)
 class OrientationState:
-    """Signs on sorted strand triples; `minus` holds the triples at -1."""
+    """Signs on sorted strand triples; `minus` is the bitmask of the
+    triples at -1, so it is 0 exactly at the all-plus state."""
 
     n: int
-    minus: frozenset[Triple]
+    minus: int
 
     def value(self, triple: Triple) -> int:
         """Sign stored on a *sorted* triple."""
-        return -1 if triple in self.minus else 1
+        if len(triple) != 3 or not 1 <= triple[0] < triple[1] < triple[2] <= self.n:
+            raise BadTriple(f"{tuple(triple)} is not a sorted triple of 1..{self.n}")
+        a, b, c = triple
+        return -1 if self.minus >> (_bit_base(self.n)[a][b] + c) & 1 else 1
 
 
 def initial_state(n: int) -> OrientationState:
@@ -46,7 +76,14 @@ def initial_state(n: int) -> OrientationState:
     """
     if n < 4:
         raise InvalidN(f"strand count must be >= 4, got {n}")
-    return OrientationState(n, frozenset())
+    return OrientationState(n, 0)
+
+
+def _sign(base, mask: int, i: int, j: int, k: int) -> int:
+    """Sign of the ordered triple (i,j,k) of distinct strands at `mask`."""
+    odd = (i > j) ^ (i > k) ^ (j > k)
+    a, b, c = sorted((i, j, k))
+    return -1 if (mask >> (base[a][b] + c) & 1) ^ odd else 1
 
 
 def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
@@ -56,26 +93,94 @@ def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
     for idx in (i, j, k):
         if not 1 <= idx <= s.n:
             raise BadTriple(f"index {idx} out of range 1..{s.n}")
-    inversions = (i > j) + (i > k) + (j > k)
-    v = s.value(tuple(sorted((i, j, k))))
-    return -v if inversions & 1 else v
+    return _sign(_bit_base(s.n), s.minus, i, j, k)
 
 
 def flip(s: OrientationState, g: GenTriple) -> OrientationState:
     """Negate exactly the entry of g's triple; an involution."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    return OrientationState(s.n, s.minus ^ {g.elems})
+    return OrientationState(s.n, s.minus ^ _bit(_bit_base(s.n), g))
 
 
 def run_word(s: OrientationState, w: GWord) -> OrientationState:
     """Left-to-right composition of flips."""
     if w.n != s.n:
         raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
+    base = _bit_base(s.n)
     cur = s.minus
     for g in w.letters:
-        cur = cur ^ {g.elems}
+        cur ^= _bit(base, g)
     return OrientationState(s.n, cur)
+
+
+def _gap_table(gap: int) -> tuple[int, ...]:
+    """The centrals one outside strand p admits, read from the definition.
+
+    p lies in gap `gap` of the letter i<j<k (that many of i, j, k are below
+    p).  Entry `key` is for the state where {i,j,p}, {i,k,p} and {j,k,p}
+    carry -1 as bits 0, 1 and 2 of `key` say; it is a bitset over the
+    centrals (bit 0: i, bit 1: j, bit 2: k).  Only these three triples and
+    the order of i, j, k, p enter the central conditions, so the tables at
+    n=4 hold for every n.
+    """
+    p = gap + 1
+    i, j, k = (e for e in (1, 2, 3, 4) if e != p)
+    triples = [tuple(sorted(pair + (p,))) for pair in ((i, j), (i, k), (j, k))]
+    table = []
+    for key in range(8):
+        s = OrientationState(
+            4, sum(1 << all_triples(4).index(t) for b, t in enumerate(triples) if key >> b & 1)
+        )
+        entry = 0
+        for bit, (c, x, y) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
+            if signed_index(s, x, c, p) == signed_index(s, x, y, p) == signed_index(s, c, y, p):
+                entry |= 1 << bit
+        table.append(entry)
+    return tuple(table)
+
+
+# every entry admits at most one central (tests check this), so the AND of
+# entries over the outside strands does too
+_GAP_TABLES = tuple(_gap_table(gap) for gap in range(4))
+
+
+def _centrals(base, mask: int, n: int, i: int, j: int, k: int) -> int:
+    """The centrals of letter i<j<k at `mask`, as a bitset over (i, j, k):
+    the AND over the outside strands of their gap table entries."""
+    below, ij, jk, above = _GAP_TABLES
+    bi, bj = base[i], base[j]
+    acc = 7
+    for p in range(1, i):
+        bp = base[p]
+        r = bp[i]
+        acc &= below[
+            (mask >> (r + j) & 1) | (mask >> (r + k) & 1) << 1 | (mask >> (bp[j] + k) & 1) << 2
+        ]
+        if not acc:
+            return 0
+    for p in range(i + 1, j):
+        r = bi[p]
+        acc &= ij[
+            (mask >> (r + j) & 1) | (mask >> (r + k) & 1) << 1 | (mask >> (base[p][j] + k) & 1) << 2
+        ]
+        if not acc:
+            return 0
+    rij = bi[j]
+    for p in range(j + 1, k):
+        acc &= jk[
+            (mask >> (rij + p) & 1) | (mask >> (bi[p] + k) & 1) << 1 | (mask >> (bj[p] + k) & 1) << 2
+        ]
+        if not acc:
+            return 0
+    rik, rjk = bi[k], bj[k]
+    for p in range(k + 1, n + 1):
+        acc &= above[
+            (mask >> (rij + p) & 1) | (mask >> (rik + p) & 1) << 1 | (mask >> (rjk + p) & 1) << 2
+        ]
+        if not acc:
+            return 0
+    return acc
 
 
 @dataclass(frozen=True)
@@ -84,8 +189,9 @@ class LetterStatus:
 
     Membership is unchanged by reversing the flanking order, so the set is
     well defined.  For any single outside strand the three central
-    conditions are mutually exclusive, hence the set holds at most one
-    element in practice.
+    conditions are mutually exclusive (every gap table entry has at most
+    one bit), and n >= 4 leaves at least one outside strand, so the set
+    holds at most one element.
     """
 
     centrals: frozenset[int]
@@ -95,26 +201,27 @@ class LetterStatus:
         return bool(self.centrals)
 
 
+@cache
+def _status(central: int) -> LetterStatus:
+    """The status admitting `central` alone, or the bad status for 0."""
+    return LetterStatus(frozenset((central,)) if central else frozenset())
+
+
+def _status_at(base, mask: int, n: int, g: GenTriple) -> LetterStatus:
+    code = _centrals(base, mask, n, *g.elems)
+    return _status(g.elems[code >> 1] if code else 0)
+
+
 def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
     """Classify one letter at a state."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    i, j, k = g.elems
-    outside = [p for p in range(1, s.n + 1) if p != i and p != j and p != k]
-    centrals = set()
-    for c in (i, j, k):
-        x, y = (e for e in (i, j, k) if e != c)
-        if all(
-            signed_index(s, x, c, p) == signed_index(s, x, y, p) == signed_index(s, c, y, p)
-            for p in outside
-        ):
-            centrals.add(c)
-    return LetterStatus(frozenset(centrals))
+    return _status_at(_bit_base(s.n), s.minus, s.n, g)
 
 
 @dataclass(frozen=True)
 class ClassifiedWord:
-    """A word with per-letter statuses and the state before each letter.
+    """A word with per-letter statuses and the state mask before each letter.
 
     Every letter acts on the running state, good or bad; the action is
     defined for all words, and the stable projection only converges under
@@ -123,8 +230,12 @@ class ClassifiedWord:
 
     word: GWord
     statuses: tuple[LetterStatus, ...]
-    prefix_states: tuple[OrientationState, ...]
+    prefix_masks: tuple[int, ...]
     final_state: OrientationState
+
+    @property
+    def prefix_states(self) -> tuple[OrientationState, ...]:
+        return tuple(OrientationState(self.word.n, m) for m in self.prefix_masks)
 
     @property
     def realisable(self) -> bool:
@@ -134,19 +245,22 @@ class ClassifiedWord:
 def classify_word(w: GWord, start: OrientationState | None = None) -> ClassifiedWord:
     """Statuses of every letter at its prefix state.
 
-    `start` defaults to the initial state; censuses pass arbitrary states to
-    evaluate relation windows in isolation.
+    `start` defaults to the initial state; any state may be given, to read
+    a relation window in isolation.
     """
     s = initial_state(w.n) if start is None else start
     if s.n != w.n:
         raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
-    prefixes: list[OrientationState] = []
+    n = w.n
+    base = _bit_base(n)
+    mask = s.minus
+    prefixes: list[int] = []
     statuses: list[LetterStatus] = []
     for g in w.letters:
-        prefixes.append(s)
-        statuses.append(letter_status(s, g))
-        s = flip(s, g)
-    return ClassifiedWord(w, tuple(statuses), tuple(prefixes), s)
+        prefixes.append(mask)
+        statuses.append(_status_at(base, mask, n, g))
+        mask ^= _bit(base, g)
+    return ClassifiedWord(w, tuple(statuses), tuple(prefixes), OrientationState(n, mask))
 
 
 def is_realisable(w: GWord) -> bool:
@@ -181,25 +295,19 @@ def stable_projection(w: GWord) -> tuple[GWord, int]:
 
 
 def enumerate_states(n: int):
-    """All 2^C(n,3) orientation states, ordered by bitmask over sorted
-    triples (bit b set means triple b carries -1)."""
-    ts = all_triples(n)
-    for mask in range(1 << len(ts)):
-        yield OrientationState(
-            n, frozenset(t for b, t in enumerate(ts) if mask >> b & 1)
-        )
+    """All 2^C(n,3) orientation states, in the order of their masks."""
+    for mask in range(1 << comb(n, 3)):
+        yield OrientationState(n, mask)
 
 
 def state_id(s: OrientationState) -> int:
-    ts = all_triples(s.n)
-    return sum(1 << b for b, t in enumerate(ts) if t in s.minus)
+    return s.minus
 
 
 def state_from_id(n: int, mask: int) -> OrientationState:
-    ts = all_triples(n)
-    if not 0 <= mask < 1 << len(ts):
+    if not 0 <= mask < 1 << comb(n, 3):
         raise BadTriple(f"state id {mask} out of range for n={n}")
-    return OrientationState(n, frozenset(t for b, t in enumerate(ts) if mask >> b & 1))
+    return OrientationState(n, mask)
 
 
 @dataclass(frozen=True)
@@ -241,12 +349,10 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _render_statuses(cw: ClassifiedWord) -> str:
-    parts = []
-    for g, st in zip(cw.word.letters, cw.statuses):
-        tag = "g" + "".join(str(c) for c in sorted(st.centrals)) if st.good else "bad"
-        parts.append(f"{g}:{tag}")
-    return ",".join(parts)
+def _tags(g: GenTriple) -> tuple[str, ...]:
+    """The `letter:status` renderings of g, indexed by centrals bitset."""
+    i, j, k = g.elems
+    return (f"{g}:bad", f"{g}:g{i}", f"{g}:g{j}", "", f"{g}:g{k}")
 
 
 def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ...]:
@@ -261,61 +367,67 @@ def _middle_under_order(g: GenTriple, order: tuple[int, ...]) -> int:
     return sorted(g.elems, key=rank.__getitem__)[1]
 
 
-def _tetra_case(s: OrientationState, tup) -> tuple[bool, str, str]:
-    lhs = GWord(4, tetra_letters(4, tup))
-    rhs = GWord(4, tuple(reversed(lhs.letters)))
-    cl = classify_word(lhs, start=s)
-    cr = classify_word(rhs, start=s)
-    rendered = _render_statuses(cl) + "|" + _render_statuses(cr)
-    n_l = sum(st.good for st in cl.statuses)
-    n_r = sum(st.good for st in cr.statuses)
+def _tetra_codes(base, mask: int, word: tuple[GenTriple, ...]) -> list[int]:
+    codes = []
+    for g in word:
+        codes.append(_centrals(base, mask, 4, *g.elems))
+        mask ^= _bit(base, g)
+    return codes
+
+
+def _tetra_case(base, mask: int, tup, tags) -> tuple[bool, str, str]:
+    lhs = tetra_letters(4, tup)
+    rhs = lhs[::-1]
+    cl, cr = _tetra_codes(base, mask, lhs), _tetra_codes(base, mask, rhs)
+    rendered = "|".join(
+        ",".join(tags[g][c] for g, c in zip(word, codes)) for word, codes in ((lhs, cl), (rhs, cr))
+    )
+    n_l = sum(1 for c in cl if c)
+    n_r = sum(1 for c in cr if c)
     if n_l not in (0, 1, 4):
         return False, rendered, f"good count {n_l} not in {{0,1,4}}"
     if n_l != n_r:
         return False, rendered, f"good counts differ: {n_l} vs {n_r}"
     if n_l == 1:
-        g_l = next(g for g, st in zip(cl.word.letters, cl.statuses) if st.good)
-        g_r = next(g for g, st in zip(cr.word.letters, cr.statuses) if st.good)
+        g_l = next(g for g, c in zip(lhs, cl) if c)
+        g_r = next(g for g, c in zip(rhs, cr) if c)
         if g_l != g_r:
             return False, rendered, f"lone good letters differ: {g_l} vs {g_r}"
     if n_l == 4:
-        found = False
-        for order in permutations(sorted(set(tup))):
-            if all(
-                _middle_under_order(g, order) in st.centrals
-                for cw in (cl, cr)
-                for g, st in zip(cw.word.letters, cw.statuses)
-            ):
-                found = True
-                break
-        if not found:
+        lettered = [(g, g.elems[c >> 1]) for g, c in zip(lhs + rhs, cl + cr)]
+        if not any(
+            all(_middle_under_order(g, order) == central for g, central in lettered)
+            for order in permutations(sorted(set(tup)))
+        ):
             return False, rendered, "no total order realises all eight letters"
     return True, rendered, ""
 
 
 def _tetra_census() -> CensusReport:
+    base = _bit_base(4)
+    tags = {g: _tags(g) for g in all_generators(4)}
     rows = []
-    for s in enumerate_states(4):
-        sid = state_id(s)
+    for mask in range(1 << comb(4, 3)):
         for tup in permutations((1, 2, 3, 4)):
-            ok, rendered, detail = _tetra_case(s, tup)
-            rows.append(CensusRow(sid, "".join(map(str, tup)), rendered, ok, detail))
+            ok, rendered, detail = _tetra_case(base, mask, tup, tags)
+            rows.append(CensusRow(mask, "".join(map(str, tup)), rendered, ok, detail))
     return CensusReport(4, "tetra", len(rows), tuple(rows))
 
 
 def _square_census() -> CensusReport:
+    base = _bit_base(4)
+    plan = [(str(g), g.elems, _bit(base, g), _tags(g)) for g in all_generators(4)]
     rows = []
-    gens = all_generators(4)
-    for s in enumerate_states(4):
-        sid = state_id(s)
-        for g in gens:
-            cw = classify_word(GWord(4, (g, g)), start=s)
-            ok = cw.statuses[0] == cw.statuses[1]
+    for mask in range(1 << comb(4, 3)):
+        for case, elems, bit, tags in plan:
+            first = _centrals(base, mask, 4, *elems)
+            second = _centrals(base, mask ^ bit, 4, *elems)
+            ok = first == second
             rows.append(
                 CensusRow(
-                    sid,
-                    str(g),
-                    _render_statuses(cw),
+                    mask,
+                    case,
+                    f"{tags[first]},{tags[second]}",
                     ok,
                     "" if ok else "square copies disagree",
                 )
@@ -324,27 +436,34 @@ def _square_census() -> CensusReport:
 
 
 def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
+    base = _bit_base(n)
     gens = all_generators(n)
-    pairs = [(a, b) for a, b in combinations(gens, 2) if far_commutes(a, b)]
+    plan = [
+        (f"{a}|{b}", a.elems, b.elems, _bit(base, a), _bit(base, b), _tags(a), _tags(b))
+        for a, b in combinations(gens, 2)
+        if far_commutes(a, b)
+    ]
+    width = comb(n, 3)
     if n == 5:
-        states = list(enumerate_states(5))
+        masks = range(1 << width)
     else:
         # the full state space is 2^C(n,3); sample it with a fixed seed
         rng = random.Random(seed)
-        width = len(all_triples(n))
-        states = [state_from_id(n, rng.randrange(1 << width)) for _ in range(samples)]
+        masks = [rng.randrange(1 << width) for _ in range(samples)]
     rows = []
-    for s in states:
-        sid = state_id(s)
-        for a, b in pairs:
-            fwd = classify_word(GWord(n, (a, b)), start=s)
-            rev = classify_word(GWord(n, (b, a)), start=s)
-            ok = fwd.statuses[0] == rev.statuses[1] and fwd.statuses[1] == rev.statuses[0]
+    for mask in masks:
+        for case, a, b, bit_a, bit_b, tags_a, tags_b in plan:
+            # a then b, and b then a, each letter read at its prefix state
+            fa = _centrals(base, mask, n, *a)
+            fb = _centrals(base, mask ^ bit_a, n, *b)
+            rb = _centrals(base, mask, n, *b)
+            ra = _centrals(base, mask ^ bit_b, n, *a)
+            ok = fa == ra and fb == rb
             rows.append(
                 CensusRow(
-                    sid,
-                    f"{a}|{b}",
-                    _render_statuses(fwd) + "|" + _render_statuses(rev),
+                    mask,
+                    case,
+                    f"{tags_a[fa]},{tags_b[fb]}|{tags_b[rb]},{tags_a[ra]}",
                     ok,
                     "" if ok else "statuses change under swap",
                 )

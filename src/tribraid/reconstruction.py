@@ -18,15 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    AdjacencyViolation,
-    AmbiguousCentral,
-    BadTriple,
-    DimensionMismatch,
-    NotRealisable,
-)
+from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable
 from .group_core import GWord, generator_parity
-from .index_state import ClassifiedWord, classify_word, signed_index
+from .index_state import ClassifiedWord, _bit_base, _sign, classify_word
 
 
 def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
@@ -125,19 +119,18 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
 def _swap_word(cw: ClassifiedWord, axis: int) -> CylWord:
     """`reconstruct_axis` of a word already classified realisable."""
     w = cw.word
+    base = _bit_base(w.n)
     order = list(initial_cyclic_order(w.n, axis))
     letters: list[CylLetter] = []
-    for g, st, s in zip(w.letters, cw.statuses, cw.prefix_states):
+    for g, st, mask in zip(w.letters, cw.statuses, cw.prefix_masks):
         if axis not in g.elems:
             continue
-        if len(st.centrals) != 1:
-            raise AmbiguousCentral(f"letter {g} admits centrals {sorted(st.centrals)}")
         (central,) = st.centrals
         if central == axis:
             continue
         inner = central
         (outer,) = (e for e in g.elems if e != axis and e != central)
-        sign = signed_index(s, axis, outer, inner)
+        sign = _sign(base, mask, axis, outer, inner)
         _swap_adjacent(order, inner, outer)
         letters.append(CylLetter(inner, outer, sign))
     # every swap was checked adjacent as it was made: skip CylWord's replay

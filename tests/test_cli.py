@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import tribraid
 from tribraid import (
     compile_program,
     format_word,
@@ -157,3 +162,55 @@ def test_selftest(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_interleaved_subcommands_give_the_same_output(capsys, tmp_path):
+    # main parses with one parser per process: no flag or default may carry
+    # over from one call to the next
+    prog = tmp_path / "b13.json"
+    prog.write_text(json.dumps(program_to_json(pure_braid_generator_program(4, 1, 3))))
+    commands = [
+        ["census", "--lemma", "square", "--n", "4", "--full"],
+        ["gen", "--braid", "1,3", "--n", "4"],
+        ["compile", str(prog), "--events"],
+        ["census", "--lemma", "square", "--n", "4"],
+        ["gen", "--full-twist", "1", "--n", "4"],
+        ["compile", str(prog)],
+        ["classify", "--n", "4", "a134 a123"],
+        ["project", "--stable", "--n", "4", "a134 a123"],
+        ["project", "--n", "4", "a134 a123 a123"],
+        ["frobnicate"],
+        ["equal", "--n", "4", "--depth", "10", "--max-len", "4", "a123 a124", "a124 a123"],
+        ["equal", "--n", "4", "a123", "a123"],
+    ]
+    first = [run(capsys, argv) for argv in commands]
+    again = [run(capsys, argv) for argv in reversed(commands)][::-1]
+    assert first == again
+    assert first[0][1] != first[3][1] and first[2][1] != first[5][1]
+
+
+def test_fresh_import_releases_the_old_modules():
+    # re-importing inside this process would give later tests new classes,
+    # so the check runs in a child interpreter
+    script = """
+import gc, importlib, sys, weakref
+import tribraid, tribraid.cli
+refs = [weakref.ref(tribraid.cli.main), weakref.ref(tribraid.geometry.compile_program),
+        weakref.ref(tribraid.index_state.classify_word)]
+tribraid.cli.main(["gen", "--braid", "1,3", "--n", "4"])
+del tribraid
+for name in [m for m in sys.modules if m == "tribraid" or m.startswith("tribraid.")]:
+    del sys.modules[name]
+importlib.import_module("tribraid")
+importlib.import_module("tribraid.cli")
+gc.collect()
+print("alive:", [r() is not None for r in refs])
+"""
+    src = str(Path(tribraid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "alive: [False, False, False]"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -31,6 +32,7 @@ from tribraid import (
     state_id,
     tetra_letters,
 )
+from tribraid.index_state import _GAP_TABLES
 
 
 class TestInitialState:
@@ -127,6 +129,77 @@ class TestLetterStatus:
         for _ in range(500):
             s = rng.choice(states5)
             assert len(letter_status(s, rng.choice(gens5)).centrals) <= 1
+
+
+class TestBitmaskOracle:
+    """The mask-native code against the sign-by-sign definition."""
+
+    NS = (*range(4, 13), 16, 32)
+
+    @staticmethod
+    def random_mask(rng, width):
+        if rng.random() < 0.5:
+            return rng.randrange(1 << width)
+        # few minus signs leave most letters good
+        mask = 0
+        for _ in range(rng.randrange(4)):
+            mask |= 1 << rng.randrange(width)
+        return mask
+
+    @staticmethod
+    def reference_centrals(s, g):
+        i, j, k = g.elems
+        outside = [p for p in range(1, s.n + 1) if p not in g.elems]
+        return {
+            c
+            for c, x, y in ((i, j, k), (j, i, k), (k, i, j))
+            if all(
+                signed_index(s, x, c, p) == signed_index(s, x, y, p) == signed_index(s, c, y, p)
+                for p in outside
+            )
+        }
+
+    def test_letter_status_matches_definition(self):
+        rng = random.Random(41)
+        for n in self.NS:
+            triples = list(combinations(range(1, n + 1), 3))
+            gens = all_generators(n)
+            for _ in range(200):
+                mask = self.random_mask(rng, len(triples))
+                s = state_from_id(n, mask)
+                for b in rng.sample(range(len(triples)), 3):
+                    assert s.value(triples[b]) == (-1 if mask >> b & 1 else 1)
+                g = rng.choice(gens)
+                assert letter_status(s, g).centrals == self.reference_centrals(s, g)
+
+    def test_run_word_is_xor_fold(self):
+        rng = random.Random(43)
+        for n in self.NS:
+            rank = {t: b for b, t in enumerate(combinations(range(1, n + 1), 3))}
+            for _ in range(20):
+                mask = self.random_mask(rng, len(rank))
+                w = random_word(rng, n, 30)
+                expected = mask
+                for g in w.letters:
+                    expected ^= 1 << rank[g.elems]
+                assert run_word(state_from_id(n, mask), w).minus == expected
+                cw = classify_word(w, start=state_from_id(n, mask))
+                assert cw.final_state.minus == expected
+
+    def test_gap_tables_admit_at_most_one_central(self):
+        # the status is the AND of these entries over the outside strands,
+        # so a letter never admits two centrals
+        assert len(_GAP_TABLES) == 4
+        for table in _GAP_TABLES:
+            assert len(table) == 8
+            for entry in table:
+                assert 0 <= entry < 8 and entry & (entry - 1) == 0
+
+    def test_value_rejects_unsorted_or_out_of_range(self):
+        s = initial_state(4)
+        for bad in ((2, 1, 3), (1, 1, 2), (0, 1, 2), (2, 3, 5), (1, 2)):
+            with pytest.raises(BadTriple):
+                s.value(bad)
 
 
 class TestClassifyWord:
@@ -227,6 +300,24 @@ class TestCensuses:
             relation_census(4, "commute")
         with pytest.raises(ValueError):
             relation_census(4, "nonsense")
+
+    @pytest.mark.parametrize(
+        "n, lemma, kwargs, digest",
+        [
+            (4, "square", {}, "5fd4b4defeb9e9077bf218e644c3c47d7d7adab8fd0ebb35b9c22efc238102a5"),
+            (4, "tetra", {}, "d3d789d2555a53350aac90f145ca062b0c481fa0e42a41aa4b2f0d6fb95862cc"),
+            (5, "commute", {}, "89c8292e4a32795b3daf35254b8e7b70b8af7b0898c714326d6163b482dfc79c"),
+            (
+                6,
+                "commute",
+                {"samples": 64, "seed": 0},
+                "aaeda77a9673539c9ec39d2894a905198878a5fdaddeb76336a9115ea11e2518",
+            ),
+        ],
+    )
+    def test_full_tables_pinned(self, n, lemma, kwargs, digest):
+        table = relation_census(n, lemma, **kwargs).to_table(full=True)
+        assert hashlib.sha256(table.encode()).hexdigest() == digest
 
     def test_tetra_census_structure(self):
         report = relation_census(4, "tetra")
