@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import ProgramParseError, TribraidError, WordParseError
+from .errors import InvalidBudget, ProgramParseError, TribraidError, WordParseError
 from .geometry import (
     compile_program,
     embed_at_infinity,
@@ -21,7 +21,14 @@ from .geometry import (
     program_to_json,
     pure_braid_generator_program,
 )
-from .group_core import GWord, bounded_equal, format_word, generator_parity, parse_word
+from .group_core import (
+    MAX_STORED_WORDS,
+    GWord,
+    bounded_equal,
+    format_word,
+    generator_parity,
+    parse_word,
+)
 from .index_state import (
     classify_word,
     project_once,
@@ -113,8 +120,18 @@ def cmd_equal(args) -> int:
     elif verdict.is_distinct:
         print(f"distinct: {verdict.witness}")
     else:
-        print(f"unknown (depth={args.depth}, max-len={args.max_len} exhausted)")
+        print(f"unknown ({_stop_reason(verdict.stats, args)})")
+    if args.stats:
+        print(f"stats: {verdict.stats}")
     return 0
+
+
+def _stop_reason(stats, args) -> str:
+    if stats.stop == "depth":
+        return f"depth={args.depth} expansions reached"
+    if stats.stop == "limit":
+        return f"stored-word limit {MAX_STORED_WORDS} reached"
+    return f"all {stats.stored} words within max-len={args.max_len} searched"
 
 
 def cmd_parity(args) -> int:
@@ -164,7 +181,7 @@ def cmd_selftest(args) -> int:
     import random as _random
 
     from .geometry import geometric_linking, random_closed_program
-    from .group_core import all_generators
+    from .group_core import all_generators, apply_move
     from .index_state import initial_state, is_realisable, run_word
     from .reconstruction import TRIVIAL_CONSISTENT, kernel_witness
 
@@ -219,12 +236,25 @@ def cmd_selftest(args) -> int:
         kept = tuple(g.elems for g in word5.letters if 5 not in g.elems)
         return kept == tuple(g.elems for g in word.letters)
 
+    def check_bounded_equality() -> bool:
+        tetra = parse_word("a123 a124 a134 a234", 4)
+        reversed_tetra = GWord(4, tetra.letters[::-1])
+        verdict = bounded_equal(tetra, reversed_tetra, depth=1000, max_len=8)
+        if not verdict.is_equal or len(verdict.path) != 1:
+            return False
+        word = tetra
+        for move in verdict.path:
+            word = apply_move(word, move)
+        parity_pair = (parse_word("a123", 4), parse_word("a124", 4))
+        return word == reversed_tetra and bounded_equal(*parity_pair, 10, 6).is_distinct
+
     checks = [
         ("relation censuses", check_censuses),
         ("full twist compiles to the empty word", check_full_twist),
         ("generator gadget round trip", check_round_trip),
         ("stable projection fixed points", check_stable_projection),
         ("embedding restriction", check_embedding),
+        ("bounded equality", check_bounded_equality),
     ]
     failed = 0
     for name, fn in checks:
@@ -274,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=1000, help="expanded-word budget")
     p.add_argument("--max-len", type=int, default=12, dest="max_len")
+    p.add_argument("--stats", action="store_true", help="also print what the search did")
     p.add_argument("word1")
     p.add_argument("word2")
     p.set_defaults(func=cmd_equal)
@@ -313,7 +344,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (WordParseError, ProgramParseError) as exc:
+    except (WordParseError, ProgramParseError, InvalidBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TribraidError as exc:

@@ -60,3 +60,7 @@ class NotRealisable(TribraidError):
 class AdjacencyViolation(TribraidError):
     """A ray swap between strands that are not adjacent in the running
     cyclic order."""
+
+
+class InvalidBudget(TribraidError):
+    """A search budget (expansion depth or word length) is negative."""

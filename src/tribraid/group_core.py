@@ -9,15 +9,17 @@ Words are immutable; relation moves produce rewritten copies.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
 from .errors import (
     BadTriple,
     DimensionMismatch,
+    InvalidBudget,
     InvalidMove,
     InvalidN,
     WordParseError,
@@ -53,14 +55,32 @@ class GenTriple:
         return "a(" + ",".join(str(i) for i in self.elems) + ")"
 
 
+def _code(elems: tuple[int, ...]) -> int:
+    """A generator's code: the bitmask of its strands, bit s for strand s."""
+    i, j, k = elems
+    return 1 << i | 1 << j | 1 << k
+
+
+@functools.cache
+def _generators(n: int) -> dict[int, GenTriple]:
+    """Every generator keyed by its code, in lexicographic index order."""
+    return {_code(c): GenTriple(n, c) for c in combinations(range(1, n + 1), 3)}
+
+
 def all_generators(n: int) -> list[GenTriple]:
     """All C(n,3) generators, in lexicographic index order."""
-    return [GenTriple(n, c) for c in combinations(range(1, n + 1), 3)]
+    return list(_generators(n).values())
+
+
+def _far(a: int, b: int) -> bool:
+    """True when two codes share at most one strand bit."""
+    shared = a & b
+    return not shared & (shared - 1)
 
 
 def far_commutes(a: GenTriple, b: GenTriple) -> bool:
     """True when the index sets share at most one strand."""
-    return len(set(a.elems) & set(b.elems)) <= 1
+    return _far(_code(a.elems), _code(b.elems))
 
 
 @dataclass(frozen=True)
@@ -166,16 +186,45 @@ def free_reduce(w: GWord) -> GWord:
     return GWord(w.n, tuple(stack))
 
 
-def _tetra_window(letters: tuple[GenTriple, ...], p: int) -> bool:
-    # 4 pairwise distinct consecutive letters whose union has 4 strands:
-    # then they are exactly the four 3-subsets of that 4-set.
-    window = letters[p : p + 4]
-    if len(set(window)) != 4:
-        return False
-    union: set[int] = set()
-    for g in window:
-        union.update(g.elems)
-    return len(union) == 4
+def _tetra(a: int, b: int, c: int, d: int) -> bool:
+    # 4 pairwise distinct letters whose union has 4 strands: then they are
+    # exactly the four 3-subsets of that 4-set
+    return (a | b | c | d).bit_count() == 4 and len({a, b, c, d}) == 4
+
+
+def _neighbours(word: tuple[int, ...], n: int, max_len: int):
+    """(move key, rewritten word) for every relation move on a word of
+    generator codes: square deletions, swaps and tetrahedron windows by
+    position, then, when the result fits in `max_len`, square insertions by
+    position and then by generator.  A key is (kind, position, code of the
+    inserted generator or None)."""
+    length = len(word)
+    for p in range(length - 1):
+        if word[p] == word[p + 1]:
+            yield (MoveKind.SQUARE_DELETE, p, None), word[:p] + word[p + 2 :]
+    for p in range(length - 1):
+        a, b = word[p], word[p + 1]
+        if _far(a, b):
+            yield (MoveKind.FAR_COMMUTE, p, None), word[:p] + (b, a) + word[p + 2 :]
+    for p in range(length - 3):
+        a, b, c, d = word[p : p + 4]
+        if _tetra(a, b, c, d):
+            yield (MoveKind.TETRA_REVERSE, p, None), word[:p] + (d, c, b, a) + word[p + 4 :]
+    if length + 2 <= max_len:
+        codes, insert = _generators(n), MoveKind.SQUARE_INSERT
+        for p in range(length + 1):
+            head, tail = word[:p], word[p:]
+            for g in codes:
+                yield (insert, p, g), head + (g, g) + tail
+
+
+def _encode(w: GWord) -> tuple[int, ...]:
+    return tuple(_code(g.elems) for g in w.letters)
+
+
+def _relation_move(n: int, key) -> RelationMove:
+    kind, p, g = key
+    return RelationMove(kind, p, None if g is None else _generators(n)[g])
 
 
 def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> list[RelationMove]:
@@ -185,23 +234,8 @@ def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> 
     resulting length stays within `max_len`; unrestricted insertion would
     make move enumeration infinite.
     """
-    letters = w.letters
-    length = len(letters)
-    moves: list[RelationMove] = []
-    for p in range(length - 1):
-        if letters[p] == letters[p + 1]:
-            moves.append(RelationMove(MoveKind.SQUARE_DELETE, p))
-    for p in range(length - 1):
-        if far_commutes(letters[p], letters[p + 1]):
-            moves.append(RelationMove(MoveKind.FAR_COMMUTE, p))
-    for p in range(length - 3):
-        if _tetra_window(letters, p):
-            moves.append(RelationMove(MoveKind.TETRA_REVERSE, p))
-    if allow_insert and length + 2 <= max_len:
-        for p in range(length + 1):
-            for g in all_generators(w.n):
-                moves.append(RelationMove(MoveKind.SQUARE_INSERT, p, g))
-    return moves
+    limit = max_len if allow_insert else 0
+    return [_relation_move(w.n, key) for key, _ in _neighbours(_encode(w), w.n, limit)]
 
 
 def apply_move(w: GWord, m: RelationMove) -> GWord:
@@ -226,9 +260,10 @@ def apply_move(w: GWord, m: RelationMove) -> GWord:
             raise InvalidMove(f"letters at position {p} do not far-commute")
         return GWord(w.n, letters[:p] + (letters[p + 1], letters[p]) + letters[p + 2 :])
     if m.kind is MoveKind.TETRA_REVERSE:
-        if not (0 <= p <= len(letters) - 4 and _tetra_window(letters, p)):
+        window = letters[p : p + 4]
+        if not (0 <= p <= len(letters) - 4 and _tetra(*(_code(g.elems) for g in window))):
             raise InvalidMove(f"no tetrahedron window at position {p}")
-        return GWord(w.n, letters[:p] + tuple(reversed(letters[p : p + 4])) + letters[p + 4 :])
+        return GWord(w.n, letters[:p] + window[::-1] + letters[p + 4 :])
     raise InvalidMove(f"unknown move kind {m.kind!r}")
 
 
@@ -257,30 +292,65 @@ def generator_parity(w: GWord) -> ParityVector:
     return ParityVector(w.n, frozenset(t for t, c in counts.items() if c % 2))
 
 
+# A bounded search stops once it stores more words than this, whatever its
+# depth and length budgets allow.  A stored word costs about 150 bytes at the
+# lengths searches meet (1,001,951 words of at most 6 letters at n=20 peak at
+# 156 MiB), and the largest search in the tests and the benchmark corpus
+# stores 4,500 words.
+MAX_STORED_WORDS = 1_000_000
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """What a bounded equality search did.
+
+    ``stop`` names what ended it: ``found`` (a path reached the second
+    word), ``depth`` (the expansion budget ran out), ``exhausted`` (the
+    frontier emptied: every word reachable within the length budget was
+    searched), ``limit`` (more than MAX_STORED_WORDS words stored), or,
+    without a search, ``parity`` or ``identical``.
+    """
+
+    expanded: int
+    stored: int
+    peak_frontier: int
+    stop: str
+
+    def __str__(self) -> str:
+        return (
+            f"expanded={self.expanded} stored={self.stored} "
+            f"peak_frontier={self.peak_frontier} stop={self.stop}"
+        )
+
+
 @dataclass(frozen=True)
 class EqualityVerdict:
     """Three-valued outcome of a bounded equality search.
 
     ``equal`` carries a replayable move path from the first word to the
     second; ``distinct`` carries an invariant witness; ``unknown`` means
-    the search limits were reached without a decision.
+    the search limits were reached without a decision.  ``stats`` reports
+    the search and takes no part in comparing verdicts.
     """
 
     status: str
     path: tuple[RelationMove, ...] | None = None
     witness: str | None = None
+    stats: SearchStats | None = field(default=None, compare=False)
 
     @classmethod
-    def equal(cls, path: tuple[RelationMove, ...]) -> "EqualityVerdict":
-        return cls("equal", path=path)
+    def equal(
+        cls, path: tuple[RelationMove, ...], stats: SearchStats | None = None
+    ) -> "EqualityVerdict":
+        return cls("equal", path=path, stats=stats)
 
     @classmethod
-    def distinct(cls, witness: str) -> "EqualityVerdict":
-        return cls("distinct", witness=witness)
+    def distinct(cls, witness: str, stats: SearchStats | None = None) -> "EqualityVerdict":
+        return cls("distinct", witness=witness, stats=stats)
 
     @classmethod
-    def unknown(cls) -> "EqualityVerdict":
-        return cls("unknown")
+    def unknown(cls, stats: SearchStats | None = None) -> "EqualityVerdict":
+        return cls("unknown", stats=stats)
 
     @property
     def is_equal(self) -> bool:
@@ -299,34 +369,53 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     """Breadth-first search for a move path from w1 to w2.
 
     Insertions are allowed up to word length `max_len`; at most `depth`
-    words are expanded.  The verdict never claims inequality without a
+    words are expanded, and the search stops once it stores more than
+    MAX_STORED_WORDS words.  The verdict never claims inequality without a
     parity witness, because no complete decision procedure is known.
     Deterministic for fixed inputs and limits.
     """
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
+    if depth < 0 or max_len < 0:
+        raise InvalidBudget(f"search budgets must be >= 0, got depth={depth}, max_len={max_len}")
     if generator_parity(w1) != generator_parity(w2):
-        return EqualityVerdict.distinct("parity mismatch")
+        return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))
     if w1 == w2:
-        return EqualityVerdict.equal(())
-    parents: dict[GWord, tuple[GWord, RelationMove] | None] = {w1: None}
-    queue: deque[GWord] = deque([w1])
-    expanded = 0
+        return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
+    n = w1.n
+    start, goal = _encode(w1), _encode(w2)
+    # each stored word maps to the word it was first reached from
+    parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
+    queue = deque([start])
+    expanded, peak = 0, 1
     while queue and expanded < depth:
-        w = queue.popleft()
+        word = queue.popleft()
         expanded += 1
-        for m in applicable_moves(w, allow_insert=True, max_len=max_len):
-            nxt = apply_move(w, m)
+        for _, nxt in _neighbours(word, n, max_len):
             if nxt in parents:
                 continue
-            parents[nxt] = (w, m)
-            if nxt == w2:
-                path: list[RelationMove] = []
-                cur = nxt
-                while parents[cur] is not None:
-                    prev, mv = parents[cur]  # type: ignore[misc]
-                    path.append(mv)
-                    cur = prev
-                return EqualityVerdict.equal(tuple(reversed(path)))
+            parents[nxt] = word
+            if nxt == goal:
+                stats = SearchStats(expanded, len(parents), max(peak, len(queue)), "found")
+                return EqualityVerdict.equal(_path(parents, goal, n, max_len), stats)
             queue.append(nxt)
-    return EqualityVerdict.unknown()
+        peak = max(peak, len(queue))
+        if len(parents) > MAX_STORED_WORDS:
+            return EqualityVerdict.unknown(SearchStats(expanded, len(parents), peak, "limit"))
+    stop = "depth" if queue else "exhausted"
+    return EqualityVerdict.unknown(SearchStats(expanded, len(parents), peak, stop))
+
+
+def _path(parents, goal: tuple[int, ...], n: int, max_len: int) -> tuple[RelationMove, ...]:
+    """The moves from the search's start to `goal`.  The search stores only
+    each word's predecessor; the move between them is the first one, in
+    enumeration order, that rewrites the predecessor into the word, because
+    that is the move that first reached it."""
+    chain = [goal]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    chain.reverse()
+    return tuple(
+        _relation_move(n, next(key for key, nxt in _neighbours(prev, n, max_len) if nxt == word))
+        for prev, word in zip(chain, chain[1:])
+    )

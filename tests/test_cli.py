@@ -99,6 +99,25 @@ def test_equal_distinct_and_unknown(capsys):
     assert code == 0 and out.startswith("unknown")
 
 
+def test_equal_unknown_names_the_limit_that_stopped_it(capsys):
+    pair = ["a123 a124", "a124 a123"]
+    code, out, _ = run(
+        capsys, ["equal", "--n", "4", "--depth", "1000", "--max-len", "4", "--stats", *pair]
+    )
+    assert code == 0 and out.splitlines() == [
+        "unknown (all 11 words within max-len=4 searched)",
+        "stats: expanded=11 stored=11 peak_frontier=10 stop=exhausted",
+    ]
+    code, out, _ = run(capsys, ["equal", "--n", "4", "--depth", "10", "--max-len", "4", *pair])
+    assert code == 0 and out.strip() == "unknown (depth=10 expansions reached)"
+
+
+def test_equal_negative_budget_exits_2(capsys):
+    for flag in ("--depth", "--max-len"):
+        code, out, err = run(capsys, ["equal", "--n", "4", flag, "-1", "a123", "a123"])
+        assert code == 2 and out == "" and "budgets must be >= 0" in err
+
+
 def test_parity_output(capsys):
     code, out, _ = run(capsys, ["parity", "--n", "4", "a123 a124 a123"])
     assert code == 0 and out.strip() == "a124"

@@ -1,4 +1,7 @@
+import hashlib
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -6,12 +9,15 @@ from helpers import random_word, word
 from tribraid import (
     BadTriple,
     DimensionMismatch,
+    EqualityVerdict,
     GWord,
     GenTriple,
+    InvalidBudget,
     InvalidMove,
     InvalidN,
     MoveKind,
     RelationMove,
+    SearchStats,
     WordParseError,
     all_generators,
     applicable_moves,
@@ -24,6 +30,7 @@ from tribraid import (
     parse_indices,
     parse_word,
 )
+from tribraid import group_core
 
 
 class TestGenTriple:
@@ -134,6 +141,46 @@ class TestApplicableMoves:
         assert applicable_moves(w, allow_insert=True, max_len=1) == []
         ins = applicable_moves(w, allow_insert=True, max_len=2)
         assert len(ins) == 4 and all(m.kind is MoveKind.SQUARE_INSERT for m in ins)
+
+
+def plain_moves(w, allow_insert=False, max_len=0):
+    """The relation moves of w by nested loops over positions and generators."""
+    letters, moves = w.letters, []
+    for p in range(len(letters) - 1):
+        if letters[p] == letters[p + 1]:
+            moves.append(RelationMove(MoveKind.SQUARE_DELETE, p))
+    for p in range(len(letters) - 1):
+        if len(set(letters[p].elems) & set(letters[p + 1].elems)) <= 1:
+            moves.append(RelationMove(MoveKind.FAR_COMMUTE, p))
+    for p in range(len(letters) - 3):
+        window = letters[p : p + 4]
+        strands = {s for g in window for s in g.elems}
+        if len(set(window)) == 4 and len(strands) == 4:
+            moves.append(RelationMove(MoveKind.TETRA_REVERSE, p))
+    if allow_insert and len(letters) + 2 <= max_len:
+        for p in range(len(letters) + 1):
+            for c in combinations(range(1, w.n + 1), 3):
+                moves.append(RelationMove(MoveKind.SQUARE_INSERT, p, GenTriple(w.n, c)))
+    return moves
+
+
+class TestMoveEnumeration:
+    def test_matches_nested_loops_and_every_move_applies(self):
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(300):
+            n = rng.choice((4, 5, 6))
+            # letters from a few strands make squares and tetra windows common
+            strands = rng.sample(range(1, n + 1), rng.randint(4, n))
+            gens = [GenTriple(n, c) for c in combinations(strands, 3)]
+            w = GWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(0, 9))))
+            for allow_insert in (False, True):
+                moves = applicable_moves(w, allow_insert=allow_insert, max_len=len(w) + 2)
+                assert moves == plain_moves(w, allow_insert, len(w) + 2)
+                for m in moves:
+                    apply_move(w, m)  # raises InvalidMove if the pattern is not there
+                kinds.update(m.kind for m in moves)
+        assert all(kinds[kind] >= 50 for kind in MoveKind)
 
 
 class TestApplyMove:
@@ -248,3 +295,62 @@ class TestBoundedEqual:
             for m in v.path:
                 replay = apply_move(replay, m)
             assert replay == cur
+
+    def test_paths_pinned(self):
+        # verdicts and move paths of seeded pairs a few relation moves apart,
+        # under two expansion budgets; the digest was taken before the
+        # search moved to generator codes
+        rng = random.Random(4242)
+        h = hashlib.sha256()
+        for n in (4, 5, 6):
+            for _ in range(12):
+                w1 = random_word(rng, n, 6)
+                longest = len(w1) + 4
+                w2 = w1
+                for _ in range(rng.randint(2, 5)):
+                    w2 = apply_move(w2, rng.choice(applicable_moves(w2, True, longest)))
+                for depth in (20, 200):
+                    v = bounded_equal(w1, w2, depth, longest)
+                    h.update(repr((v.status, [str(m) for m in v.path or ()])).encode())
+        assert h.hexdigest() == "857e92cfc102c4b5bac24ada2931b51734710b96df968fac777fdcccc50efef5"
+
+    def test_negative_budgets_rejected(self):
+        w = word(4, (1, 2, 3))
+        with pytest.raises(InvalidBudget):
+            bounded_equal(w, w, depth=-1, max_len=4)
+        with pytest.raises(InvalidBudget):
+            bounded_equal(w, w, depth=10, max_len=-1)
+
+
+class TestSearchStats:
+    def test_stop_reasons(self):
+        w1 = word(4, (1, 2, 3), (1, 2, 4))
+        w2 = word(4, (1, 2, 4), (1, 2, 3))
+        # all 11 words within length 4 are searched before the budget runs out
+        assert bounded_equal(w1, w2, depth=1000, max_len=4).stats == SearchStats(
+            11, 11, 10, "exhausted"
+        )
+        assert bounded_equal(w1, w2, depth=10, max_len=4).stats == SearchStats(
+            10, 11, 10, "depth"
+        )
+        tetra = word(4, (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+        found = bounded_equal(tetra, GWord(4, tetra.letters[::-1]), 100, 8).stats
+        assert (found.expanded, found.stop) == (1, "found")
+        assert bounded_equal(w1, w1, 0, 0).stats.stop == "identical"
+        assert bounded_equal(w1, word(4, (1, 2, 3)), 10, 6).stats.stop == "parity"
+
+    def test_stats_take_no_part_in_equality(self):
+        stats = SearchStats(3, 4, 2, "found")
+        assert EqualityVerdict.equal((), stats) == EqualityVerdict.equal(())
+        assert hash(EqualityVerdict.unknown(stats)) == hash(EqualityVerdict.unknown())
+
+    def test_stored_word_cap(self, monkeypatch):
+        cap = 500
+        monkeypatch.setattr(group_core, "MAX_STORED_WORDS", cap)
+        w1 = parse_word("a(1,2,3) a(1,2,4)", 10)
+        w2 = parse_word("a(1,2,4) a(1,2,3)", 10)
+        stats = bounded_equal(w1, w2, depth=1000, max_len=8).stats
+        assert stats.stop == "limit" and stats.expanded < 1000
+        # the cap is checked after each expansion, which adds at most one
+        # word's neighbours: insertions at 7 positions plus a few others
+        assert cap < stats.stored <= cap + 7 * len(all_generators(10)) + 3 * 8
