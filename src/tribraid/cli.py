@@ -156,19 +156,30 @@ def cmd_census(args) -> int:
     return 0 if report.ok else 1
 
 
+# the largest `gen --n`: at n = 100 the slowest generator gadgets, the
+# diametric pairs such as `--braid 1,50`, take about 4.4 s (Python 3.11,
+# shared 2-core machine), and their cost grows steeply with n
+MAX_GEN_N = 100
+
+
+def _gen_n(args, flag: str) -> int:
+    if args.n is None:
+        raise ProgramParseError(f"{flag} requires --n")
+    if args.n > MAX_GEN_N:
+        raise ProgramParseError(f"--n {args.n} is above the gen ceiling of {MAX_GEN_N} strands")
+    return args.n
+
+
 def cmd_gen(args) -> int:
     if args.braid:
-        if args.n is None:
-            raise ProgramParseError("--braid requires --n")
+        n = _gen_n(args, "--braid")
         try:
             i, j = (int(part) for part in args.braid.split(","))
         except ValueError as exc:
             raise ProgramParseError(f"--braid expects 'i,j', got {args.braid!r}") from exc
-        prog = pure_braid_generator_program(args.n, i, j)
+        prog = pure_braid_generator_program(n, i, j)
     elif args.full_twist is not None:
-        if args.n is None:
-            raise ProgramParseError("--full-twist requires --n")
-        prog = full_twist_program(args.n, args.full_twist)
+        prog = full_twist_program(_gen_n(args, "--full-twist"), args.full_twist)
     else:
         base = _load_program(args.embed)
         _check_n_flag(args, base.n)
@@ -180,7 +191,13 @@ def cmd_gen(args) -> int:
 def cmd_selftest(args) -> int:
     import random as _random
 
-    from .geometry import geometric_linking, random_closed_program
+    from .geometry import (
+        dot,
+        geometric_linking,
+        orientation,
+        random_closed_program,
+        segment_events,
+    )
     from .group_core import all_generators, apply_move
     from .index_state import initial_state, is_realisable, run_word
     from .reconstruction import TRIVIAL_CONSISTENT, kernel_witness
@@ -236,6 +253,31 @@ def cmd_selftest(args) -> int:
         kept = tuple(g.elems for g in word5.letters if 5 not in g.elems)
         return kept == tuple(g.elems for g in word.letters)
 
+    def check_event_geometry() -> bool:
+        # the integer kernels behind segment_events against the public
+        # Fraction definitions: each event is collinear at its time, and its
+        # central lies between the other two points
+        seen = 0
+        for n in (5, 6, 7):
+            for seed in range(3):
+                prog = random_closed_program(n, seed=seed)
+                cur = prog.initial
+                for mv in prog.moves:
+                    p0 = cur.point(mv.strand)
+                    for e in segment_events(cur, mv.strand, mv.target):
+                        pos = {k: cur.point(k) for k in e.triple.elems}
+                        pos[mv.strand] = p0 + (mv.target - p0) * e.t
+                        a, b, c = e.triple.elems
+                        if orientation(pos[a], pos[b], pos[c]) != 0:
+                            return False
+                        o1, o2 = (pos[k] for k in e.triple.elems if k != e.central)
+                        mid = pos[e.central]
+                        if dot(o1 - mid, o2 - mid) >= 0:
+                            return False
+                        seen += 1
+                    cur = cur.moved(mv.strand, mv.target)
+        return seen > 0
+
     def check_bounded_equality() -> bool:
         tetra = parse_word("a123 a124 a134 a234", 4)
         reversed_tetra = GWord(4, tetra.letters[::-1])
@@ -254,6 +296,7 @@ def cmd_selftest(args) -> int:
         ("generator gadget round trip", check_round_trip),
         ("stable projection fixed points", check_stable_projection),
         ("embedding restriction", check_embedding),
+        ("collinearity events against orientation and dot", check_event_geometry),
         ("bounded equality", check_bounded_equality),
     ]
     failed = 0

@@ -1,12 +1,15 @@
 """Exact rational plane geometry for one-strand-at-a-time motions.
 
-All coordinates are `fractions.Fraction`; predicates never touch floating
-point.  Because only one strand moves per segment, each triple's
-collinearity condition is linear in the time parameter, so event times are
-exact rationals with an exact total order.  Orientation is +1 for
-positively oriented (counterclockwise) triangles, calibrated so that the
-rational regular configuration carries the all-plus initial orientation
-state on sorted triples.
+Inputs and outputs are `fractions.Fraction`s, and no float is used
+anywhere.  Every predicate is the sign of an integer polynomial: the points
+it reads are first scaled to integer numerators over one common
+denominator (`_grid`), which changes no sign and no event time.  Because
+only one strand moves per segment, each triple's collinearity condition is
+linear in the time parameter, so event times are exact rationals with an
+exact total order.  Orientation is +1 for positively oriented
+(counterclockwise) triangles, calibrated so that the rational regular
+configuration carries the all-plus initial orientation state on sorted
+triples.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import attrgetter
 
 from .errors import (
     BadTriple,
@@ -91,14 +96,27 @@ def orientation(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> int:
     return (d > 0) - (d < 0)
 
 
-def _raise_if_collinear(points: tuple[RationalPoint, ...], s: int, others) -> None:
-    """GenericityError if point s lies on a line through two of `others`.
+def _grid(points) -> list[tuple[int, int]]:
+    """The points as integer numerators over one common positive denominator:
+    every predicate here is the sign of a polynomial homogeneous in the
+    coordinates, and every event time a ratio of two of one degree."""
+    den = 1
+    for p in points:
+        den = lcm(den, p.x.denominator, p.y.denominator)
+    return [
+        (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
+        for p in points
+    ]
+
+
+def _raise_if_collinear(grid: list[tuple[int, int]], s: int, others) -> None:
+    """GenericityError if point s of `grid` lies on a line through two of `others`.
 
     Indices are 0-based; for sorted `others` the triples are tried in the
     lexicographic order of their sorted labels, as the full check does.
     """
-    px, py = points[s].x, points[s].y
-    rel = [(k, points[k].x - px, points[k].y - py) for k in others]
+    px, py = grid[s]
+    rel = [(k, grid[k][0] - px, grid[k][1] - py) for k in others]
     for (a, ax, ay), (b, bx, by) in combinations(rel, 2):
         if ax * by == ay * bx:
             a, b, c = sorted((a + 1, b + 1, s + 1))
@@ -118,11 +136,12 @@ class Configuration:
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) != self.n:
             raise DimensionMismatch(f"{len(self.points)} points for n={self.n}")
+        grid = _grid(self.points)
         for a, b in combinations(range(self.n), 2):
-            if self.points[a] == self.points[b]:
+            if grid[a] == grid[b]:
                 raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
         for a in range(self.n - 2):
-            _raise_if_collinear(self.points, a, range(a + 1, self.n))
+            _raise_if_collinear(grid, a, range(a + 1, self.n))
 
     def point(self, strand: int) -> RationalPoint:
         if not 1 <= strand <= self.n:
@@ -138,22 +157,29 @@ class Configuration:
         """
         self.point(strand)
         cfg = self._with_point(strand, target)
-        others = [k for k in range(self.n) if k != strand - 1]
+        grid = _grid(cfg.points)
+        s = strand - 1
+        others = [k for k in range(self.n) if k != s]
         for k in others:
-            if cfg.points[k] == target:
+            if grid[k] == grid[s]:
                 a, b = sorted((k + 1, strand))
                 raise GenericityError(f"strands {a} and {b} coincide")
-        _raise_if_collinear(cfg.points, strand - 1, others)
+        _raise_if_collinear(grid, s, others)
         return cfg
 
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
         """`moved` without its check, for a target already known generic."""
         pts = list(self.points)
         pts[strand - 1] = target
-        cfg = object.__new__(Configuration)
-        object.__setattr__(cfg, "n", self.n)
-        object.__setattr__(cfg, "points", tuple(pts))
-        return cfg
+        return _trusted_configuration(self.n, tuple(pts))
+
+
+def _trusted_configuration(n: int, points: tuple[RationalPoint, ...]) -> Configuration:
+    """A configuration of points already known generic, built unchecked."""
+    cfg = object.__new__(Configuration)
+    object.__setattr__(cfg, "n", n)
+    object.__setattr__(cfg, "points", points)
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -201,8 +227,10 @@ class MoveProgram:
         return self.initial.n
 
     @cached_property
-    def _boundaries(self) -> list[Configuration]:
-        return boundary_configurations(self)
+    def _boundary_grids(self) -> list[list[tuple[int, int]]]:
+        """The validated boundary configurations, on one `_grid`."""
+        flat = _grid([pt for cfg in boundary_configurations(self) for pt in cfg.points])
+        return [flat[k : k + self.n] for k in range(0, len(flat), self.n)]
 
 
 @dataclass(frozen=True)
@@ -234,8 +262,13 @@ def regular_rational_configuration(n: int) -> Configuration:
     Strand j sits in the angular sector of the true vertex at turn fraction
     j/n, placed via the tangent-half-angle map with a parameter that is
     strictly monotone in the angle.  Cyclic order (and therefore every
-    triple's orientation) matches the true n-gon; points on a circle are
-    never three-collinear.
+    triple's orientation) matches the true n-gon.
+
+    The result is built without the O(n^3) check, because it cannot fail:
+    every point lies exactly on the unit circle, and a line meets a circle
+    in at most two points, so no three are collinear; the parameters of
+    distinct strands are distinct, the half-angle map is injective and
+    never reaches (-1, 0), which only j = n/2 takes, so no two coincide.
     """
     if n < 4:
         raise InvalidN(f"strand count must be >= 4, got {n}")
@@ -250,22 +283,19 @@ def regular_rational_configuration(n: int) -> Configuration:
             # monotone on (-1/2, 1/2), exact at the rational vertices 0, ±1/4
             t = 3 * beta / (1 - 4 * beta * beta)
             pts.append(_circle_point(t))
-    return Configuration(n, tuple(pts))
+    return _trusted_configuration(n, tuple(pts))
 
 
-def _central_of_collinear(ids_points) -> int:
-    """Strand id of the middle point among three distinct collinear ones."""
-    for mid_id, mid, o1, o2 in (
-        (ids_points[0][0], ids_points[0][1], ids_points[1][1], ids_points[2][1]),
-        (ids_points[1][0], ids_points[1][1], ids_points[0][1], ids_points[2][1]),
-        (ids_points[2][0], ids_points[2][1], ids_points[0][1], ids_points[1][1]),
-    ):
-        d = dot(o1 - mid, o2 - mid)
-        if d == 0:
-            raise GenericityError("moving strand meets another strand")
-        if d < 0:
-            return mid_id
-    raise GenericityError("no central strand among collinear points")
+def _central(s, a, b, mx, my, ax, ay, bx, by) -> int:
+    """Strand id of the middle one of three collinear integer points: the
+    mover s at (mx, my) and static strands a and b."""
+    d = (ax - mx) * (bx - mx) + (ay - my) * (by - my)
+    if d == 0:
+        raise GenericityError("moving strand meets another strand")
+    if d < 0:
+        return s
+    # three distinct collinear points: a is the middle one or b is
+    return a if (mx - ax) * (bx - ax) + (my - ay) * (by - ay) < 0 else b
 
 
 def segment_events(
@@ -283,36 +313,38 @@ def segment_events(
     two distinct lines through the mover, or the mover on it), so their
     letters far-commute and either order reads the same braid.
     """
-    p0 = c.point(s)
-    d = target - p0
+    c.point(s)  # range check
+    grid = _grid(c.points + (target,))
+    px, py = grid[s - 1]
+    dx, dy = grid[-1][0] - px, grid[-1][1] - py
     # each static strand relative to the mover's start, with its cross with d
     rel = []
-    for k, z in enumerate(c.points, start=1):
+    for k in range(1, c.n + 1):
         if k != s:
-            rx, ry = z.x - p0.x, z.y - p0.y
-            rel.append((k, rx, ry, rx * d.y - ry * d.x))
+            rx, ry = grid[k - 1][0] - px, grid[k - 1][1] - py
+            rel.append((k, rx, ry, rx * dy - ry * dx))
     roots = []
     for (a, ax, ay, ad), (b, bx, by, bd) in combinations(rel, 2):
-        # the orientation of (p0 + t*d, z_a, z_b) is num + t*den
+        # the orientation of (p0 + t*d, z_a, z_b) has the sign of num + t*den
         num = ax * by - ay * bx  # nonzero: the start configuration is generic
         den = bd - ad
         if num + den == 0:
             c.moved(s, target)  # the end configuration is degenerate: say how
-        if den == 0:
-            continue
-        t = -num / den
-        if 0 < t < 1:
-            roots.append((t, a, b))
+        if 0 < -num < den or den < -num < 0:  # 0 < -num/den < 1
+            roots.append((a, ax, ay, b, bx, by, num, den))
+    # the central from positions at t = -num/den relative to p0, times den
     events = [
         CollinearityEvent(
             move_index,
-            t,
+            Fraction(-num, den),
             GenTriple(c.n, (s, a, b)),
-            _central_of_collinear(((s, p0 + d * t), (a, c.point(a)), (b, c.point(b)))),
+            _central(s, a, b, -num * dx, -num * dy, ax * den, ay * den, bx * den, by * den),
         )
-        for t, a, b in roots
+        for a, ax, ay, b, bx, by, num, den in roots
     ]
-    events.sort(key=lambda e: (e.t, e.triple))
+    # pairs come in lexicographic order, which for a fixed s is also the
+    # order of the triples, so a stable sort by time alone gives (t, triple)
+    events.sort(key=attrgetter("t"))
     return events
 
 
@@ -354,7 +386,7 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     twist = 0
     for idx, mv in enumerate(p.moves):
         if isinstance(mv, FullTwistMove):
-            radii = {pt.norm2() for pt in cur.points}
+            radii = {x * x + y * y for x, y in _grid(cur.points)}
             if len(radii) != 1:
                 raise GenericityError(
                     "full twist requires all strands on a common circle about the origin"
@@ -371,16 +403,16 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     return CompileOutput(word, tuple(events), twist)
 
 
-def _ray_crossing(u: RationalPoint, v: RationalPoint) -> int:
+def _ray_crossing(ux: int, uy: int, vx: int, vy: int) -> int:
     """Signed crossing of the directed segment u->v over the ray x>0, y=0."""
-    if (u.x == 0 and u.y == 0) or (v.x == 0 and v.y == 0):
+    if (ux == 0 and uy == 0) or (vx == 0 and vy == 0):
         raise DegeneratePath("difference path hits the origin")
-    c = cross(u, v)
-    if c == 0 and dot(u, v) < 0:
+    c = ux * vy - uy * vx
+    if c == 0 and ux * vx + uy * vy < 0:
         raise DegeneratePath("difference path passes through the origin")
-    if u.y <= 0 < v.y and c > 0:
+    if uy <= 0 < vy and c > 0:
         return 1
-    if v.y <= 0 < u.y and c < 0:
+    if vy <= 0 < uy and c < 0:
         return -1
     return 0
 
@@ -399,13 +431,13 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
         raise BadTriple("linking needs two distinct strands")
     p.initial.point(i)  # range checks
     p.initial.point(j)
-    configs = p._boundaries
+    grids = p._boundary_grids
     wn = sum(mv.turns for mv in p.moves if isinstance(mv, FullTwistMove))
-    d_prev = configs[0].points[i - 1] - configs[0].points[j - 1]
-    for cur in configs[1:]:
-        d_next = cur.points[i - 1] - cur.points[j - 1]
-        wn += _ray_crossing(d_prev, d_next)
-        d_prev = d_next
+    ux, uy = grids[0][i - 1][0] - grids[0][j - 1][0], grids[0][i - 1][1] - grids[0][j - 1][1]
+    for k in range(1, len(grids)):
+        vx, vy = grids[k][i - 1][0] - grids[k][j - 1][0], grids[k][i - 1][1] - grids[k][j - 1][1]
+        wn += _ray_crossing(ux, uy, vx, vy)
+        ux, uy = vx, vy
     return Fraction(wn)
 
 
@@ -429,7 +461,7 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
         raise BadTriple("generator needs two distinct strands")
     cfg = regular_rational_configuration(n)
     pi, pj = cfg.point(i), cfg.point(j)
-    last_error: Exception | None = None
+    last_error = ""  # the message, not the exception: that would pin its frames
     for r in _SHRINK_LADDER:
         for shear in _SHEAR_LADDER:
             u = (pi - pj) * r
@@ -445,9 +477,9 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
                     if k != i
                 ):
                     return prog
-                last_error = GenericityError("loop captured an extra strand")
+                last_error = "loop captured an extra strand"
             except (GenericityError, DegeneratePath) as exc:
-                last_error = exc
+                last_error = str(exc)
     raise ConstructionFailure(
         f"no loop shape in the (scale, shear) ladder works: {last_error}"
     )
@@ -477,7 +509,7 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
     """
     if any(isinstance(mv, FullTwistMove) for mv in p.moves):
         raise InvalidMove("cannot embed a program containing full twists")
-    last_error: Exception | None = None
+    last_error = ""  # the message, not the exception: that would pin its frames
     for R in _FAR_LADDER:
         for d in _FAR_OFFSETS:
             far = RationalPoint(R, d)
@@ -487,7 +519,7 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
                 compile_program(prog)
                 return prog
             except GenericityError as exc:
-                last_error = exc
+                last_error = str(exc)
     raise GenericityError(
         f"no far point up to distance {_FAR_LADDER[-1]} gives a generic embedding: {last_error}"
     )

@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tribraid
 from tribraid import (
@@ -166,6 +169,28 @@ def test_gen_braid_and_embed(capsys, tmp_path):
     assert program_from_json(json.loads(out)).n == 5
 
 
+def test_gen_above_the_n_ceiling_exits_2_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a program was built above the ceiling")
+
+    monkeypatch.setattr(tribraid.cli, "pure_braid_generator_program", refuse)
+    monkeypatch.setattr(tribraid.cli, "full_twist_program", refuse)
+    ceiling = tribraid.cli.MAX_GEN_N
+    for n in (ceiling + 1, 10**9):
+        for flag, value in (("--braid", "1,2"), ("--full-twist", "1")):
+            code, out, err = run(capsys, ["gen", flag, value, "--n", str(n)])
+            assert code == 2 and out == ""
+            assert err == f"error: --n {n} is above the gen ceiling of {ceiling} strands\n"
+
+
+def test_gen_at_the_n_ceiling_builds(capsys, monkeypatch):
+    monkeypatch.setattr(tribraid.cli, "MAX_GEN_N", 5)
+    for flag, value in (("--braid", "1,2"), ("--full-twist", "1")):
+        code, out, _ = run(capsys, ["gen", flag, value, "--n", "5"])
+        assert code == 0 and program_from_json(json.loads(out)).n == 5
+        assert run(capsys, ["gen", flag, value, "--n", "6"])[0] == 2
+
+
 def test_word_parse_error_exits_2(capsys):
     code, _, err = run(capsys, ["classify", "--n", "4", "a12x"])
     assert code == 2 and "error:" in err
@@ -181,6 +206,23 @@ def test_selftest(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "drift",
+    [
+        lambda e: dataclasses.replace(e, t=e.t / 2),
+        lambda e: dataclasses.replace(e, central=min(set(e.triple.elems) - {e.central})),
+    ],
+    ids=["time", "central"],
+)
+def test_selftest_catches_a_drifted_event_kernel(capsys, monkeypatch, drift):
+    exact = tribraid.geometry.segment_events
+    monkeypatch.setattr(
+        tribraid.geometry, "segment_events", lambda *a, **k: [drift(e) for e in exact(*a, **k)]
+    )
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1 and "FAIL collinearity events against orientation and dot" in out.splitlines()
 
 
 def test_interleaved_subcommands_give_the_same_output(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 from tribraid import (
     BadTriple,
     Configuration,
+    ConstructionFailure,
     DegeneratePath,
     FullTwistMove,
     GWord,
@@ -47,6 +49,7 @@ from tribraid import (
     segment_events,
     signed_index,
 )
+from tribraid import geometry
 from tribraid.index_state import classify_word
 
 F = Fraction
@@ -54,6 +57,155 @@ F = Fraction
 
 def P(x, y):
     return RationalPoint(F(x), F(y))
+
+
+# ---------------------------------------------------------------------------
+# A pure-Fraction oracle: the geometric predicates written directly on the
+# rational coordinates, the reference the integer kernels must match.
+# Configurations are tuples of points, strands are 1-based.
+
+
+def _oracle_raise_if_collinear(points, s, others):
+    px, py = points[s].x, points[s].y
+    rel = [(k, points[k].x - px, points[k].y - py) for k in others]
+    for (a, ax, ay), (b, bx, by) in combinations(rel, 2):
+        if ax * by == ay * bx:
+            a, b, c = sorted((a + 1, b + 1, s + 1))
+            raise GenericityError(f"strands {a},{b},{c} are collinear")
+
+
+def _oracle_full_check(points):
+    n = len(points)
+    for a, b in combinations(range(n), 2):
+        if points[a] == points[b]:
+            raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
+    for a in range(n - 2):
+        _oracle_raise_if_collinear(points, a, range(a + 1, n))
+    return points
+
+
+def _oracle_moved(points, strand, target):
+    pts = points[: strand - 1] + (target,) + points[strand:]
+    others = [k for k in range(len(pts)) if k != strand - 1]
+    for k in others:
+        if pts[k] == target:
+            a, b = sorted((k + 1, strand))
+            raise GenericityError(f"strands {a} and {b} coincide")
+    _oracle_raise_if_collinear(pts, strand - 1, others)
+    return pts
+
+
+def _oracle_dot(u, v):
+    return u.x * v.x + u.y * v.y
+
+
+def _oracle_central(ids_points):
+    (i0, z0), (i1, z1), (i2, z2) = ids_points
+    for mid_id, mid, o1, o2 in ((i0, z0, z1, z2), (i1, z1, z0, z2), (i2, z2, z0, z1)):
+        d = _oracle_dot(o1 - mid, o2 - mid)
+        if d == 0:
+            raise GenericityError("moving strand meets another strand")
+        if d < 0:
+            return mid_id
+    raise AssertionError("three distinct collinear points have a middle one")
+
+
+def _oracle_segment_events(points, s, target):
+    """Sorted (t, sorted triple, central) of the move, as the library's
+    events are ordered by (t, triple)."""
+    p0 = points[s - 1]
+    d = target - p0
+    rel = []
+    for k, z in enumerate(points, start=1):
+        if k != s:
+            rx, ry = z.x - p0.x, z.y - p0.y
+            rel.append((k, rx, ry, rx * d.y - ry * d.x))
+    roots = []
+    for (a, ax, ay, ad), (b, bx, by, bd) in combinations(rel, 2):
+        num = ax * by - ay * bx
+        den = bd - ad
+        if num + den == 0:
+            _oracle_moved(points, s, target)
+        if den == 0:
+            continue
+        t = -num / den
+        if 0 < t < 1:
+            roots.append((t, a, b))
+    events = [
+        (
+            t,
+            tuple(sorted((s, a, b))),
+            _oracle_central(((s, p0 + d * t), (a, points[a - 1]), (b, points[b - 1]))),
+        )
+        for t, a, b in roots
+    ]
+    return sorted(events)
+
+
+def _oracle_ray_crossing(u, v):
+    if (u.x == 0 and u.y == 0) or (v.x == 0 and v.y == 0):
+        raise DegeneratePath("difference path hits the origin")
+    c = u.x * v.y - u.y * v.x
+    if c == 0 and _oracle_dot(u, v) < 0:
+        raise DegeneratePath("difference path passes through the origin")
+    if u.y <= 0 < v.y and c > 0:
+        return 1
+    if v.y <= 0 < u.y and c < 0:
+        return -1
+    return 0
+
+
+def _oracle_linking(prog, i, j):
+    configs = [prog.initial.points]
+    for mv in prog.moves:
+        if isinstance(mv, LinearMove):
+            configs.append(_oracle_moved(configs[-1], mv.strand, mv.target))
+        else:
+            configs.append(configs[-1])
+    wn = sum(mv.turns for mv in prog.moves if isinstance(mv, FullTwistMove))
+    for prev, cur in zip(configs, configs[1:]):
+        wn += _oracle_ray_crossing(prev[i - 1] - prev[j - 1], cur[i - 1] - cur[j - 1])
+    return wn
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (GenericityError, DegeneratePath) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_generic_points(rng, n):
+    """n generic points whose coordinates have small, mixed denominators."""
+    while True:
+        pts = tuple(
+            P(
+                F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4))),
+                F(rng.randint(-9, 9), rng.choice((1, 2, 5))),
+            )
+            for _ in range(n)
+        )
+        if _outcome(_oracle_full_check, pts)[0] == "ok":
+            return pts
+
+
+def _oracle_target(rng, pts, s):
+    """A random target, one on a line through two static strands (an end
+    configuration that is degenerate), one on a static strand, or one on the
+    far side of a static strand from the mover (the mover meets it)."""
+    statics = [k for k in range(1, len(pts) + 1) if k != s]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return P(
+            F(rng.randint(-20, 20), rng.randint(1, 6)), F(rng.randint(-20, 20), rng.randint(1, 6))
+        )
+    a, b = rng.sample(statics, 2)
+    za, zb = pts[a - 1], pts[b - 1]
+    if kind == 1:
+        return za + (zb - za) * F(rng.randint(-6, 6), rng.randint(1, 4))
+    if kind == 2:
+        return za
+    return pts[s - 1] + (za - pts[s - 1]) * F(rng.randint(5, 12), 4)
 
 
 class TestOrientation:
@@ -94,6 +246,12 @@ class TestRegularConfiguration:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidN):
             regular_rational_configuration(3)
+
+    def test_passes_the_full_check(self):
+        # built without the check, which it must pass
+        for n in range(4, 41):
+            cfg = regular_rational_configuration(n)
+            assert Configuration(n, cfg.points) == cfg
 
 
 class TestConfiguration:
@@ -141,6 +299,101 @@ class TestConfiguration:
                 continue
             assert cfg.moved(s, target) == expected
         assert 100 < rejected < 250  # both outcomes are well exercised
+
+
+class TestIntegerKernelOracle:
+    """The integer kernels against the pure-Fraction oracle above: the same
+    events, configurations and winding numbers, and the same error type and
+    message."""
+
+    def test_segment_events_moved_and_full_check(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(500):
+            n = rng.randint(4, 8)
+            pts = _random_generic_points(rng, n)
+            cfg = Configuration(n, pts)
+            s = rng.randint(1, n)
+            target = _oracle_target(rng, pts, s)
+            expected = _outcome(_oracle_segment_events, pts, s, target)
+            got = _outcome(segment_events, cfg, s, target, 7)
+            if got[0] == "ok":
+                assert all(e.move_index == 7 for e in got[1])
+                got = "ok", [(e.t, e.triple.elems, e.central) for e in got[1]]
+                seen["events" if got[1] else "no events"] += 1
+            else:
+                seen[re.sub(r"[0-9]+", "#", got[1])] += 1
+            assert got == expected
+            got = _outcome(cfg.moved, s, target)
+            got = (got[0], got[1].points) if got[0] == "ok" else got
+            assert got == _outcome(_oracle_moved, pts, s, target)
+            full = pts[: s - 1] + (target,) + pts[s:]
+            got = _outcome(Configuration, n, full)
+            got = (got[0], got[1].points) if got[0] == "ok" else got
+            assert got == _outcome(_oracle_full_check, full)
+        # every outcome, including each error the kernels raise, is exercised
+        assert min(seen.values()) >= 10 and set(seen) == {
+            "events",
+            "no events",
+            "strands # and # coincide",
+            "strands #,#,# are collinear",
+            "moving strand meets another strand",
+        }
+
+    def test_geometric_linking(self):
+        rng = random.Random(71)
+        progs = [random_closed_program(n, seed=seed) for n in (4, 6, 8) for seed in range(4)]
+        progs += [pure_braid_generator_program(5, i, j) for i, j in ((1, 3), (4, 2))]
+        for _ in range(150):
+            n = rng.randint(4, 7)
+            pts = _random_generic_points(rng, n)
+            s = rng.randint(1, n)
+            target = _oracle_target(rng, pts, s)
+            twist = (FullTwistMove(rng.choice((-1, 1))),) * rng.randint(0, 1)
+            moves = (LinearMove(s, target), *twist, LinearMove(s, pts[s - 1]))
+            progs.append(MoveProgram(Configuration(n, pts), moves))
+        seen = Counter()
+        for prog in progs:
+            for i, j in permutations(range(1, prog.n + 1), 2):
+                expected = _outcome(_oracle_linking, prog, i, j)
+                assert _outcome(geometric_linking, prog, i, j) == expected
+                seen[expected[0]] += 1
+        assert min(seen.values()) >= 20
+        assert set(seen) == {"ok", "GenericityError", "DegeneratePath"}
+
+
+class TestEventPins:
+    """SHA-256 of every compiled event (move, time, triple, central), taken
+    from the pure-Fraction implementation of the predicates."""
+
+    @staticmethod
+    def _digest(programs) -> str:
+        h = hashlib.sha256()
+        for label, prog in programs:
+            h.update(f"{label}\n".encode())
+            for e in compile_program(prog).events:
+                h.update(f"{e.move_index} {e.t} {e.triple} {e.central}\n".encode())
+        return h.hexdigest()
+
+    def test_gadget_events_pinned(self):
+        programs = (
+            (f"gadget {n} {i} {j}", pure_braid_generator_program(n, i, j))
+            for n in range(4, 10)
+            for i, j in permutations(range(1, n + 1), 2)
+        )
+        assert self._digest(programs) == (
+            "d6e838e17b96d363f4b3a025835c6f0326b98679a0bc7ff930a1291cebc77523"
+        )
+
+    def test_random_program_events_pinned(self):
+        programs = (
+            (f"random {n} {seed}", random_closed_program(n, seed=seed))
+            for n in range(4, 11)
+            for seed in range(40)
+        )
+        assert self._digest(programs) == (
+            "2bf17168ceaa4f45e311fe6fe4e41357dbb43dad2c3e55746e418dfd902a87fd"
+        )
 
 
 class TestSegmentEvents:
@@ -367,6 +620,22 @@ class TestGeneratorProgram:
                 assert linked == {tuple(sorted((i, j)))}
                 assert inv.linking_of(i, j) == 1
 
+    @pytest.mark.parametrize(
+        "n, i, j, scale, shear, reason",
+        [
+            (4, 1, 3, F(1), F(0), "moving strand meets another strand"),
+            (4, 1, 3, F(1), F(1, 3), "loop captured an extra strand"),
+            (4, 1, 2, F(1, 4), F(0), "strands 1,2,3 are collinear"),
+        ],
+    )
+    def test_failure_names_the_last_rung_error(self, monkeypatch, n, i, j, scale, shear, reason):
+        monkeypatch.setattr(geometry, "_SHRINK_LADDER", (scale,))
+        monkeypatch.setattr(geometry, "_SHEAR_LADDER", (shear,))
+        with pytest.raises(ConstructionFailure) as info:
+            pure_braid_generator_program(n, i, j)
+        assert str(info.value) == f"no loop shape in the (scale, shear) ladder works: {reason}"
+        _assert_no_exception_kept(info.value, "pure_braid_generator_program")
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(BadTriple):
             pure_braid_generator_program(4, 2, 2)
@@ -404,6 +673,27 @@ class TestEmbedding:
     def test_rejects_full_twists(self):
         with pytest.raises(InvalidMove):
             embed_at_infinity(full_twist_program(4, 1))
+
+    def test_failure_names_the_last_rung_error(self, monkeypatch):
+        # (8, 0) lies on the x-axis with strands 2 and 4 of the n=4 square
+        monkeypatch.setattr(geometry, "_FAR_LADDER", (8,))
+        monkeypatch.setattr(geometry, "_FAR_OFFSETS", (0,))
+        base = MoveProgram(regular_rational_configuration(4), (), closed=True)
+        with pytest.raises(GenericityError) as info:
+            embed_at_infinity(base)
+        assert str(info.value) == (
+            "no far point up to distance 8 gives a generic embedding: strands 2,4,5 are collinear"
+        )
+        _assert_no_exception_kept(info.value, "embed_at_infinity")
+
+
+def _assert_no_exception_kept(exc, function_name):
+    """A ladder keeps the last rung's message, not its exception, whose
+    traceback would tie the ladder's frame into a reference cycle."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code.co_name != function_name:
+        tb = tb.tb_next
+    assert not any(isinstance(v, BaseException) for v in tb.tb_frame.f_locals.values())
 
 
 class TestRandomPrograms:
