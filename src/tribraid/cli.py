@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import InvalidBudget, ProgramParseError, TribraidError, WordParseError
+from .errors import AboveCeiling, InvalidBudget, ProgramParseError, TribraidError, WordParseError
 from .geometry import (
     compile_program,
     embed_at_infinity,
@@ -22,7 +22,7 @@ from .geometry import (
     pure_braid_generator_program,
 )
 from .group_core import (
-    MAX_STORED_WORDS,
+    MAX_STORED_LETTERS,
     GWord,
     bounded_equal,
     format_word,
@@ -31,6 +31,7 @@ from .group_core import (
 )
 from .index_state import (
     classify_word,
+    commute_census_rows,
     project_once,
     relation_census,
     stable_projection,
@@ -38,8 +39,35 @@ from .index_state import (
 from .reconstruction import annular_invariants, reconstruct_axis
 
 
-def _read_word(arg: str, n: int) -> GWord:
-    text = sys.stdin.read() if arg == "-" else arg
+# Ceilings on the size arguments, checked before anything is read or built
+# (exit 2), from growth measured in one process on a shared 2-core machine,
+# Python 3.11.  Classifying keeps a C(n,3)-bit state per letter: 10 ms and
+# 0.3 MiB per letter at n = 250, 0.1 s and 2.6 MiB at n = 500.
+MAX_WORD_N = 250
+# One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
+# search reaches the letter limit in 1.3 s and 87 MiB at n = 100, and in
+# 3.5 s and 185 MiB at n = 150.
+MAX_EQUAL_N = 100
+# A commute census pairs the far-commuting generators before it reads a
+# state: 1.3 s and 73 MiB at n = 14, 3.2 s and 157 MiB at n = 16.
+MAX_CENSUS_N = 14
+# Then it keeps a row of about 230 bytes per pair and state: 9 samples at
+# n = 14 (540,540 rows) take 6.6 s and 206 MiB.
+MAX_CENSUS_ROWS = 600_000
+
+
+def _strands(args, ceiling: int) -> int:
+    """--n, refused above the command's ceiling."""
+    if args.n > ceiling:
+        raise AboveCeiling(
+            f"--n {args.n} is above the {args.subcommand} ceiling of {ceiling} strands"
+        )
+    return args.n
+
+
+def _read_word(args) -> GWord:
+    n = _strands(args, MAX_WORD_N)
+    text = sys.stdin.read() if args.word == "-" else args.word
     return parse_word(text, n)
 
 
@@ -80,7 +108,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    w = _read_word(args.word, args.n)
+    w = _read_word(args)
     cw = classify_word(w)
     print("pos\tletter\tstatus\tcentrals")
     for pos, (g, st) in enumerate(zip(w.letters, cw.statuses), start=1):
@@ -91,7 +119,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    w = _read_word(args.word, args.n)
+    w = _read_word(args)
     if args.stable:
         result, _passes = stable_projection(w)
     else:
@@ -101,7 +129,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    w = _read_word(args.word, args.n)
+    w = _read_word(args)
     cyl = reconstruct_axis(w, args.axis)
     if args.invariants:
         print(annular_invariants(cyl).to_text())
@@ -111,8 +139,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    w1 = parse_word(args.word1, args.n)
-    w2 = parse_word(args.word2, args.n)
+    n = _strands(args, MAX_EQUAL_N)
+    w1 = parse_word(args.word1, n)
+    w2 = parse_word(args.word2, n)
     verdict = bounded_equal(w1, w2, depth=args.depth, max_len=args.max_len)
     if verdict.is_equal:
         path = " ".join(str(m) for m in verdict.path)
@@ -130,12 +159,12 @@ def _stop_reason(stats, args) -> str:
     if stats.stop == "depth":
         return f"depth={args.depth} expansions reached"
     if stats.stop == "limit":
-        return f"stored-word limit {MAX_STORED_WORDS} reached"
+        return f"stored-letter limit {MAX_STORED_LETTERS:,} reached"
     return f"all {stats.stored} words within max-len={args.max_len} searched"
 
 
 def cmd_parity(args) -> int:
-    w = _read_word(args.word, args.n)
+    w = _read_word(args)
     pv = generator_parity(w)
     if pv.is_zero:
         print("(all even)")
@@ -151,23 +180,30 @@ def _odd_tokens(pv, n: int) -> list[str]:
 
 
 def cmd_census(args) -> int:
-    report = relation_census(args.n, args.lemma, samples=args.samples, seed=args.seed)
+    n = _strands(args, MAX_CENSUS_N)
+    if args.lemma == "commute" and n >= 5:
+        rows = commute_census_rows(n, args.samples)
+        if rows > MAX_CENSUS_ROWS:
+            raise AboveCeiling(
+                f"--samples {args.samples} at n={n} gives {rows:,} rows, above the census "
+                f"ceiling of {MAX_CENSUS_ROWS:,}"
+            )
+    report = relation_census(n, args.lemma, samples=args.samples, seed=args.seed)
     print(report.to_table(full=args.full))
     return 0 if report.ok else 1
 
 
-# the largest `gen --n`: at n = 100 the slowest generator gadgets, the
-# diametric pairs such as `--braid 1,50`, take about 4.4 s (Python 3.11,
-# shared 2-core machine), and their cost grows steeply with n
+# the largest `gen --n`.  Building a gadget is cheap: `--braid 1,50` takes
+# 0.02 s at n = 100 in process, 0.2-0.3 s as a command.  Compiling it is not:
+# its word has 5,360 letters at n = 100 and 20,850 at n = 200, which
+# `compile_program` reads in 0.43 s and 3.4 s.
 MAX_GEN_N = 100
 
 
 def _gen_n(args, flag: str) -> int:
     if args.n is None:
         raise ProgramParseError(f"{flag} requires --n")
-    if args.n > MAX_GEN_N:
-        raise ProgramParseError(f"--n {args.n} is above the gen ceiling of {MAX_GEN_N} strands")
-    return args.n
+    return _strands(args, MAX_GEN_N)
 
 
 def cmd_gen(args) -> int:
@@ -190,6 +226,7 @@ def cmd_gen(args) -> int:
 
 def cmd_selftest(args) -> int:
     import random as _random
+    from itertools import combinations
 
     from .geometry import (
         dot,
@@ -232,6 +269,17 @@ def cmd_selftest(args) -> int:
                 if value != geometric_linking(prog, *pair):
                     return False
         return True
+
+    def check_computed_gadget() -> bool:
+        # the gadget's shape is chosen by a proof, not by compiling candidates,
+        # so check one whose loop is small: a diametric pair
+        prog = pure_braid_generator_program(32, 1, 17)
+        if not is_realisable(compile_program(prog).word):
+            return False
+        return all(
+            geometric_linking(prog, i, j) == ((i, j) == (1, 17))
+            for i, j in combinations(range(1, 33), 2)
+        )
 
     def check_stable_projection() -> bool:
         rng = _random.Random(20240)
@@ -294,6 +342,7 @@ def cmd_selftest(args) -> int:
         ("relation censuses", check_censuses),
         ("full twist compiles to the empty word", check_full_twist),
         ("generator gadget round trip", check_round_trip),
+        ("computed gadget links only its pair", check_computed_gadget),
         ("stable projection fixed points", check_stable_projection),
         ("embedding restriction", check_embedding),
         ("collinearity events against orientation and dot", check_event_geometry),
@@ -387,7 +436,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (WordParseError, ProgramParseError, InvalidBudget) as exc:
+    except (WordParseError, ProgramParseError, InvalidBudget, AboveCeiling) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TribraidError as exc:

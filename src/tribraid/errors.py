@@ -49,7 +49,9 @@ class DegeneratePath(TribraidError):
 
 
 class ConstructionFailure(TribraidError):
-    """A deterministic gadget constructor exhausted its retry ladder."""
+    """A deterministic constructor found no valid motion: every shear of a
+    generator gadget is blocked, or a seeded random program ran out of
+    draws."""
 
 
 class NotRealisable(TribraidError):
@@ -64,3 +66,7 @@ class AdjacencyViolation(TribraidError):
 
 class InvalidBudget(TribraidError):
     """A search budget (expansion depth or word length) is negative."""
+
+
+class AboveCeiling(TribraidError):
+    """A command-line size argument is above its documented ceiling."""

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, count
+from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import (
@@ -441,19 +441,39 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
     return Fraction(wn)
 
 
-_SHRINK_LADDER = tuple(Fraction(1, 4 * 2**k) for k in range(10))
-_SHEAR_LADDER = (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 5), Fraction(-1, 5))
+_SHEARS = (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 5), Fraction(-1, 5))
+
+
+def _on_a_line(c: tuple[int, int], points) -> bool:
+    """True when the integer point c is on a line through two of `points`,
+    that is, when two of their offsets from c share a direction."""
+    directions = set()
+    for x, y in points:
+        dx, dy = x - c[0], y - c[1]
+        g = gcd(dx, dy) if (dx, dy) > (0, 0) else -gcd(dx, dy)
+        directions.add((dx // g, dy // g))
+    return len(directions) < len(points)
 
 
 def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     """Closed motion linking strands i and j once and nothing else.
 
-    Strand i approaches j along their chord, traverses a small
-    counterclockwise parallelogram around j, and retraces its way home; the
-    two chord legs cancel, leaving winding +1 about j and 0 about every
-    other strand.  The parallelogram walks a fixed (scale, shear) ladder
-    until every genericity check passes, so the output is deterministic;
-    the shear escapes corner collinearities that hold at every scale.
+    Strand i runs along its chord to z_j + w/m, once around the loop
+    |a| + |b| = 1/m, where z = z_j + a*w + b*v, and back; w = z_i - z_j and
+    v = perp(w) + s*w.  Shears s in `_SHEARS` with v parallel to some
+    z_k - z_j are skipped; for the others m(s) is the smallest power of two
+    >= 4 with (a) |a_k| + |b_k| > 1/m for every other strand k and (b) no
+    corner on a line through two strands other than i and j.  The smallest
+    m(s) wins, the earlier shear on ties.
+
+    Proof: the chord legs lie inside the unit circle that holds every
+    strand, so they meet none, and they cancel in every winding number.
+    The loop winds +1 about its inside (cross(w, v) = |w|^2 > 0), and by
+    (a) j is the only strand inside it and none is on it: i links j once,
+    every other strand zero times, and touches none.  Every boundary
+    configuration is generic: a corner z_j +- w/m is on the line ij, which
+    holds no other strand; z_j +- v/m is on a line through j and k only at
+    a skipped shear; (b) covers the remaining lines.
     """
     if n < 4:
         raise InvalidN(f"strand count must be >= 4, got {n}")
@@ -461,28 +481,32 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
         raise BadTriple("generator needs two distinct strands")
     cfg = regular_rational_configuration(n)
     pi, pj = cfg.point(i), cfg.point(j)
-    last_error = ""  # the message, not the exception: that would pin its frames
-    for r in _SHRINK_LADDER:
-        for shear in _SHEAR_LADDER:
-            u = (pi - pj) * r
-            v = perp(u) + u * shear
-            entry = pj + u
-            waypoints = (entry, pj + v, pj - u, pj - v, entry, pi)
-            prog = MoveProgram(cfg, tuple(LinearMove(i, w) for w in waypoints), closed=True)
-            try:
-                compile_program(prog)
-                if all(
-                    geometric_linking(prog, i, k) == (1 if k == j else 0)
-                    for k in range(1, n + 1)
-                    if k != i
-                ):
-                    return prog
-                last_error = "loop captured an extra strand"
-            except (GenericityError, DegeneratePath) as exc:
-                last_error = str(exc)
-    raise ConstructionFailure(
-        f"no loop shape in the (scale, shear) ladder works: {last_error}"
-    )
+    grid = _grid(cfg.points)
+    (xi, yi), (xj, yj) = grid[i - 1], grid[j - 1]
+    wx, wy = xi - xj, yi - yj
+    rel = [(x - xj, y - yj) for k, (x, y) in enumerate(grid, 1) if k not in (i, j)]
+    shapes = []
+    for shear in _SHEARS:
+        p, q = shear.numerator, shear.denominator
+        vx, vy = p * wx - q * wy, p * wy + q * wx  # q*v
+        if any(x * vy == y * vx for x, y in rel):
+            continue
+        # (a): q*|w|^2 * (|a_k| + |b_k|) = |cross(z_k - z_j, q*v)| + q*|cross(w, z_k - z_j)|
+        span = min(abs(x * vy - y * vx) + q * abs(wx * y - wy * x) for x, y in rel)
+        m = max(4, 1 << (q * (wx * wx + wy * wy) // span).bit_length())
+        # (b), on the grid moved to z_j and scaled by q*m
+        corners = ((q * wx, q * wy), (vx, vy), (-q * wx, -q * wy), (-vx, -vy))
+        while any(_on_a_line(c, [(q * m * x, q * m * y) for x, y in rel]) for c in corners):
+            m *= 2
+        shapes.append((m, shear))
+    if not shapes:
+        raise ConstructionFailure(f"every shear puts a loop corner on a line through strand {j}")
+    m, shear = min(shapes, key=lambda shape: shape[0])
+    u = (pi - pj) * Fraction(1, m)
+    v = perp(u) + u * shear
+    entry = pj + u
+    waypoints = (entry, pj + v, pj - u, pj - v, entry, pi)
+    return MoveProgram(cfg, tuple(LinearMove(i, w) for w in waypoints), closed=True)
 
 
 def full_twist_program(n: int, m: int) -> MoveProgram:
@@ -492,37 +516,35 @@ def full_twist_program(n: int, m: int) -> MoveProgram:
     )
 
 
-_FAR_LADDER = tuple(2**k for k in range(3, 14))
-_FAR_OFFSETS = (1, -1, 2, -3, 5)
-
-
 def embed_at_infinity(p: MoveProgram) -> MoveProgram:
-    """Add a stationary strand n+1 at a far point (R, d) near the x-axis.
+    """Add a stationary strand n+1 at a far point (R, d).
 
-    (R, d) walks a fixed ladder of doubling distances and small vertical
-    offsets until the augmented program passes every genericity check; the
-    offset is needed because a point exactly on the x-axis is collinear
-    with any strand pair resting there (the n=4 regular configuration has
-    one).  Letters not containing n+1 are exactly the original program's
-    letters, in the original order.  Full twists are rejected: the far
-    strand leaves the common circle.
+    R is the smallest power of two >= 8 with every boundary point at x < R,
+    so no move passes through (R, d), and d the first of 1, -1, 2, -2, ...
+    on no line through two points of one boundary configuration.  The far
+    strand keeps every configuration generic, so the augmented program
+    compiles if `p` does; `p` is compiled once, and an invalid one raises
+    its own error.  Letters not containing n+1 are exactly the original
+    program's letters, in the original order.  Full twists are rejected:
+    the far strand leaves the common circle.
     """
     if any(isinstance(mv, FullTwistMove) for mv in p.moves):
         raise InvalidMove("cannot embed a program containing full twists")
-    last_error = ""  # the message, not the exception: that would pin its frames
-    for R in _FAR_LADDER:
-        for d in _FAR_OFFSETS:
-            far = RationalPoint(R, d)
-            try:
-                cfg = Configuration(p.n + 1, p.initial.points + (far,))
-                prog = MoveProgram(cfg, p.moves, closed=p.closed)
-                compile_program(prog)
-                return prog
-            except GenericityError as exc:
-                last_error = str(exc)
-    raise GenericityError(
-        f"no far point up to distance {_FAR_LADDER[-1]} gives a generic embedding: {last_error}"
+    compile_program(p)
+    configs = boundary_configurations(p)
+    R = 8
+    while any(pt.x >= R for c in configs for pt in c.points):
+        R *= 2
+    # each configuration on its grid, with (R, 1) last
+    grids = [_grid(c.points + (RationalPoint(R, 1),)) for c in configs]
+    d = next(
+        d
+        for k in count(1)
+        for d in (k, -k)
+        if not any(_on_a_line((g[-1][0], d * g[-1][1]), g[:-1]) for g in grids)
     )
+    cfg = _trusted_configuration(p.n + 1, p.initial.points + (RationalPoint(R, d),))
+    return MoveProgram(cfg, p.moves, closed=p.closed)
 
 
 def inverse_program(p: MoveProgram) -> MoveProgram:

@@ -175,17 +175,6 @@ class RelationMove:
         return f"{self.kind.value}@{self.position}"
 
 
-def free_reduce(w: GWord) -> GWord:
-    """Delete adjacent equal pairs until none remain (a_m a_m = 1)."""
-    stack: list[GenTriple] = []
-    for g in w.letters:
-        if stack and stack[-1] == g:
-            stack.pop()
-        else:
-            stack.append(g)
-    return GWord(w.n, tuple(stack))
-
-
 def _tetra(a: int, b: int, c: int, d: int) -> bool:
     # 4 pairwise distinct letters whose union has 4 strands: then they are
     # exactly the four 3-subsets of that 4-set
@@ -292,12 +281,16 @@ def generator_parity(w: GWord) -> ParityVector:
     return ParityVector(w.n, frozenset(t for t, c in counts.items() if c % 2))
 
 
-# A bounded search stops once it stores more words than this, whatever its
-# depth and length budgets allow.  A stored word costs about 150 bytes at the
-# lengths searches meet (1,001,951 words of at most 6 letters at n=20 peak at
-# 156 MiB), and the largest search in the tests and the benchmark corpus
-# stores 4,500 words.
-MAX_STORED_WORDS = 1_000_000
+# A bounded search stops once the words it stores hold more letters than
+# this, whatever its depth and length budgets allow.  A word costs about 110
+# bytes plus 8 per letter, so short words cost the most per letter: at n=20,
+# "a(1,2,3) a(1,2,4)" against its reverse with max_len 6 stops after 1,001,186
+# words of at most 6 letters at a 156 MiB peak, and a random 200-letter word
+# at n=6 against its reverse (depth 300, max_len 200) after 30,062 words at
+# 64 MiB, where a cap of a million words let it reach 711 MiB.  The largest
+# searches in the tests and the `equality` benchmark corpus store 126,402
+# and 44,418 letters.
+MAX_STORED_LETTERS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -307,7 +300,7 @@ class SearchStats:
     ``stop`` names what ended it: ``found`` (a path reached the second
     word), ``depth`` (the expansion budget ran out), ``exhausted`` (the
     frontier emptied: every word reachable within the length budget was
-    searched), ``limit`` (more than MAX_STORED_WORDS words stored), or,
+    searched), ``limit`` (more than MAX_STORED_LETTERS letters stored), or,
     without a search, ``parity`` or ``identical``.
     """
 
@@ -369,10 +362,10 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     """Breadth-first search for a move path from w1 to w2.
 
     Insertions are allowed up to word length `max_len`; at most `depth`
-    words are expanded, and the search stops once it stores more than
-    MAX_STORED_WORDS words.  The verdict never claims inequality without a
-    parity witness, because no complete decision procedure is known.
-    Deterministic for fixed inputs and limits.
+    words are expanded, and the search stops once the words it stores hold
+    more than MAX_STORED_LETTERS letters.  The verdict never claims
+    inequality without a parity witness, because no complete decision
+    procedure is known.  Deterministic for fixed inputs and limits.
     """
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
@@ -387,7 +380,7 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     # each stored word maps to the word it was first reached from
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     queue = deque([start])
-    expanded, peak = 0, 1
+    expanded, peak, letters = 0, 1, len(start)
     while queue and expanded < depth:
         word = queue.popleft()
         expanded += 1
@@ -395,13 +388,15 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
             if nxt in parents:
                 continue
             parents[nxt] = word
+            letters += len(nxt)
             if nxt == goal:
                 stats = SearchStats(expanded, len(parents), max(peak, len(queue)), "found")
                 return EqualityVerdict.equal(_path(parents, goal, n, max_len), stats)
+            if letters > MAX_STORED_LETTERS:
+                stats = SearchStats(expanded, len(parents), max(peak, len(queue)), "limit")
+                return EqualityVerdict.unknown(stats)
             queue.append(nxt)
         peak = max(peak, len(queue))
-        if len(parents) > MAX_STORED_WORDS:
-            return EqualityVerdict.unknown(SearchStats(expanded, len(parents), peak, "limit"))
     stop = "depth" if queue else "exhausted"
     return EqualityVerdict.unknown(SearchStats(expanded, len(parents), peak, stop))
 

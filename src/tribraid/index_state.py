@@ -471,6 +471,14 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
     return CensusReport(n, "commute", len(rows), tuple(rows))
 
 
+def commute_census_rows(n: int, samples: int) -> int:
+    """The rows of `relation_census(n, "commute", samples=samples)`, counted
+    without building them: one per state and pair of generators that share
+    at most one strand."""
+    pairs = comb(comb(n, 3), 2) - comb(n, 2) * comb(n - 2, 2)
+    return (1 << comb(n, 3) if n == 5 else samples) * pairs
+
+
 def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) -> CensusReport:
     """Exhaustively check one relation family's status behaviour.
 

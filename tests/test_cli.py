@@ -115,6 +115,13 @@ def test_equal_unknown_names_the_limit_that_stopped_it(capsys):
     assert code == 0 and out.strip() == "unknown (depth=10 expansions reached)"
 
 
+def test_equal_unknown_names_the_letter_limit(capsys, monkeypatch):
+    monkeypatch.setattr(tribraid.group_core, "MAX_STORED_LETTERS", 1000)
+    monkeypatch.setattr(tribraid.cli, "MAX_STORED_LETTERS", 1000)
+    code, out, _ = run(capsys, ["equal", "--n", "10", "a(1,2,3) a(1,2,4)", "a(1,2,4) a(1,2,3)"])
+    assert code == 0 and out.strip() == "unknown (stored-letter limit 1,000 reached)"
+
+
 def test_equal_negative_budget_exits_2(capsys):
     for flag in ("--depth", "--max-len"):
         code, out, err = run(capsys, ["equal", "--n", "4", flag, "-1", "a123", "a123"])
@@ -189,6 +196,69 @@ def test_gen_at_the_n_ceiling_builds(capsys, monkeypatch):
         code, out, _ = run(capsys, ["gen", flag, value, "--n", "5"])
         assert code == 0 and program_from_json(json.loads(out)).n == 5
         assert run(capsys, ["gen", flag, value, "--n", "6"])[0] == 2
+
+
+@pytest.fixture
+def refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command read or built something above its ceiling")
+
+    builders = (
+        "parse_word",
+        "classify_word",
+        "project_once",
+        "stable_projection",
+        "reconstruct_axis",
+        "generator_parity",
+        "bounded_equal",
+        "relation_census",
+    )
+    for name in builders:
+        monkeypatch.setattr(tribraid.cli, name, refuse)
+    monkeypatch.setattr("sys.stdin", type("Unread", (), {"read": refuse})())
+
+
+def _size_commands():
+    cli = tribraid.cli
+    return [
+        (["classify", "-"], cli.MAX_WORD_N),
+        (["project", "--stable", "-"], cli.MAX_WORD_N),
+        (["reconstruct", "--axis", "1", "-"], cli.MAX_WORD_N),
+        (["parity", "-"], cli.MAX_WORD_N),
+        (["equal", "a(1,2,3)", "a(1,2,4)"], cli.MAX_EQUAL_N),
+        (["census", "--lemma", "commute", "--samples", "0"], cli.MAX_CENSUS_N),
+    ]
+
+
+def test_size_arguments_above_their_ceilings_exit_2_before_building(capsys, refuse_to_build):
+    for argv, ceiling in _size_commands():
+        for n in (ceiling + 1, 10**9):
+            code, out, err = run(capsys, [*argv, "--n", str(n)])
+            assert code == 2 and out == ""
+            assert err == f"error: --n {n} is above the {argv[0]} ceiling of {ceiling} strands\n"
+    # the default 512 samples of 2,730 far-commuting pairs at n=9
+    code, out, err = run(capsys, ["census", "--lemma", "commute", "--n", "9"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --samples 512 at n=9 gives 1,397,760 rows, above the census ceiling of 600,000\n"
+    )
+
+
+def test_size_arguments_at_their_ceilings_run(capsys, monkeypatch):
+    for name in ("MAX_WORD_N", "MAX_EQUAL_N", "MAX_CENSUS_N"):
+        monkeypatch.setattr(tribraid.cli, name, 6)
+    for argv, _ in _size_commands():
+        argv = [a if a != "-" else "a(1,2,3)" for a in argv]
+        assert run(capsys, [*argv, "--n", "6"])[0] == 0
+        assert run(capsys, [*argv, "--n", "7"])[0] == 2
+    # a commute census at n=6 has 100 rows per sample, and n=5 reads all 1,024 states
+    monkeypatch.setattr(tribraid.cli, "MAX_CENSUS_ROWS", 300)
+    census = ["census", "--lemma", "commute", "--n"]
+    assert run(capsys, [*census, "6", "--samples", "3"])[0] == 0
+    assert run(capsys, [*census, "6", "--samples", "4"])[0] == 2
+    assert run(capsys, [*census, "5"])[0] == 2
+    monkeypatch.setattr(tribraid.cli, "MAX_CENSUS_ROWS", 1024 * 15)
+    assert run(capsys, [*census, "5"])[0] == 0
 
 
 def test_word_parse_error_exits_2(capsys):

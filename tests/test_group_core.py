@@ -25,7 +25,6 @@ from tribraid import (
     bounded_equal,
     far_commutes,
     format_word,
-    free_reduce,
     generator_parity,
     parse_indices,
     parse_word,
@@ -89,28 +88,6 @@ class TestParsing:
     def test_word_rejects_mixed_n(self):
         with pytest.raises(DimensionMismatch):
             GWord(5, (GenTriple(4, (1, 2, 3)),))
-
-
-class TestFreeReduce:
-    def test_adjacent_pair_cancels(self):
-        assert free_reduce(word(4, (1, 2, 3), (1, 2, 3))) == GWord(4)
-
-    def test_cascading_cancellation(self):
-        w = word(4, (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 2, 3))
-        assert free_reduce(w) == GWord(4)
-
-    def test_no_adjacent_pair_unchanged(self):
-        w = word(4, (1, 2, 3), (1, 2, 4), (1, 2, 3))
-        assert free_reduce(w) == w
-
-    def test_idempotent_and_reduced(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            w = random_word(rng, rng.choice((4, 5)), 14)
-            r = free_reduce(w)
-            assert free_reduce(r) == r
-            assert len(r) <= len(w)
-            assert all(a != b for a, b in zip(r.letters, r.letters[1:]))
 
 
 class TestApplicableMoves:
@@ -344,13 +321,15 @@ class TestSearchStats:
         assert EqualityVerdict.equal((), stats) == EqualityVerdict.equal(())
         assert hash(EqualityVerdict.unknown(stats)) == hash(EqualityVerdict.unknown())
 
-    def test_stored_word_cap(self, monkeypatch):
-        cap = 500
-        monkeypatch.setattr(group_core, "MAX_STORED_WORDS", cap)
-        w1 = parse_word("a(1,2,3) a(1,2,4)", 10)
-        w2 = parse_word("a(1,2,4) a(1,2,3)", 10)
-        stats = bounded_equal(w1, w2, depth=1000, max_len=8).stats
-        assert stats.stop == "limit" and stats.expanded < 1000
-        # the cap is checked after each expansion, which adds at most one
-        # word's neighbours: insertions at 7 positions plus a few others
-        assert cap < stats.stored <= cap + 7 * len(all_generators(10)) + 3 * 8
+    def test_stored_letter_cap(self, monkeypatch):
+        monkeypatch.setattr(group_core, "MAX_STORED_LETTERS", 1000)
+        stored = []
+        for length in (2, 10):
+            w1 = word(12, *((1, 2, k) for k in range(3, 3 + length)))
+            stats = bounded_equal(w1, GWord(12, w1.letters[::-1]), 1000, length + 2).stats
+            assert (stats.expanded, stats.stop) == (1, "limit")
+            stored.append(stats.stored)
+        # letters are counted as each word is stored, and every word of the
+        # first expansion is a square inserted into the start: 2 + 250*4 and
+        # 10 + 83*12 letters are the first counts past the cap
+        assert stored == [251, 84]

@@ -32,7 +32,7 @@ from tribraid import (
     state_id,
     tetra_letters,
 )
-from tribraid.index_state import _GAP_TABLES
+from tribraid.index_state import _GAP_TABLES, commute_census_rows
 
 
 class TestInitialState:
@@ -285,6 +285,11 @@ class TestCensuses:
     def test_commute_census_clean_n5(self):
         report = relation_census(5, "commute")
         assert report.cases == 15360 and report.ok
+
+    def test_commute_census_rows_are_counted_exactly(self):
+        for n, samples in ((5, 7), (6, 3), (7, 2)):
+            rows = relation_census(n, "commute", samples=samples).rows
+            assert commute_census_rows(n, samples) == len(rows)
 
     def test_commute_census_sampled_n6(self):
         report = relation_census(6, "commute", samples=32, seed=1)
