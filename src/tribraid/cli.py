@@ -23,6 +23,7 @@ from .geometry import (
 )
 from .group_core import (
     MAX_STORED_LETTERS,
+    GenTriple,
     GWord,
     bounded_equal,
     format_word,
@@ -36,13 +37,19 @@ from .index_state import (
     relation_census,
     stable_projection,
 )
-from .reconstruction import annular_invariants, reconstruct_axis
+from .reconstruction import (
+    annular_invariants,
+    empty_cyl_word,
+    invariants_equal_mod_full_twist,
+    reconstruct_axis,
+)
 
 
 # Ceilings on the size arguments, checked before anything is read or built
 # (exit 2), from growth measured in one process on a shared 2-core machine,
-# Python 3.11.  Classifying keeps a C(n,3)-bit state per letter: 10 ms and
-# 0.3 MiB per letter at n = 250, 0.1 s and 2.6 MiB at n = 500.
+# Python 3.11.  Classifying holds a few C(n,3)-bit states whatever the word's
+# length (200 letters at n = 250 peak at 19 MiB), but a letter copies its
+# state for each bit it reads: 13 ms per letter at n = 250, 0.1 s at n = 500.
 MAX_WORD_N = 250
 # One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
 # search reaches the letter limit in 1.3 s and 87 MiB at n = 100, and in
@@ -165,18 +172,9 @@ def _stop_reason(stats, args) -> str:
 
 def cmd_parity(args) -> int:
     w = _read_word(args)
-    pv = generator_parity(w)
-    if pv.is_zero:
-        print("(all even)")
-    else:
-        print(" ".join(_odd_tokens(pv, w.n)))
+    odd = sorted(generator_parity(w).odd)
+    print(" ".join(str(GenTriple(w.n, t)) for t in odd) if odd else "(all even)")
     return 0
-
-
-def _odd_tokens(pv, n: int) -> list[str]:
-    from .group_core import GenTriple
-
-    return [str(GenTriple(n, t)) for t in sorted(pv.odd)]
 
 
 def cmd_census(args) -> int:
@@ -237,7 +235,7 @@ def cmd_selftest(args) -> int:
     )
     from .group_core import all_generators, apply_move
     from .index_state import initial_state, is_realisable, run_word
-    from .reconstruction import TRIVIAL_CONSISTENT, kernel_witness
+    from .reconstruction import NONTRIVIAL_BY_LINKING, kernel_witness
 
     def check_censuses() -> bool:
         # square and commute hold exhaustively; the tetra census documents a
@@ -250,9 +248,7 @@ def cmd_selftest(args) -> int:
 
     def check_full_twist() -> bool:
         out = compile_program(full_twist_program(4, 1))
-        return len(out.word) == 0 and out.twist_turns == 1 and (
-            kernel_witness(out.word).kind == TRIVIAL_CONSISTENT
-        )
+        return len(out.word) == 0 and out.twist_turns == 1
 
     def check_round_trip() -> bool:
         prog = pure_braid_generator_program(4, 1, 3)
@@ -268,6 +264,22 @@ def cmd_selftest(args) -> int:
             for pair, value in inv.linking:
                 if value != geometric_linking(prog, *pair):
                     return False
+        return True
+
+    def check_kernel_witness() -> bool:
+        # the one-pass witness against every axis rebuilt on its own
+        gadget = compile_program(pure_braid_generator_program(4, 1, 3)).word
+        w8 = compile_program(random_closed_program(8, seed=0)).word
+        for w in (gadget, GWord(4, gadget.letters * 2), GWord(8, w8.letters + w8.letters[::-1])):
+            off = []
+            for axis in range(1, w.n + 1):
+                base = annular_invariants(empty_cyl_word(w.n, axis))
+                inv = annular_invariants(reconstruct_axis(w, axis))
+                if invariants_equal_mod_full_twist(base, inv) is None:
+                    off.append(axis)
+            v = kernel_witness(w)
+            if (v.kind == NONTRIVIAL_BY_LINKING, v.axis) != (bool(off), off[0] if off else None):
+                return False
         return True
 
     def check_computed_gadget() -> bool:
@@ -342,6 +354,7 @@ def cmd_selftest(args) -> int:
         ("relation censuses", check_censuses),
         ("full twist compiles to the empty word", check_full_twist),
         ("generator gadget round trip", check_round_trip),
+        ("kernel witness against per-axis invariants", check_kernel_witness),
         ("computed gadget links only its pair", check_computed_gadget),
         ("stable projection fixed points", check_stable_projection),
         ("embedding restriction", check_embedding),

@@ -35,8 +35,8 @@ class ProgramParseError(TribraidError):
 
 class GenericityError(TribraidError):
     """A motion or configuration violates genericity: coincident points,
-    collinear rest positions, coincident event times, or events at
-    segment endpoints."""
+    collinear rest positions, a moving strand meeting a static one, or a
+    full twist of strands off one circle about the origin."""
 
 
 class NotClosed(TribraidError):

@@ -112,8 +112,8 @@ _GENERAL_TOKEN = re.compile(r"^a\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)$")
 _COMPACT_TOKEN = re.compile(r"^a(\d+)$")
 
 
-def parse_indices(token: str, n: int) -> tuple[int, ...]:
-    """Index tuple of one generator token, of any cardinality.
+def parse_indices(token: str, n: int) -> tuple[int, int, int]:
+    """The three indices of one generator token, in the order written.
 
     Compact tokens like ``a123`` use one digit per index and are only
     unambiguous when n <= 9; parenthesised tokens ``a(1,2,3)`` work for
@@ -121,30 +121,23 @@ def parse_indices(token: str, n: int) -> tuple[int, ...]:
     """
     m = _GENERAL_TOKEN.match(token)
     if m:
-        return tuple(int(part) for part in m.group(1).split(","))
-    if n <= 9:
-        m = _COMPACT_TOKEN.match(token)
-        if m:
-            return tuple(int(ch) for ch in m.group(1))
-    raise WordParseError(f"cannot parse generator token {token!r} (n={n})")
+        idx = tuple(int(part) for part in m.group(1).split(","))
+    elif n <= 9 and _COMPACT_TOKEN.match(token):
+        idx = tuple(int(ch) for ch in token[1:])
+    else:
+        raise WordParseError(f"cannot parse generator token {token!r} (n={n})")
+    if len(idx) != 3:
+        raise WordParseError(f"{token!r} has {len(idx)} indices; words use 3-index generators")
+    return idx  # type: ignore[return-value]
 
 
 def parse_word(text: str, n: int) -> GWord:
-    """Parse whitespace-separated generator tokens into a word.
-
-    Indices may appear in any order; non 3-index generators are accepted by
-    :func:`parse_indices` as raw data but rejected here, because words carry
-    rank-3 semantics only.
-    """
+    """Parse whitespace-separated generator tokens into a word; indices may
+    appear in any order."""
     letters = []
     for token in text.split():
-        idx = parse_indices(token, n)
-        if len(idx) != 3:
-            raise WordParseError(
-                f"{token!r} has {len(idx)} indices; words use 3-index generators"
-            )
         try:
-            letters.append(GenTriple(n, idx))
+            letters.append(GenTriple(n, parse_indices(token, n)))
         except (BadTriple, InvalidN) as exc:
             raise WordParseError(str(exc)) from exc
     return GWord(n, tuple(letters))
@@ -267,9 +260,6 @@ class ParityVector:
 
     n: int
     odd: frozenset[tuple[int, int, int]]
-
-    def bit(self, triple) -> int:
-        return 1 if tuple(sorted(triple)) in self.odd else 0
 
     @property
     def is_zero(self) -> bool:

@@ -221,21 +221,16 @@ def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
 
 @dataclass(frozen=True)
 class ClassifiedWord:
-    """A word with per-letter statuses and the state mask before each letter.
+    """A word's letter statuses, each at its prefix state, and its final state.
 
     Every letter acts on the running state, good or bad; the action is
     defined for all words, and the stable projection only converges under
-    this reading.
+    this reading.  No prefix state is kept: each holds C(n,3) bits.
     """
 
     word: GWord
     statuses: tuple[LetterStatus, ...]
-    prefix_masks: tuple[int, ...]
     final_state: OrientationState
-
-    @property
-    def prefix_states(self) -> tuple[OrientationState, ...]:
-        return tuple(OrientationState(self.word.n, m) for m in self.prefix_masks)
 
     @property
     def realisable(self) -> bool:
@@ -254,13 +249,11 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
     n = w.n
     base = _bit_base(n)
     mask = s.minus
-    prefixes: list[int] = []
     statuses: list[LetterStatus] = []
     for g in w.letters:
-        prefixes.append(mask)
         statuses.append(_status_at(base, mask, n, g))
         mask ^= _bit(base, g)
-    return ClassifiedWord(w, tuple(statuses), tuple(prefixes), OrientationState(n, mask))
+    return ClassifiedWord(w, tuple(statuses), OrientationState(n, mask))
 
 
 def is_realisable(w: GWord) -> bool:
@@ -489,14 +482,10 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     ``commute``: far-commuting letters keep their statuses under the swap
     (exhaustive at n=5, seeded state samples for n >= 6).
     """
-    if lemma == "tetra":
+    if lemma in ("tetra", "square"):
         if n != 4:
-            raise UnsupportedN("tetra census is exhaustive for n=4 only")
-        return _tetra_census()
-    if lemma == "square":
-        if n != 4:
-            raise UnsupportedN("square census is exhaustive for n=4 only")
-        return _square_census()
+            raise UnsupportedN(f"{lemma} census is exhaustive for n=4 only")
+        return _tetra_census() if lemma == "tetra" else _square_census()
     if lemma == "commute":
         if n < 5:
             raise UnsupportedN("no far-commuting pairs below n=5")

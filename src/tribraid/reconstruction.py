@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable
 from .group_core import GWord, generator_parity
-from .index_state import ClassifiedWord, _bit_base, _sign, classify_word
+from .index_state import ClassifiedWord, _bit, _bit_base, _sign, classify_word
 
 
 def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
@@ -107,32 +107,13 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
     calibrated so a counterclockwise revolution of one strand about another
     contributes +1 to their linking number.
     """
-    if not 1 <= axis <= w.n:
-        raise BadTriple(f"axis {axis} out of range 1..{w.n}")
+    order = list(initial_cyclic_order(w.n, axis))
     cw = classify_word(w)
     if not cw.realisable:
         bad = [i for i, st in enumerate(cw.statuses) if not st.good]
         raise NotRealisable(f"letters at positions {bad} are not realisable")
-    return _swap_word(cw, axis)
-
-
-def _swap_word(cw: ClassifiedWord, axis: int) -> CylWord:
-    """`reconstruct_axis` of a word already classified realisable."""
-    w = cw.word
-    base = _bit_base(w.n)
-    order = list(initial_cyclic_order(w.n, axis))
-    letters: list[CylLetter] = []
-    for g, st, mask in zip(w.letters, cw.statuses, cw.prefix_masks):
-        if axis not in g.elems:
-            continue
-        (central,) = st.centrals
-        if central == axis:
-            continue
-        inner = central
-        (outer,) = (e for e in g.elems if e != axis and e != central)
-        sign = _sign(base, mask, axis, outer, inner)
-        _swap_adjacent(order, inner, outer)
-        letters.append(CylLetter(inner, outer, sign))
+    swaps = _swaps(cw, {axis: order})
+    letters = [CylLetter(inner, outer, sign) for _, inner, outer, sign in swaps]
     # every swap was checked adjacent as it was made: skip CylWord's replay
     cyl = object.__new__(CylWord)
     object.__setattr__(cyl, "n", w.n)
@@ -140,6 +121,26 @@ def _swap_word(cw: ClassifiedWord, axis: int) -> CylWord:
     object.__setattr__(cyl, "letters", tuple(letters))
     object.__setattr__(cyl, "final_order", tuple(order))
     return cyl
+
+
+def _swaps(cw: ClassifiedWord, orders: dict[int, list[int]]):
+    """Make every ray swap of a word classified realisable from the initial
+    state on the ray orders in `orders`, checking adjacency, and yield each
+    as (axis, inner, outer, sign) in word order.  A letter with central c
+    swaps c (inner) with its third strand (outer) at its two other strands."""
+    base = _bit_base(cw.word.n)
+    mask = 0
+    for g, st in zip(cw.word.letters, cw.statuses):
+        (inner,) = st.centrals
+        i, j, k = g.elems
+        a, b = (j, k) if inner == i else (i, k) if inner == j else (i, j)
+        if a in orders:
+            _swap_adjacent(orders[a], inner, b)
+            yield a, inner, b, _sign(base, mask, a, b, inner)
+        if b in orders:
+            _swap_adjacent(orders[b], inner, a)
+            yield b, inner, a, _sign(base, mask, b, a, inner)
+        mask ^= _bit(base, g)
 
 
 @dataclass(frozen=True)
@@ -173,13 +174,11 @@ class AnnularInvariants:
         lines = [f"axis {self.axis}, strands {' '.join(map(str, self.strands))}"]
         lines.append(f"permutation: {_cycle_notation(dict(self.perm))}")
         lines.append("linking:")
-        header = "     " + "".join(f"{s:>6}" for s in self.strands)
-        lines.append(header)
+        lines.append("     " + "".join(f"{s:>6}" for s in self.strands))
+        linking = dict(self.linking)
         for i in self.strands:
-            row = [f"{i:>5}"]
-            for j in self.strands:
-                row.append("     ." if i == j else f"{str(self.linking_of(i, j)):>6}")
-            lines.append("".join(row))
+            cells = (linking[min(i, j), max(i, j)] if i != j else "." for j in self.strands)
+            lines.append(f"{i:>5}" + "".join(f"{str(value):>6}" for value in cells))
         return "\n".join(lines)
 
 
@@ -187,18 +186,14 @@ def _cycle_notation(mapping: dict[int, int]) -> str:
     seen: set[int] = set()
     cycles = []
     for start in sorted(mapping):
-        if start in seen or mapping[start] == start:
+        cycle = []
+        while start not in seen:
             seen.add(start)
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = mapping[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        cycles.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(cycles) if cycles else "()"
+            cycle.append(start)
+            start = mapping[start]
+        if len(cycle) > 1:
+            cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "()"
 
 
 def annular_invariants(c: CylWord) -> AnnularInvariants:
@@ -208,8 +203,7 @@ def annular_invariants(c: CylWord) -> AnnularInvariants:
     strands = tuple(sorted(start))
     sums: Counter[tuple[int, int]] = Counter()
     for lt in c.letters:
-        key = (lt.inner, lt.outer) if lt.inner < lt.outer else (lt.outer, lt.inner)
-        sums[key] += lt.sign
+        sums[min(lt.inner, lt.outer), max(lt.inner, lt.outer)] += lt.sign
     linking = tuple(
         (pair, Fraction(sums.get(pair, 0), 2)) for pair in combinations(strands, 2)
     )
@@ -232,9 +226,7 @@ def invariants_equal_mod_full_twist(a: AnnularInvariants, b: AnnularInvariants):
     if len(diffs) != 1:
         return None
     (m,) = diffs
-    if m.denominator != 1:
-        return None
-    return int(m)
+    return int(m) if m.denominator == 1 else None
 
 
 NONTRIVIAL_BY_PARITY = "nontrivial-by-parity"
@@ -254,38 +246,53 @@ class KernelVerdict:
         return self.kind
 
 
-def _deviating_pair(base: AnnularInvariants, inv: AnnularInvariants) -> tuple[int, int]:
-    for src, dst in inv.perm:
-        if src != dst:
-            return tuple(sorted((src, dst)))  # type: ignore[return-value]
-    inv_linking = dict(inv.linking)
-    diffs = {pair: inv_linking[pair] - value for pair, value in base.linking}
-    counts = Counter(diffs.values())
-    # the most frequent difference is the full-twist shift candidate
+def _deviating_pair(start, order, sums: Counter) -> tuple[int, int] | None:
+    """None when one axis's swap word may be a power of the full twist: no
+    ray slot moved and every pair has one common even sum (`sums` holds
+    twice each linking number).  Otherwise the first moved slot, else the
+    first pair off the commonest sum (ties to the smaller |sum|), else the
+    smallest pair."""
+    moved = min(((src, dst) for src, dst in zip(start, order) if src != dst), default=None)
+    if moved:
+        return tuple(sorted(moved))  # type: ignore[return-value]
+    pairs = list(combinations(sorted(start), 2))
+    values = [sums[pair] for pair in pairs]
+    counts = Counter(values)
+    if len(counts) == 1:
+        return None if values[0] % 2 == 0 else pairs[0]
     mode = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
-    for pair in sorted(diffs):
-        if diffs[pair] != mode:
-            return pair
-    return min(diffs)
+    return next(pair for pair, value in zip(pairs, values) if value != mode)
 
 
 def kernel_witness(w: GWord) -> KernelVerdict:
     """Best-effort nontriviality check for a realisable word.
 
-    Parity is checked first; otherwise the word is reconstructed around
-    every axis (covering every strand pair) and compared with the empty
-    word's invariants modulo full twists.  A consistent outcome makes no
-    triviality claim: these invariants are blind beyond parity, winding
-    and the ray permutation.
+    Parity is checked first; otherwise one pass over the word reconstructs
+    it around every axis (covering every strand pair), and the axes are
+    compared in order with the empty word's invariants modulo full twists.
+    A consistent outcome makes no triviality claim: these invariants are
+    blind beyond parity, winding and the ray permutation.
+
+    Reading every axis first raises no `AdjacencyViolation` that an earlier
+    verdict would hide, because no realisable word breaks adjacency: around
+    an axis a the running order stays the order of ray angles whose
+    half-turn tests are the signs on (a,x,y).  A good letter {a,x,y} with
+    central x asks sign(a,x,p) = sign(a,y,p) of every other p, so no ray
+    lies between x and y or their opposites; with central a, the same holds
+    for x and the opposite of y.
     """
     cw = classify_word(w)
     if not cw.realisable:
         raise NotRealisable("kernel witness requires a realisable word")
     if not generator_parity(w).is_zero:
         return KernelVerdict(NONTRIVIAL_BY_PARITY)
-    for axis in range(1, w.n + 1):
-        inv = annular_invariants(_swap_word(cw, axis))
-        base = annular_invariants(empty_cyl_word(w.n, axis))
-        if invariants_equal_mod_full_twist(base, inv) is None:
-            return KernelVerdict(NONTRIVIAL_BY_LINKING, axis, _deviating_pair(base, inv))
+    axes = range(1, w.n + 1)
+    orders = {axis: list(initial_cyclic_order(w.n, axis)) for axis in axes}
+    sums: dict[int, Counter] = {axis: Counter() for axis in axes}
+    for axis, inner, outer, sign in _swaps(cw, orders):
+        sums[axis][min(inner, outer), max(inner, outer)] += sign
+    for axis in axes:
+        pair = _deviating_pair(initial_cyclic_order(w.n, axis), orders[axis], sums[axis])
+        if pair:
+            return KernelVerdict(NONTRIVIAL_BY_LINKING, axis, pair)
     return KernelVerdict(TRIVIAL_CONSISTENT)

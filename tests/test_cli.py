@@ -295,6 +295,21 @@ def test_selftest_catches_a_drifted_event_kernel(capsys, monkeypatch, drift):
     assert code == 1 and "FAIL collinearity events against orientation and dot" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "drift",
+    [
+        lambda v: tribraid.KernelVerdict(tribraid.TRIVIAL_CONSISTENT),
+        lambda v: dataclasses.replace(v, axis=(v.axis or 0) + 1),
+    ],
+    ids=["kind", "axis"],
+)
+def test_selftest_catches_a_drifted_kernel_witness(capsys, monkeypatch, drift):
+    exact = tribraid.reconstruction.kernel_witness
+    monkeypatch.setattr(tribraid.reconstruction, "kernel_witness", lambda w: drift(exact(w)))
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1 and "FAIL kernel witness against per-axis invariants" in out.splitlines()
+
+
 def test_interleaved_subcommands_give_the_same_output(capsys, tmp_path):
     # main parses with one parser per process: no flag or default may carry
     # over from one call to the next

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -73,11 +74,15 @@ class TestParsing:
         assert parse_word("  ", 4) == GWord(4)
         assert format_word(GWord(4)) == ""
 
-    def test_general_cardinality_at_data_level(self):
-        assert parse_indices("a(1,2,3,4)", 5) == (1, 2, 3, 4)
-        assert parse_indices("a12", 4) == (1, 2)
-        with pytest.raises(WordParseError):
-            parse_word("a(1,2,3,4)", 5)
+    def test_parse_indices_takes_exactly_three(self):
+        assert parse_indices("a(3,1,2)", 5) == (3, 1, 2)
+        assert parse_indices("a412", 4) == (4, 1, 2)
+        for token, k in (("a(1,2,3,4)", 4), ("a12", 2), ("a(7)", 1)):
+            message = re.escape(f"{token!r} has {k} indices; words use 3-index generators")
+            with pytest.raises(WordParseError, match=message):
+                parse_indices(token, 8)
+            with pytest.raises(WordParseError, match=message):
+                parse_word(f"a123 {token}", 8)
 
     def test_bad_tokens(self):
         with pytest.raises(WordParseError):
@@ -209,7 +214,6 @@ class TestParity:
         w = word(4, (1, 2, 3), (1, 2, 4), (1, 2, 3))
         pv = generator_parity(w)
         assert pv.odd == frozenset({(1, 2, 4)})
-        assert pv.bit((2, 1, 4)) == 1 and pv.bit((1, 2, 3)) == 0
 
     def test_tetra_sides_share_parity(self):
         w = word(4, (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))

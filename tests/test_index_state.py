@@ -1,6 +1,8 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -218,16 +220,23 @@ class TestClassifyWord:
         cw = classify_word(GWord(4))
         assert cw.realisable and cw.statuses == ()
 
-    def test_prefix_chain(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            w = random_word(rng, 4, 10)
-            cw = classify_word(w)
-            s = initial_state(4)
-            for g, pre in zip(w.letters, cw.prefix_states):
-                assert pre == s
-                s = flip(s, g)
-            assert cw.final_state == s
+    def test_keeps_no_state_per_letter(self):
+        # one prefix state is a C(n,3)-bit mask, about 10 KB at n = 80; 300
+        # letters must not keep 300 of them
+        n, length = 80, 300
+        rng = random.Random(11)
+        w = GWord(
+            n,
+            tuple(GenTriple(n, tuple(rng.sample(range(1, n + 1), 3))) for _ in range(length)),
+        )
+        classify_word(GWord(n, w.letters[:1]))  # build the cached bit table
+        tracemalloc.start()
+        try:
+            classify_word(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * comb(n, 3) // 8
 
 
 class TestProjection:

@@ -1,9 +1,11 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from helpers import word
+from helpers import good_walk, word
 from tribraid import (
     NONTRIVIAL_BY_LINKING,
     NONTRIVIAL_BY_PARITY,
@@ -23,10 +25,12 @@ from tribraid import (
     compile_program,
     empty_cyl_word,
     enumerate_states,
+    flip,
     full_twist_program,
     geometric_linking,
     initial_cyclic_order,
     invariants_equal_mod_full_twist,
+    is_realisable,
     kernel_witness,
     pure_braid_generator_program,
     reconstruct_axis,
@@ -203,6 +207,77 @@ class TestKernelWitness:
             kernel_witness(word(4, (1, 3, 4), (1, 2, 3)))
 
 
+class TestOnePassPins:
+    """SHA-256 of outputs taken when every axis was rebuilt on its own from
+    `Fraction` invariants and per-letter prefix masks."""
+
+    @staticmethod
+    def _kernel_corpus():
+        # walks, their mirrors and squares; gadgets, their squares and, at
+        # n = 4 and 5, every gadget times the inverse of another (the
+        # linking mode ties there); two identity words at n = 32
+        rng = random.Random(8080)
+        for n in range(4, 9):
+            for _ in range(12):
+                w = good_walk(rng, n, rng.randint(1, 24))
+                yield w
+                yield GWord(n, w.letters + w.letters[::-1])
+                if is_realisable(GWord(n, w.letters * 2)):
+                    yield GWord(n, w.letters * 2)
+        for n in (4, 5, 6):
+            gadgets = [
+                compile_program(pure_braid_generator_program(n, i, j)).word
+                for i, j in permutations(range(1, n + 1), 2)
+            ]
+            for g in gadgets:
+                yield g
+                yield GWord(n, g.letters * 2)
+                if n < 6:
+                    for h in gadgets:
+                        yield GWord(n, g.letters + h.letters[::-1])
+        for _ in range(2):
+            w = good_walk(rng, 32, 40)
+            yield GWord(32, w.letters + w.letters[::-1])
+
+    def test_kernel_verdicts_pinned(self):
+        h = hashlib.sha256()
+        kinds = []
+        slots_fixed = set()
+        for w in self._kernel_corpus():
+            v = kernel_witness(w)
+            h.update(f"{w.n} {v.kind} {v.axis} {v.pair}\n".encode())
+            kinds.append(v.kind)
+            if v.kind == NONTRIVIAL_BY_LINKING:
+                slots_fixed.add(annular_invariants(reconstruct_axis(w, v.axis)).is_identity)
+        assert (
+            len(kinds),
+            kinds.count(NONTRIVIAL_BY_LINKING),
+            kinds.count(NONTRIVIAL_BY_PARITY),
+        ) == (808, 613, 52)
+        # linking verdicts from a moved ray slot and from a pair off the mode
+        assert slots_fixed == {True, False}
+        assert h.hexdigest() == (
+            "17c610978299863b8c7f0ebd0f7c85aff7f04fa2f81a6520dc7d99d0009ffb2a"
+        )
+
+    def test_swap_words_pinned(self):
+        rng = random.Random(8181)
+        words = [good_walk(rng, n, rng.randint(1, 30)) for n in range(4, 9) for _ in range(10)]
+        words += [
+            compile_program(pure_braid_generator_program(n, i, j)).word
+            for n in (4, 5, 6)
+            for i, j in permutations(range(1, n + 1), 2)
+        ]
+        h = hashlib.sha256()
+        for w in words:
+            for axis in range(1, w.n + 1):
+                c = reconstruct_axis(w, axis)
+                h.update(f"{axis} {c} {c.final_order}\n".encode())
+        assert h.hexdigest() == (
+            "e6cf0b4424b2cf17f65110b50ccd4ce6de06c6f461e42b43f31eea9a167e9f15"
+        )
+
+
 class TestTetraSurvivors:
     def test_one_or_three_survivors_in_good_windows(self):
         # in a window whose four letters are all good, the letters holding
@@ -222,16 +297,13 @@ class TestTetraSurvivors:
                 for axis in range(1, 5):
                     def swaps(cw):
                         out = []
-                        for g, st, pre in zip(
-                            cw.word.letters, cw.statuses, cw.prefix_states
-                        ):
-                            if axis not in g.elems:
-                                continue
+                        pre = s
+                        for g, st in zip(cw.word.letters, cw.statuses):
                             (c,) = st.centrals
-                            if c == axis:
-                                continue
-                            (outer,) = (e for e in g.elems if e not in (axis, c))
-                            out.append((c, outer, signed_index(pre, axis, outer, c)))
+                            if axis in g.elems and c != axis:
+                                (outer,) = (e for e in g.elems if e not in (axis, c))
+                                out.append((c, outer, signed_index(pre, axis, outer, c)))
+                            pre = flip(pre, g)
                         return out
 
                     sw_l, sw_r = swaps(cl), swaps(cr)
