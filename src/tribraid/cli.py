@@ -89,6 +89,12 @@ def _load_program(path: str):
         raise ProgramParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProgramParseError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        n = int(obj["n"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        n = 0  # program_from_json says what is wrong
+    if n > MAX_GEN_N:
+        raise AboveCeiling(f"the program has {n} strands, above the ceiling of {MAX_GEN_N}")
     return program_from_json(obj)
 
 
@@ -194,7 +200,7 @@ def cmd_census(args) -> int:
 # the largest `gen --n`.  Building a gadget is cheap: `--braid 1,50` takes
 # 0.02 s at n = 100 in process, 0.2-0.3 s as a command.  Compiling it is not:
 # its word has 5,360 letters at n = 100 and 20,850 at n = 200, which
-# `compile_program` reads in 0.43 s and 3.4 s.
+# `compile_program` reads in 0.43 s and 3.4 s.  It also caps programs read.
 MAX_GEN_N = 100
 
 
@@ -227,6 +233,7 @@ def cmd_selftest(args) -> int:
     from itertools import combinations
 
     from .geometry import (
+        boundary_configurations,
         dot,
         geometric_linking,
         orientation,
@@ -321,8 +328,7 @@ def cmd_selftest(args) -> int:
         for n in (5, 6, 7):
             for seed in range(3):
                 prog = random_closed_program(n, seed=seed)
-                cur = prog.initial
-                for mv in prog.moves:
+                for cur, mv in zip(boundary_configurations(prog), prog.moves):
                     p0 = cur.point(mv.strand)
                     for e in segment_events(cur, mv.strand, mv.target):
                         pos = {k: cur.point(k) for k in e.triple.elems}
@@ -335,8 +341,19 @@ def cmd_selftest(args) -> int:
                         if dot(o1 - mid, o2 - mid) >= 0:
                             return False
                         seen += 1
-                    cur = cur.moved(mv.strand, mv.target)
         return seen > 0
+
+    def check_linking_rejects_what_compile_rejects() -> bool:
+        # strand 1 of the regular square runs through strand 2 at (-1, 0)
+        meet = [{"type": "line", "strand": 1, "to": ["-2", "-1"]}]
+        obj = dict(program_to_json(full_twist_program(4, 1)), moves=meet)
+        errors = []
+        for read in (compile_program, lambda p: geometric_linking(p, 1, 2)):
+            try:
+                read(program_from_json(obj))
+            except TribraidError as exc:
+                errors.append((type(exc).__name__, str(exc)))
+        return errors == [("GenericityError", "moving strand meets another strand")] * 2
 
     def check_bounded_equality() -> bool:
         tetra = parse_word("a123 a124 a134 a234", 4)
@@ -359,6 +376,7 @@ def cmd_selftest(args) -> int:
         ("stable projection fixed points", check_stable_projection),
         ("embedding restriction", check_embedding),
         ("collinearity events against orientation and dot", check_event_geometry),
+        ("linking rejects what compile rejects", check_linking_rejects_what_compile_rejects),
         ("bounded equality", check_bounded_equality),
     ]
     failed = 0

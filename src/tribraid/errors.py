@@ -43,11 +43,6 @@ class NotClosed(TribraidError):
     """A program marked closed does not return to its initial configuration."""
 
 
-class DegeneratePath(TribraidError):
-    """A difference path passes through the origin, so its winding number
-    is undefined."""
-
-
 class ConstructionFailure(TribraidError):
     """A deterministic constructor found no valid motion: every shear of a
     generator gadget is blocked, or a seeded random program ran out of

@@ -25,7 +25,6 @@ from operator import attrgetter
 from .errors import (
     BadTriple,
     ConstructionFailure,
-    DegeneratePath,
     DimensionMismatch,
     GenericityError,
     InvalidMove,
@@ -227,6 +226,31 @@ class MoveProgram:
         return self.initial.n
 
     @cached_property
+    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple[Configuration, ...]]:
+        """The events, the total twist and the boundary configurations, from
+        the one pass that checks the moves: `segment_events` for a linear
+        move, the common circle for a full twist.  An invalid program caches
+        nothing and raises on every call."""
+        cur = self.initial
+        configs = [cur]
+        events: list[CollinearityEvent] = []
+        twist = 0
+        for idx, mv in enumerate(self.moves):
+            if isinstance(mv, FullTwistMove):
+                if len({x * x + y * y for x, y in _grid(cur.points)}) != 1:
+                    raise GenericityError(
+                        "full twist requires all strands on a common circle about the origin"
+                    )
+                twist += mv.turns
+            elif isinstance(mv, LinearMove):
+                events.extend(segment_events(cur, mv.strand, mv.target, move_index=idx))
+                cur = cur._with_point(mv.strand, mv.target)  # checked by segment_events
+            else:
+                raise InvalidMove(f"unknown move {mv!r}")
+            configs.append(cur)
+        return tuple(events), twist, tuple(configs)
+
+    @cached_property
     def _boundary_grids(self) -> list[list[tuple[int, int]]]:
         """The validated boundary configurations, on one `_grid`."""
         flat = _grid([pt for cfg in boundary_configurations(self) for pt in cfg.points])
@@ -364,14 +388,8 @@ def configuration_state(c: Configuration) -> OrientationState:
 
 
 def boundary_configurations(p: MoveProgram) -> list[Configuration]:
-    """Configurations before each move and after the last one."""
-    configs = [p.initial]
-    cur = p.initial
-    for mv in p.moves:
-        if isinstance(mv, LinearMove):
-            cur = cur.moved(mv.strand, mv.target)
-        configs.append(cur)
-    return configs
+    """Configurations before each move and after the last one, as compiled."""
+    return list(p._walk[2])
 
 
 def compile_program(p: MoveProgram) -> CompileOutput:
@@ -381,35 +399,21 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     collinear) but add to the twist count; their common-circle precondition
     is checked.  A program marked closed must end exactly where it started.
     """
-    cur = p.initial
-    events: list[CollinearityEvent] = []
-    twist = 0
-    for idx, mv in enumerate(p.moves):
-        if isinstance(mv, FullTwistMove):
-            radii = {x * x + y * y for x, y in _grid(cur.points)}
-            if len(radii) != 1:
-                raise GenericityError(
-                    "full twist requires all strands on a common circle about the origin"
-                )
-            twist += mv.turns
-        elif isinstance(mv, LinearMove):
-            events.extend(segment_events(cur, mv.strand, mv.target, move_index=idx))
-            cur = cur._with_point(mv.strand, mv.target)  # checked by segment_events
-        else:
-            raise InvalidMove(f"unknown move {mv!r}")
-    if p.closed and cur != p.initial:
+    events, twist, configs = p._walk
+    if p.closed and configs[-1] != p.initial:
         raise NotClosed("program marked closed but the final configuration differs")
-    word = GWord(p.n, tuple(e.triple for e in events))
-    return CompileOutput(word, tuple(events), twist)
+    return CompileOutput(GWord(p.n, tuple(e.triple for e in events)), events, twist)
 
 
 def _ray_crossing(ux: int, uy: int, vx: int, vy: int) -> int:
-    """Signed crossing of the directed segment u->v over the ray x>0, y=0."""
-    if (ux == 0 and uy == 0) or (vx == 0 and vy == 0):
-        raise DegeneratePath("difference path hits the origin")
+    """Signed crossing of the directed segment u->v over the ray x>0, y=0.
+
+    The segment misses the origin: its ends are differences in generic
+    boundary configurations, and only one strand moves per segment, so the
+    difference of i and j can reach 0 only where the mover meets the other
+    strand, which `segment_events` rejects.
+    """
     c = ux * vy - uy * vx
-    if c == 0 and ux * vx + uy * vy < 0:
-        raise DegeneratePath("difference path passes through the origin")
     if uy <= 0 < vy and c > 0:
         return 1
     if vy <= 0 < uy and c < 0:
@@ -423,9 +427,9 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
     Computed as signed crossings of the positive x-ray over the piecewise
     linear difference path, plus one turn per full twist (a rigid rotation
     winds every nonzero difference exactly once per turn).  Integer-valued
-    for closed programs; counterclockwise is positive.  Callers ask for
-    many pairs of one program, so the program keeps its validated boundary
-    configurations; an invalid program keeps none and raises on every call.
+    for closed programs; counterclockwise is positive.  Reads only the
+    boundary configurations of the compiler's walk, kept for the many pairs
+    callers ask about: an invalid program raises as it does when compiled.
     """
     if i == j:
         raise BadTriple("linking needs two distinct strands")
@@ -523,14 +527,14 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
     so no move passes through (R, d), and d the first of 1, -1, 2, -2, ...
     on no line through two points of one boundary configuration.  The far
     strand keeps every configuration generic, so the augmented program
-    compiles if `p` does; `p` is compiled once, and an invalid one raises
-    its own error.  Letters not containing n+1 are exactly the original
-    program's letters, in the original order.  Full twists are rejected:
-    the far strand leaves the common circle.
+    compiles if `p` does; `p` is compiled first, and an invalid one raises
+    the error of its walk.  Letters not containing n+1 are exactly the
+    original program's letters, in the original order.  Full twists are
+    rejected: the far strand leaves the common circle.
     """
+    compile_program(p)
     if any(isinstance(mv, FullTwistMove) for mv in p.moves):
         raise InvalidMove("cannot embed a program containing full twists")
-    compile_program(p)
     configs = boundary_configurations(p)
     R = 8
     while any(pt.x >= R for c in configs for pt in c.points):
@@ -550,14 +554,13 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
 def inverse_program(p: MoveProgram) -> MoveProgram:
     """The same motion traversed backwards."""
     configs = boundary_configurations(p)
-    rev: list[Move] = []
-    for idx in range(len(p.moves) - 1, -1, -1):
-        mv = p.moves[idx]
-        if isinstance(mv, FullTwistMove):
-            rev.append(FullTwistMove(-mv.turns))
-        else:
-            rev.append(LinearMove(mv.strand, configs[idx].point(mv.strand)))
-    return MoveProgram(configs[-1], tuple(rev), closed=p.closed)
+    rev = tuple(
+        FullTwistMove(-mv.turns)
+        if isinstance(mv, FullTwistMove)
+        else LinearMove(mv.strand, configs[idx].point(mv.strand))
+        for idx, mv in reversed(list(enumerate(p.moves)))
+    )
+    return MoveProgram(configs[-1], rev, closed=p.closed)
 
 
 def concat_programs(a: MoveProgram, b: MoveProgram) -> MoveProgram:
@@ -570,21 +573,19 @@ def concat_programs(a: MoveProgram, b: MoveProgram) -> MoveProgram:
 
 
 def program_power(p: MoveProgram, k: int) -> MoveProgram:
-    """k-fold repetition of a closed program (inverse for negative k)."""
-    if not p.closed:
+    """k-fold repetition of a closed program (inverse for negative k); one not
+    marked closed, or not ending where it starts, raises `NotClosed`."""
+    if not p.closed or boundary_configurations(p)[-1] != p.initial:
         raise NotClosed("powers are defined for closed programs")
-    if k == 0:
-        return MoveProgram(p.initial, (), closed=True)
-    base = p if k > 0 else inverse_program(p)
-    result = base
-    for _ in range(abs(k) - 1):
-        result = concat_programs(result, base)
-    return result
+    base = p if k >= 0 else inverse_program(p)
+    return MoveProgram(p.initial, base.moves * abs(k), closed=True)
 
 
-def random_closed_program(
-    n: int, seed: int = 0, wander_moves: int = 3, max_attempts: int = 200
-) -> MoveProgram:
+_WANDER_MOVES = 3  # at most this many random displacements
+_MAX_ATTEMPTS = 200  # draws per move before giving up
+
+
+def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     """Seeded random closed program: a few random strand displacements from
     the regular configuration, then return moves back home.
 
@@ -601,60 +602,47 @@ def random_closed_program(
             Fraction(rng.randint(-2400, 2400), 1200),
         )
 
+    def clear(c: Configuration, s: int, target: RationalPoint) -> bool:
+        try:
+            segment_events(c, s, target)
+        except GenericityError:
+            return False
+        return True
+
     cur = cfg
     moves: list[Move] = []
     displaced: dict[int, RationalPoint] = {}
-    for _ in range(rng.randint(1, wander_moves)):
-        for _ in range(max_attempts):
-            s = rng.randint(1, n)
-            target = draw_point()
-            try:
-                segment_events(cur, s, target)
-            except GenericityError:
-                continue
-            moves.append(LinearMove(s, target))
-            displaced.setdefault(s, cfg.point(s))
-            cur = cur._with_point(s, target)
-            break
+    for _ in range(rng.randint(1, _WANDER_MOVES)):
+        for _ in range(_MAX_ATTEMPTS):
+            s, target = rng.randint(1, n), draw_point()
+            if clear(cur, s, target):
+                break
         else:
             raise ConstructionFailure("could not draw a generic wander move")
+        moves.append(LinearMove(s, target))
+        displaced.setdefault(s, cfg.point(s))
+        cur = cur._with_point(s, target)
     for s in reversed(list(displaced)):
         home = displaced[s]
         if cur.point(s) == home:
             continue
-        try:
-            segment_events(cur, s, home)
-            moves.append(LinearMove(s, home))
-            cur = cur._with_point(s, home)
-            continue
-        except GenericityError:
-            pass
-        for _ in range(max_attempts):
-            via = draw_point()
-            try:
-                segment_events(cur, s, via)
-                mid = cur._with_point(s, via)
-                segment_events(mid, s, home)
-            except GenericityError:
-                continue
-            moves.extend((LinearMove(s, via), LinearMove(s, home)))
-            cur = mid._with_point(s, home)
-            break
-        else:
-            raise ConstructionFailure("could not route a strand back home")
+        route = (home,)
+        if not clear(cur, s, home):
+            for _ in range(_MAX_ATTEMPTS):
+                via = draw_point()
+                if clear(cur, s, via) and clear(cur._with_point(s, via), s, home):
+                    break
+            else:
+                raise ConstructionFailure("could not route a strand back home")
+            route = (via, home)
+        for target in route:
+            moves.append(LinearMove(s, target))
+            cur = cur._with_point(s, target)
     return MoveProgram(cfg, tuple(moves), closed=True)
 
 
 # ---------------------------------------------------------------------------
 # Program JSON format
-
-
-def _frac_to_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _point_to_json(p: RationalPoint) -> list[str]:
-    return [_frac_to_str(p.x), _frac_to_str(p.y)]
 
 
 def _point_from_json(obj) -> RationalPoint:
@@ -673,11 +661,11 @@ def program_to_json(p: MoveProgram) -> dict:
             moves.append({"type": "twist", "turns": mv.turns})
         else:
             moves.append(
-                {"type": "line", "strand": mv.strand, "to": _point_to_json(mv.target)}
+                {"type": "line", "strand": mv.strand, "to": [str(mv.target.x), str(mv.target.y)]}
             )
     return {
         "n": p.n,
-        "initial": [_point_to_json(pt) for pt in p.initial.points],
+        "initial": [[str(pt.x), str(pt.y)] for pt in p.initial.points],
         "moves": moves,
         "closed": p.closed,
     }
@@ -691,7 +679,7 @@ def program_from_json(obj) -> MoveProgram:
         initial_raw = obj["initial"]
         moves_raw = obj.get("moves", [])
         closed = bool(obj.get("closed", False))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProgramParseError(f"missing or malformed program field: {exc}") from exc
     if not isinstance(initial_raw, list):
         raise ProgramParseError("'initial' must be a list of points")
@@ -707,7 +695,7 @@ def program_from_json(obj) -> MoveProgram:
         if mv["type"] == "line":
             try:
                 strand = int(mv["strand"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ProgramParseError(f"bad line move {mv!r}") from exc
             if not 1 <= strand <= n:
                 raise ProgramParseError(f"strand {strand} out of range 1..{n}")
@@ -715,7 +703,7 @@ def program_from_json(obj) -> MoveProgram:
         elif mv["type"] == "twist":
             try:
                 moves.append(FullTwistMove(int(mv["turns"])))
-            except (KeyError, TypeError, ValueError, InvalidMove) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, InvalidMove) as exc:
                 raise ProgramParseError(f"bad twist move {mv!r}") from exc
         else:
             raise ProgramParseError(f"unknown move type {mv['type']!r}")

@@ -198,6 +198,44 @@ def test_gen_at_the_n_ceiling_builds(capsys, monkeypatch):
         assert run(capsys, ["gen", flag, value, "--n", "6"])[0] == 2
 
 
+def test_programs_above_the_n_ceiling_exit_2_before_building(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a program was built above the ceiling")
+
+    for name in ("program_from_json", "compile_program", "embed_at_infinity"):
+        monkeypatch.setattr(tribraid.cli, name, refuse)
+    ceiling = tribraid.cli.MAX_GEN_N
+    path = tmp_path / "big.json"
+    for n in (ceiling + 1, 10**9):
+        path.write_text(json.dumps({"n": n, "initial": []}))
+        for argv in (["compile", str(path)], ["gen", "--embed", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == ""
+            assert err == f"error: the program has {n} strands, above the ceiling of {ceiling}\n"
+
+
+def test_programs_at_the_n_ceiling_load(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tribraid.cli, "MAX_GEN_N", 5)
+    for n, expected in ((5, 0), (6, 2)):
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(program_to_json(pure_braid_generator_program(n, 1, 2))))
+        assert run(capsys, ["compile", str(path)])[0] == expected
+        assert run(capsys, ["gen", "--embed", str(path)])[0] == expected
+
+
+def test_program_with_an_infinite_number_exits_2(capsys, tmp_path):
+    good = program_to_json(pure_braid_generator_program(4, 1, 3))
+    path = tmp_path / "bad.json"
+    for bad in (
+        dict(good, n=float("inf")),
+        dict(good, moves=[{"type": "line", "strand": float("inf"), "to": ["0", "0"]}]),
+        dict(good, moves=[{"type": "twist", "turns": float("-inf")}]),
+    ):
+        path.write_text(json.dumps(bad))  # as Infinity, which json reads back
+        code, out, err = run(capsys, ["compile", str(path)])
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 @pytest.fixture
 def refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):

@@ -12,7 +12,6 @@ import pytest
 from tribraid import (
     BadTriple,
     Configuration,
-    DegeneratePath,
     FullTwistMove,
     GWord,
     GenericityError,
@@ -47,6 +46,8 @@ from tribraid import (
     segment_events,
     signed_index,
 )
+from tribraid import geometry
+from tribraid.errors import TribraidError
 from tribraid.index_state import classify_word
 
 F = Fraction
@@ -140,11 +141,9 @@ def _oracle_segment_events(points, s, target):
 
 
 def _oracle_ray_crossing(u, v):
-    if (u.x == 0 and u.y == 0) or (v.x == 0 and v.y == 0):
-        raise DegeneratePath("difference path hits the origin")
     c = u.x * v.y - u.y * v.x
-    if c == 0 and _oracle_dot(u, v) < 0:
-        raise DegeneratePath("difference path passes through the origin")
+    # the moves are checked, so the difference path misses the origin
+    assert u.norm2() and v.norm2() and not (c == 0 and _oracle_dot(u, v) < 0)
     if u.y <= 0 < v.y and c > 0:
         return 1
     if v.y <= 0 < u.y and c < 0:
@@ -153,12 +152,19 @@ def _oracle_ray_crossing(u, v):
 
 
 def _oracle_linking(prog, i, j):
+    """The winding of z_i - z_j, once every move is checked as the compiler
+    checks it."""
     configs = [prog.initial.points]
     for mv in prog.moves:
+        pts = configs[-1]
         if isinstance(mv, LinearMove):
-            configs.append(_oracle_moved(configs[-1], mv.strand, mv.target))
-        else:
-            configs.append(configs[-1])
+            _oracle_segment_events(pts, mv.strand, mv.target)
+            pts = _oracle_moved(pts, mv.strand, mv.target)
+        elif len({pt.norm2() for pt in pts}) != 1:
+            raise GenericityError(
+                "full twist requires all strands on a common circle about the origin"
+            )
+        configs.append(pts)
     wn = sum(mv.turns for mv in prog.moves if isinstance(mv, FullTwistMove))
     for prev, cur in zip(configs, configs[1:]):
         wn += _oracle_ray_crossing(prev[i - 1] - prev[j - 1], cur[i - 1] - cur[j - 1])
@@ -168,8 +174,17 @@ def _oracle_linking(prog, i, j):
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except (GenericityError, DegeneratePath) as exc:
+    except GenericityError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _error_of(fn, *args):
+    """None, or the type and message of the domain error `fn` raises."""
+    try:
+        fn(*args)
+    except TribraidError as exc:
+        return type(exc).__name__, str(exc)
+    return None
 
 
 def _random_generic_points(rng, n):
@@ -343,11 +358,15 @@ class TestIntegerKernelOracle:
         progs += [pure_braid_generator_program(5, i, j) for i, j in ((1, 3), (4, 2))]
         for _ in range(150):
             n = rng.randint(4, 7)
-            pts = _random_generic_points(rng, n)
+            if rng.randrange(2):
+                # a twist only where every strand is on the unit circle
+                pts = regular_rational_configuration(n).points
+                twist = (FullTwistMove(rng.choice((-1, 1))),)
+            else:
+                pts, twist = _random_generic_points(rng, n), ()
             s = rng.randint(1, n)
             target = _oracle_target(rng, pts, s)
-            twist = (FullTwistMove(rng.choice((-1, 1))),) * rng.randint(0, 1)
-            moves = (LinearMove(s, target), *twist, LinearMove(s, pts[s - 1]))
+            moves = (*twist, LinearMove(s, target), LinearMove(s, pts[s - 1]))
             progs.append(MoveProgram(Configuration(n, pts), moves))
         seen = Counter()
         for prog in progs:
@@ -356,7 +375,77 @@ class TestIntegerKernelOracle:
                 assert _outcome(geometric_linking, prog, i, j) == expected
                 seen[expected[0]] += 1
         assert min(seen.values()) >= 20
-        assert set(seen) == {"ok", "GenericityError", "DegeneratePath"}
+        assert set(seen) == {"ok", "GenericityError"}
+
+
+class TestOneWalk:
+    """Every reader of a program's configurations reads the one checked walk
+    of its moves that `compile_program` reads."""
+
+    def test_readers_fail_as_compile_fails(self):
+        rng = random.Random(89)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(4, 6)
+            if rng.randrange(2):
+                pts = regular_rational_configuration(n).points
+            else:
+                pts = _random_generic_points(rng, n)
+            cur, moves = pts, []
+            for _ in range(rng.randint(1, 3)):
+                if rng.randrange(4) == 0:  # off the circle unless nothing moved yet
+                    moves.append(FullTwistMove(rng.choice((-1, 1))))
+                else:
+                    s = rng.randint(1, n)
+                    target = _oracle_target(rng, cur, s)
+                    moves.append(LinearMove(s, target))
+                    cur = cur[: s - 1] + (target,) + cur[s:]
+            prog = MoveProgram(Configuration(n, pts), tuple(moves))
+            expected = _error_of(compile_program, dataclasses.replace(prog))
+            seen[re.sub(r"[0-9]+", "#", expected[1]) if expected else "ok"] += 1
+            for read in (boundary_configurations, inverse_program):
+                assert _error_of(read, dataclasses.replace(prog)) == expected
+            assert _error_of(geometric_linking, dataclasses.replace(prog), 1, 2) == expected
+            if expected is None and any(isinstance(mv, FullTwistMove) for mv in moves):
+                expected = "InvalidMove", "cannot embed a program containing full twists"
+            assert _error_of(embed_at_infinity, dataclasses.replace(prog)) == expected
+        assert min(seen.values()) >= 10 and set(seen) == {
+            "ok",
+            "strands # and # coincide",
+            "strands #,#,# are collinear",
+            "moving strand meets another strand",
+            "full twist requires all strands on a common circle about the origin",
+        }
+
+    def test_compiled_program_is_not_checked_again(self, monkeypatch):
+        progs = [
+            pure_braid_generator_program(5, 2, 4),
+            random_closed_program(6, seed=3),
+            full_twist_program(4, 1),
+        ]
+        for prog in progs:
+            compile_program(prog)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(geometry, "segment_events", counted("events", segment_events))
+        monkeypatch.setattr(Configuration, "moved", counted("moved", Configuration.moved))
+        for prog in progs:
+            for i, j in permutations(range(1, prog.n + 1), 2):
+                geometric_linking(prog, i, j)
+            boundary_configurations(prog)
+        assert calls == Counter()
+        # the counters do count: a fresh copy is walked once
+        fresh = dataclasses.replace(progs[0])
+        geometric_linking(fresh, 1, 2)
+        compile_program(fresh)
+        assert calls == Counter(events=len(fresh.moves))
 
 
 class TestEventPins:
@@ -546,11 +635,15 @@ class TestGeometricLinking:
             geometric_linking(good, 1, 5)
 
     def test_degenerate_path(self):
+        # strand 1 runs through strand 2: linking raises what compiling raises
         cfg = regular_rational_configuration(4)
         through = cfg.point(2) * 2 - cfg.point(1)
         prog = MoveProgram(cfg, (LinearMove(1, through),))
-        with pytest.raises(DegeneratePath):
-            geometric_linking(prog, 1, 2)
+        with pytest.raises(GenericityError) as compiled:
+            compile_program(prog)
+        with pytest.raises(GenericityError) as linked:
+            geometric_linking(dataclasses.replace(prog), 1, 2)
+        assert str(linked.value) == str(compiled.value) == "moving strand meets another strand"
 
     def test_subdivision_invariance(self):
         rng = random.Random(47)
@@ -599,6 +692,15 @@ class TestGeneratorProgram:
             pk = program_power(prog, k)
             assert pk.closed
             assert geometric_linking(pk, 1, 3) == k
+
+    def test_power_of_an_open_program_raises_not_closed(self):
+        cfg = regular_rational_configuration(4)
+        away = (LinearMove(4, P(F(-1, 2), 0)),)
+        for closed in (True, False):
+            prog = MoveProgram(cfg, away, closed=closed)
+            for k in (-2, -1, 0, 1, 2):
+                with pytest.raises(NotClosed):
+                    program_power(prog, k)
 
     def test_every_pair_round_trips(self):
         for n in range(4, 8):
