@@ -47,19 +47,21 @@ from .reconstruction import (
 
 # Ceilings on the size arguments, checked before anything is read or built
 # (exit 2), from growth measured in one process on a shared 2-core machine,
-# Python 3.11.  Classifying holds a few C(n,3)-bit states whatever the word's
-# length (200 letters at n = 250 peak at 19 MiB), but a letter copies its
-# state for each bit it reads: 13 ms per letter at n = 250, 0.1 s at n = 500.
+# Python 3.11.  Classifying keeps one state, a table of C(n,3) bytes, whatever
+# the word's length: 2.5 MiB at n = 250, where a word costs 10-20 ms for its
+# table and final mask and about 0.1 ms per good letter (200 random letters
+# take 0.23 s and peak at 23 MiB as a command); at n = 500 one letter takes
+# 0.1 s and 65 MiB.
 MAX_WORD_N = 250
 # One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
 # search reaches the letter limit in 1.3 s and 87 MiB at n = 100, and in
 # 3.5 s and 185 MiB at n = 150.
 MAX_EQUAL_N = 100
 # A commute census pairs the far-commuting generators before it reads a
-# state: 1.3 s and 73 MiB at n = 14, 3.2 s and 157 MiB at n = 16.
+# state: 1.5 s and 66 MiB at n = 14, 3.1 s and 139 MiB at n = 16.
 MAX_CENSUS_N = 14
 # Then it keeps a row of about 230 bytes per pair and state: 9 samples at
-# n = 14 (540,540 rows) take 6.6 s and 206 MiB.
+# n = 14 (540,540 rows) take 5-7 s and 201 MiB.
 MAX_CENSUS_ROWS = 600_000
 
 

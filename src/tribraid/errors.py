@@ -60,7 +60,8 @@ class AdjacencyViolation(TribraidError):
 
 
 class InvalidBudget(TribraidError):
-    """A search budget (expansion depth or word length) is negative."""
+    """A budget is negative: a search's expansion depth or word length, or
+    a sampled census's state count."""
 
 
 class AboveCeiling(TribraidError):

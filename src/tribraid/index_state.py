@@ -9,18 +9,20 @@ drives the good/bad split of letters, the bad-letter projection, and the
 exhaustive census checks over all states.
 
 A state is an int bitmask over the sorted triples in lexicographic order
-(the order of `all_triples`): bit b is set when triple b carries -1.
+(the order of `all_triples`): bit b is set when triple b carries -1.  Code
+that reads a state many times reads a byte table instead, one byte per
+triple (`_bits`), because every read of an int's bit copies the whole int.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import comb
 
-from .errors import BadTriple, DimensionMismatch, InvalidN, UnsupportedN
+from .errors import BadTriple, DimensionMismatch, InvalidBudget, InvalidN, UnsupportedN
 from .group_core import GWord, GenTriple, all_generators, far_commutes
 
 Triple = tuple[int, int, int]
@@ -46,9 +48,28 @@ def _bit_base(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _bit(base, g: GenTriple) -> int:
-    """The mask bit of g's triple."""
+    """The index of g's triple: its bit in a mask, its byte in a table."""
     i, j, k = g.elems
-    return 1 << (base[i][j] + k)
+    return base[i][j] + k
+
+
+_ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
+_BITS_ASCII = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(mask: int, width: int) -> bytearray:
+    """The byte table of `mask`: byte b is bit b, for b < width.  O(width)
+    at C speed, the cost of one bit read of the int."""
+    if not mask:
+        return bytearray(width)
+    return bytearray(f"{mask:0{width}b}"[::-1], "ascii").translate(_ASCII_BITS)
+
+
+def _mask(bits: bytearray) -> int:
+    """The mask of a byte table; the inverse of `_bits`."""
+    digits = bits.translate(_BITS_ASCII)
+    digits.reverse()
+    return int(digits, 2)
 
 
 @dataclass(frozen=True)
@@ -59,12 +80,19 @@ class OrientationState:
     n: int
     minus: int
 
+    @cached_property
+    def _table(self) -> bytes:
+        """The byte table, built at the first read of a letter or a triple
+        and kept, since callers often read many letters at one state (a
+        walk draws letters until one is good)."""
+        return bytes(_bits(self.minus, comb(self.n, 3)))
+
     def value(self, triple: Triple) -> int:
         """Sign stored on a *sorted* triple."""
         if len(triple) != 3 or not 1 <= triple[0] < triple[1] < triple[2] <= self.n:
             raise BadTriple(f"{tuple(triple)} is not a sorted triple of 1..{self.n}")
         a, b, c = triple
-        return -1 if self.minus >> (_bit_base(self.n)[a][b] + c) & 1 else 1
+        return -1 if self._table[_bit_base(self.n)[a][b] + c] else 1
 
 
 def initial_state(n: int) -> OrientationState:
@@ -79,11 +107,12 @@ def initial_state(n: int) -> OrientationState:
     return OrientationState(n, 0)
 
 
-def _sign(base, mask: int, i: int, j: int, k: int) -> int:
-    """Sign of the ordered triple (i,j,k) of distinct strands at `mask`."""
+def _sign(base, bits, i: int, j: int, k: int) -> int:
+    """Sign of the ordered triple (i,j,k) of distinct strands at the state
+    whose byte table is `bits`."""
     odd = (i > j) ^ (i > k) ^ (j > k)
     a, b, c = sorted((i, j, k))
-    return -1 if (mask >> (base[a][b] + c) & 1) ^ odd else 1
+    return -1 if bits[base[a][b] + c] ^ odd else 1
 
 
 def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
@@ -93,14 +122,14 @@ def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
     for idx in (i, j, k):
         if not 1 <= idx <= s.n:
             raise BadTriple(f"index {idx} out of range 1..{s.n}")
-    return _sign(_bit_base(s.n), s.minus, i, j, k)
+    return _sign(_bit_base(s.n), s._table, i, j, k)
 
 
 def flip(s: OrientationState, g: GenTriple) -> OrientationState:
     """Negate exactly the entry of g's triple; an involution."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    return OrientationState(s.n, s.minus ^ _bit(_bit_base(s.n), g))
+    return OrientationState(s.n, s.minus ^ 1 << _bit(_bit_base(s.n), g))
 
 
 def run_word(s: OrientationState, w: GWord) -> OrientationState:
@@ -110,7 +139,7 @@ def run_word(s: OrientationState, w: GWord) -> OrientationState:
     base = _bit_base(s.n)
     cur = s.minus
     for g in w.letters:
-        cur ^= _bit(base, g)
+        cur ^= 1 << _bit(base, g)
     return OrientationState(s.n, cur)
 
 
@@ -145,39 +174,32 @@ def _gap_table(gap: int) -> tuple[int, ...]:
 _GAP_TABLES = tuple(_gap_table(gap) for gap in range(4))
 
 
-def _centrals(base, mask: int, n: int, i: int, j: int, k: int) -> int:
-    """The centrals of letter i<j<k at `mask`, as a bitset over (i, j, k):
-    the AND over the outside strands of their gap table entries."""
+def _centrals(base, bits, n: int, i: int, j: int, k: int) -> int:
+    """The centrals of letter i<j<k at the state whose byte table is `bits`,
+    as a bitset over (i, j, k): the AND over the outside strands of their
+    gap table entries."""
     below, ij, jk, above = _GAP_TABLES
     bi, bj = base[i], base[j]
     acc = 7
     for p in range(1, i):
         bp = base[p]
         r = bp[i]
-        acc &= below[
-            (mask >> (r + j) & 1) | (mask >> (r + k) & 1) << 1 | (mask >> (bp[j] + k) & 1) << 2
-        ]
+        acc &= below[bits[r + j] | bits[r + k] << 1 | bits[bp[j] + k] << 2]
         if not acc:
             return 0
     for p in range(i + 1, j):
         r = bi[p]
-        acc &= ij[
-            (mask >> (r + j) & 1) | (mask >> (r + k) & 1) << 1 | (mask >> (base[p][j] + k) & 1) << 2
-        ]
+        acc &= ij[bits[r + j] | bits[r + k] << 1 | bits[base[p][j] + k] << 2]
         if not acc:
             return 0
     rij = bi[j]
     for p in range(j + 1, k):
-        acc &= jk[
-            (mask >> (rij + p) & 1) | (mask >> (bi[p] + k) & 1) << 1 | (mask >> (bj[p] + k) & 1) << 2
-        ]
+        acc &= jk[bits[rij + p] | bits[bi[p] + k] << 1 | bits[bj[p] + k] << 2]
         if not acc:
             return 0
     rik, rjk = bi[k], bj[k]
     for p in range(k + 1, n + 1):
-        acc &= above[
-            (mask >> (rij + p) & 1) | (mask >> (rik + p) & 1) << 1 | (mask >> (rjk + p) & 1) << 2
-        ]
+        acc &= above[bits[rij + p] | bits[rik + p] << 1 | bits[rjk + p] << 2]
         if not acc:
             return 0
     return acc
@@ -207,8 +229,8 @@ def _status(central: int) -> LetterStatus:
     return LetterStatus(frozenset((central,)) if central else frozenset())
 
 
-def _status_at(base, mask: int, n: int, g: GenTriple) -> LetterStatus:
-    code = _centrals(base, mask, n, *g.elems)
+def _status_at(base, bits, n: int, g: GenTriple) -> LetterStatus:
+    code = _centrals(base, bits, n, *g.elems)
     return _status(g.elems[code >> 1] if code else 0)
 
 
@@ -216,7 +238,7 @@ def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
     """Classify one letter at a state."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    return _status_at(_bit_base(s.n), s.minus, s.n, g)
+    return _status_at(_bit_base(s.n), s._table, s.n, g)
 
 
 @dataclass(frozen=True)
@@ -225,7 +247,9 @@ class ClassifiedWord:
 
     Every letter acts on the running state, good or bad; the action is
     defined for all words, and the stable projection only converges under
-    this reading.  No prefix state is kept: each holds C(n,3) bits.
+    this reading.  No prefix state is kept: classifying holds one running
+    state, a table of C(n,3) bytes (2.5 MiB at n=250), and turns it into
+    the final mask once.
     """
 
     word: GWord
@@ -248,12 +272,12 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
         raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
     n = w.n
     base = _bit_base(n)
-    mask = s.minus
+    bits = _bits(s.minus, comb(n, 3))
     statuses: list[LetterStatus] = []
     for g in w.letters:
-        statuses.append(_status_at(base, mask, n, g))
-        mask ^= _bit(base, g)
-    return ClassifiedWord(w, tuple(statuses), OrientationState(n, mask))
+        statuses.append(_status_at(base, bits, n, g))
+        bits[_bit(base, g)] ^= 1
+    return ClassifiedWord(w, tuple(statuses), OrientationState(n, _mask(bits)))
 
 
 def is_realisable(w: GWord) -> bool:
@@ -348,6 +372,33 @@ def _tags(g: GenTriple) -> tuple[str, ...]:
     return (f"{g}:bad", f"{g}:g{i}", f"{g}:g{j}", "", f"{g}:g{k}")
 
 
+_UNREAD = 0xFF
+
+
+def _census_reader(n: int):
+    """`read(mask, b)`: the centrals bitset of the letter whose triple index
+    is b, at state `mask`.  A census reads every status through one reader.
+    Its memo holds one byte row per state: the state's byte table, then one
+    code per letter, filled as letters are read, so each (state, letter)
+    status is computed once."""
+    base = _bit_base(n)
+    width = comb(n, 3)
+    triples = all_triples(n)
+    memo: dict[int, bytearray] = {}
+
+    def read(mask: int, b: int) -> int:
+        try:
+            row = memo[mask]
+        except KeyError:
+            row = memo[mask] = _bits(mask, width) + bytearray((_UNREAD,)) * width
+        code = row[width + b]
+        if code == _UNREAD:
+            code = row[width + b] = _centrals(base, row, n, *triples[b])
+        return code
+
+    return read
+
+
 def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ...]:
     """The four letters of the tetrahedron word for an ordered 4-tuple:
     letter j omits the j-th tuple entry."""
@@ -360,18 +411,33 @@ def _middle_under_order(g: GenTriple, order: tuple[int, ...]) -> int:
     return sorted(g.elems, key=rank.__getitem__)[1]
 
 
-def _tetra_codes(base, mask: int, word: tuple[GenTriple, ...]) -> list[int]:
+@cache
+def _tetra_windows() -> tuple[tuple[str, tuple, tuple, frozenset], ...]:
+    """Per ordering of 1..4: its case name, its two sides, and the centrals
+    of all eight letters (left side, then right) under every total order."""
+    orders = list(permutations((1, 2, 3, 4)))
+    windows = []
+    for tup in orders:
+        lhs = tetra_letters(4, tup)
+        rhs = lhs[::-1]
+        middles = frozenset(
+            tuple(_middle_under_order(g, order) for g in lhs + rhs) for order in orders
+        )
+        windows.append(("".join(map(str, tup)), lhs, rhs, middles))
+    return tuple(windows)
+
+
+def _tetra_codes(read, base, mask: int, word: tuple[GenTriple, ...]) -> list[int]:
     codes = []
     for g in word:
-        codes.append(_centrals(base, mask, 4, *g.elems))
-        mask ^= _bit(base, g)
+        b = _bit(base, g)
+        codes.append(read(mask, b))
+        mask ^= 1 << b
     return codes
 
 
-def _tetra_case(base, mask: int, tup, tags) -> tuple[bool, str, str]:
-    lhs = tetra_letters(4, tup)
-    rhs = lhs[::-1]
-    cl, cr = _tetra_codes(base, mask, lhs), _tetra_codes(base, mask, rhs)
+def _tetra_case(read, base, mask: int, lhs, rhs, middles, tags) -> tuple[bool, str, str]:
+    cl, cr = _tetra_codes(read, base, mask, lhs), _tetra_codes(read, base, mask, rhs)
     rendered = "|".join(
         ",".join(tags[g][c] for g, c in zip(word, codes)) for word, codes in ((lhs, cl), (rhs, cr))
     )
@@ -387,34 +453,33 @@ def _tetra_case(base, mask: int, tup, tags) -> tuple[bool, str, str]:
         if g_l != g_r:
             return False, rendered, f"lone good letters differ: {g_l} vs {g_r}"
     if n_l == 4:
-        lettered = [(g, g.elems[c >> 1]) for g, c in zip(lhs + rhs, cl + cr)]
-        if not any(
-            all(_middle_under_order(g, order) == central for g, central in lettered)
-            for order in permutations(sorted(set(tup)))
-        ):
+        centrals = tuple(g.elems[c >> 1] for g, c in zip(lhs + rhs, cl + cr))
+        if centrals not in middles:
             return False, rendered, "no total order realises all eight letters"
     return True, rendered, ""
 
 
 def _tetra_census() -> CensusReport:
+    read = _census_reader(4)
     base = _bit_base(4)
     tags = {g: _tags(g) for g in all_generators(4)}
     rows = []
     for mask in range(1 << comb(4, 3)):
-        for tup in permutations((1, 2, 3, 4)):
-            ok, rendered, detail = _tetra_case(base, mask, tup, tags)
-            rows.append(CensusRow(mask, "".join(map(str, tup)), rendered, ok, detail))
+        for case, lhs, rhs, middles in _tetra_windows():
+            ok, rendered, detail = _tetra_case(read, base, mask, lhs, rhs, middles, tags)
+            rows.append(CensusRow(mask, case, rendered, ok, detail))
     return CensusReport(4, "tetra", len(rows), tuple(rows))
 
 
 def _square_census() -> CensusReport:
+    read = _census_reader(4)
     base = _bit_base(4)
-    plan = [(str(g), g.elems, _bit(base, g), _tags(g)) for g in all_generators(4)]
+    plan = [(str(g), _bit(base, g), _tags(g)) for g in all_generators(4)]
     rows = []
     for mask in range(1 << comb(4, 3)):
-        for case, elems, bit, tags in plan:
-            first = _centrals(base, mask, 4, *elems)
-            second = _centrals(base, mask ^ bit, 4, *elems)
+        for case, b, tags in plan:
+            first = read(mask, b)
+            second = read(mask ^ 1 << b, b)
             ok = first == second
             rows.append(
                 CensusRow(
@@ -429,10 +494,11 @@ def _square_census() -> CensusReport:
 
 
 def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
+    read = _census_reader(n)
     base = _bit_base(n)
     gens = all_generators(n)
     plan = [
-        (f"{a}|{b}", a.elems, b.elems, _bit(base, a), _bit(base, b), _tags(a), _tags(b))
+        (f"{a}|{b}", _bit(base, a), _bit(base, b), _tags(a), _tags(b))
         for a, b in combinations(gens, 2)
         if far_commutes(a, b)
     ]
@@ -445,12 +511,13 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
         masks = [rng.randrange(1 << width) for _ in range(samples)]
     rows = []
     for mask in masks:
-        for case, a, b, bit_a, bit_b, tags_a, tags_b in plan:
+        # every letter far-commutes with another, so all are read here
+        here = [read(mask, b) for b in range(width)]
+        for case, a, b, tags_a, tags_b in plan:
             # a then b, and b then a, each letter read at its prefix state
-            fa = _centrals(base, mask, n, *a)
-            fb = _centrals(base, mask ^ bit_a, n, *b)
-            rb = _centrals(base, mask, n, *b)
-            ra = _centrals(base, mask ^ bit_b, n, *a)
+            fa, rb = here[a], here[b]
+            fb = read(mask ^ 1 << a, b)
+            ra = read(mask ^ 1 << b, a)
             ok = fa == ra and fb == rb
             rows.append(
                 CensusRow(
@@ -480,7 +547,8 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     and count-4 cases admit one total order realising every letter.
     ``square``: both copies of a doubled letter share status.
     ``commute``: far-commuting letters keep their statuses under the swap
-    (exhaustive at n=5, seeded state samples for n >= 6).
+    (exhaustive at n=5, `samples` seeded states for n >= 6; a negative
+    count raises `InvalidBudget`).
     """
     if lemma in ("tetra", "square"):
         if n != 4:
@@ -489,5 +557,7 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     if lemma == "commute":
         if n < 5:
             raise UnsupportedN("no far-commuting pairs below n=5")
+        if n > 5 and samples < 0:
+            raise InvalidBudget(f"census samples must be >= 0, got {samples}")
         return _commute_census(n, samples, seed)
     raise ValueError(f"unknown lemma census {lemma!r}")

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable
 from .group_core import GWord, generator_parity
@@ -128,19 +129,20 @@ def _swaps(cw: ClassifiedWord, orders: dict[int, list[int]]):
     state on the ray orders in `orders`, checking adjacency, and yield each
     as (axis, inner, outer, sign) in word order.  A letter with central c
     swaps c (inner) with its third strand (outer) at its two other strands."""
-    base = _bit_base(cw.word.n)
-    mask = 0
+    n = cw.word.n
+    base = _bit_base(n)
+    bits = bytearray(comb(n, 3))
     for g, st in zip(cw.word.letters, cw.statuses):
         (inner,) = st.centrals
         i, j, k = g.elems
         a, b = (j, k) if inner == i else (i, k) if inner == j else (i, j)
         if a in orders:
             _swap_adjacent(orders[a], inner, b)
-            yield a, inner, b, _sign(base, mask, a, b, inner)
+            yield a, inner, b, _sign(base, bits, a, b, inner)
         if b in orders:
             _swap_adjacent(orders[b], inner, a)
-            yield b, inner, a, _sign(base, mask, b, a, inner)
-        mask ^= _bit(base, g)
+            yield b, inner, a, _sign(base, bits, b, a, inner)
+        bits[_bit(base, g)] ^= 1
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,12 @@ def test_census_full_table(capsys):
     assert len(out.strip().splitlines()) == 65
 
 
+def test_census_negative_samples_exit_2(capsys):
+    code, out, err = run(capsys, ["census", "--lemma", "commute", "--n", "6", "--samples", "-5"])
+    assert code == 2 and out == ""
+    assert err == "error: census samples must be >= 0, got -5\n"
+
+
 def test_reconstruct_word_and_invariants(capsys):
     word_text = format_word(compile_program(pure_braid_generator_program(4, 1, 3)).word)
     code, out, _ = run(capsys, ["reconstruct", "--n", "4", "--axis", "4", word_text])

@@ -6,12 +6,13 @@ from math import comb
 
 import pytest
 
-from helpers import random_word, word
+from helpers import good_walk, random_word, word
 from tribraid import (
     BadTriple,
     DimensionMismatch,
     GWord,
     GenTriple,
+    InvalidBudget,
     InvalidN,
     MoveKind,
     UnsupportedN,
@@ -34,6 +35,7 @@ from tribraid import (
     state_id,
     tetra_letters,
 )
+from tribraid import index_state
 from tribraid.index_state import _GAP_TABLES, commute_census_rows
 
 
@@ -305,6 +307,37 @@ class TestCensuses:
         assert report.ok
         assert report == relation_census(6, "commute", samples=32, seed=1)
 
+    def test_negative_samples_are_refused(self):
+        with pytest.raises(InvalidBudget):
+            relation_census(6, "commute", samples=-5)
+        report = relation_census(6, "commute", samples=0)
+        assert report.cases == 0 and report.rows == ()
+
+    @pytest.mark.parametrize(
+        "n, lemma, samples, most",
+        [
+            # every state and letter at n=5; at n=6 each sample and its 20
+            # one-letter neighbours, each neighbour read at the 10 letters
+            # that far-commute with the flipped one
+            (5, "commute", 512, 2**10 * 10),
+            (4, "square", 512, 2**4 * 4),
+            (4, "tetra", 512, 2**4 * 4),
+            (6, "commute", 64, 64 * (20 + 20 * 10)),
+        ],
+    )
+    def test_each_status_is_computed_once(self, monkeypatch, n, lemma, samples, most):
+        calls = 0
+        centrals = index_state._centrals
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return centrals(*args)
+
+        monkeypatch.setattr(index_state, "_centrals", counted)
+        relation_census(n, lemma, samples=samples)
+        assert calls == most if n == 5 else 0 < calls <= most
+
     def test_unsupported_ranges(self):
         with pytest.raises(UnsupportedN):
             relation_census(5, "tetra")
@@ -391,3 +424,47 @@ class TestActionWellDefined:
                     continue
                 for s in states:
                     assert run_word(s, GWord(n, (a, b))) == run_word(s, GWord(n, (b, a)))
+
+
+class TestByteTablePins:
+    """SHA-256 of outputs taken when every state read shifted the int mask."""
+
+    @staticmethod
+    def _starts(rng, n):
+        # the initial state, then a dense and a sparse random state: a
+        # nonzero start is turned into one byte per triple
+        width = comb(n, 3)
+        yield None
+        yield state_from_id(n, rng.getrandbits(width))
+        yield state_from_id(n, sum(1 << b for b in rng.sample(range(width), 3)))
+
+    @classmethod
+    def _corpus(cls):
+        rng = random.Random(6464)
+        for n in (4, 8, 16, 32, 64):
+            words = [good_walk(rng, n, 40) for _ in range(2)]
+            words += [random_word(rng, n, 60) for _ in range(2)]
+            for w in words:
+                for start in cls._starts(rng, n):
+                    yield w, start
+
+    def test_classify_word_pinned(self):
+        h = hashlib.sha256()
+        for w, start in self._corpus():
+            cw = classify_word(w, start)
+            centrals = " ".join(str(min(st.centrals, default=0)) for st in cw.statuses)
+            h.update(f"{w.n} {centrals} {cw.final_state.minus:x}\n".encode())
+        assert h.hexdigest() == "267b3d0456c0e2024ea228703746ee86f723042126a91fa835fbbf9f64df1457"
+
+    def test_statuses_are_single_letter_statuses(self):
+        rng = random.Random(6565)
+        for n in (4, 5, 8, 16, 32):
+            for _ in range(4):
+                w = random_word(rng, n, 30) if rng.random() < 0.5 else good_walk(rng, n, 30)
+                for start in self._starts(rng, n):
+                    s = initial_state(n) if start is None else start
+                    cw = classify_word(w, start)
+                    for t, g in enumerate(w.letters):
+                        pre = run_word(s, GWord(n, w.letters[:t]))
+                        assert cw.statuses[t] == letter_status(pre, g)
+                    assert cw.final_state == run_word(s, w)

@@ -332,3 +332,36 @@ class TestAxisInsideLinkedPair:
         inv = annular_invariants(reconstruct_axis(w, 1))
         assert not inv.is_identity
         assert inv.linking_of(2, 3) == Fraction(-1, 2)
+
+
+class TestByteTablePins:
+    """SHA-256 of swap words and verdicts taken when every sign read shifted
+    the int mask."""
+
+    @staticmethod
+    def _corpus():
+        # walks, identity words w.reverse(w), squares w.w and one gadget
+        # at n = 8, 16, 32
+        rng = random.Random(3232)
+        for n in (8, 16, 32):
+            yield compile_program(pure_braid_generator_program(n, 1, n // 2 + 1)).word
+            for _ in range(3):
+                w = good_walk(rng, n, 60)
+                yield w
+                yield GWord(n, w.letters + w.letters[::-1])
+                if is_realisable(GWord(n, w.letters * 2)):
+                    yield GWord(n, w.letters * 2)
+
+    def test_swap_words_and_verdicts_pinned(self):
+        swaps, verdicts = hashlib.sha256(), hashlib.sha256()
+        kinds = set()
+        for w in self._corpus():
+            for axis in range(1, w.n + 1):
+                c = reconstruct_axis(w, axis)
+                swaps.update(f"{w.n} {axis} {c} {c.final_order}\n".encode())
+            v = kernel_witness(w)
+            kinds.add(v.kind)
+            verdicts.update(f"{w.n} {v}\n".encode())
+        assert kinds == {NONTRIVIAL_BY_PARITY, NONTRIVIAL_BY_LINKING, TRIVIAL_CONSISTENT}
+        assert swaps.hexdigest() == "827b3bf9b6254c02add82e629111ebffad5a066e4a4ee9bd7b1ca7b0351bd745"
+        assert verdicts.hexdigest() == "1bf08262adb57c52196d4f173cf865d12521b63da7ba46c2ddbe78bd0e9c3ab6"
