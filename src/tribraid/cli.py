@@ -54,8 +54,8 @@ from .reconstruction import (
 # 0.1 s and 65 MiB.
 MAX_WORD_N = 250
 # One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
-# search reaches the letter limit in 1.3 s and 87 MiB at n = 100, and in
-# 3.5 s and 185 MiB at n = 150.
+# search reaches the letter limit in 3.1 s and 243 MiB at n = 100, and in
+# 7.5 s and 367 MiB at n = 150.
 MAX_EQUAL_N = 100
 # A commute census pairs the far-commuting generators before it reads a
 # state: 1.5 s and 66 MiB at n = 14, 3.1 s and 139 MiB at n = 16.
@@ -175,7 +175,7 @@ def _stop_reason(stats, args) -> str:
         return f"depth={args.depth} expansions reached"
     if stats.stop == "limit":
         return f"stored-letter limit {MAX_STORED_LETTERS:,} reached"
-    return f"all {stats.stored} words within max-len={args.max_len} searched"
+    return f"every word within max-len={args.max_len} reachable from one of the two words searched"
 
 
 def cmd_parity(args) -> int:

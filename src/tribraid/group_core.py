@@ -26,7 +26,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GenTriple:
     """One generator: an unordered 3-subset of {1..n}, stored sorted.
 
@@ -44,7 +44,8 @@ class GenTriple:
             raise BadTriple(f"need three distinct indices, got {tuple(self.elems)}")
         if elems[0] < 1 or elems[2] > self.n:
             raise BadTriple(f"indices {elems} out of range 1..{self.n}")
-        object.__setattr__(self, "elems", elems)
+        if self.elems != elems:  # a sorted tuple is kept, not copied
+            object.__setattr__(self, "elems", elems)
 
     def __contains__(self, strand: int) -> bool:
         return strand in self.elems
@@ -83,7 +84,7 @@ def far_commutes(a: GenTriple, b: GenTriple) -> bool:
     return _far(_code(a.elems), _code(b.elems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GWord:
     """A word in the generators; the empty word is the identity element."""
 
@@ -271,15 +272,16 @@ def generator_parity(w: GWord) -> ParityVector:
     return ParityVector(w.n, frozenset(t for t, c in counts.items() if c % 2))
 
 
-# A bounded search stops once the words it stores hold more letters than
-# this, whatever its depth and length budgets allow.  A word costs about 110
-# bytes plus 8 per letter, so short words cost the most per letter: at n=20,
-# "a(1,2,3) a(1,2,4)" against its reverse with max_len 6 stops after 1,001,186
-# words of at most 6 letters at a 156 MiB peak, and a random 200-letter word
-# at n=6 against its reverse (depth 300, max_len 200) after 30,062 words at
-# 64 MiB, where a cap of a million words let it reach 711 MiB.  The largest
-# searches in the tests and the `equality` benchmark corpus store 126,402
-# and 44,418 letters.
+# A bounded search stops once the words it stores, on both sides, hold more
+# letters than this, whatever its depth and length budgets allow.  A word
+# costs about 110 bytes plus 8 per letter, so short words cost the most per
+# letter: at n=20, "a(1,2,3) a(1,2,4)" against its reverse with max_len 6
+# stops after 1,002,317 words of at most 6 letters at a 156 MiB peak, and a
+# random 200-letter word at n=6 (`random.Random(1)`) against its reverse
+# (depth 300, max_len 200) after 30,010 words at 64 MiB, where a cap of a
+# million words let such a search reach 711 MiB.  The largest searches in
+# the tests and the `equality` benchmark corpus store 1,321 and 30,758
+# letters.
 MAX_STORED_LETTERS = 6_000_000
 
 
@@ -287,11 +289,13 @@ MAX_STORED_LETTERS = 6_000_000
 class SearchStats:
     """What a bounded equality search did.
 
-    ``stop`` names what ended it: ``found`` (a path reached the second
-    word), ``depth`` (the expansion budget ran out), ``exhausted`` (the
-    frontier emptied: every word reachable within the length budget was
-    searched), ``limit`` (more than MAX_STORED_LETTERS letters stored), or,
-    without a search, ``parity`` or ``identical``.
+    The search runs from both words, and every count is summed over both
+    sides; ``peak_frontier`` is the largest sum of the two frontiers.
+    ``stop`` names what ended it: ``found`` (the two sides met), ``depth``
+    (the expansion budget ran out), ``exhausted`` (one side's frontier
+    emptied: every word within the length budget reachable from that
+    side's word was searched), ``limit`` (more than MAX_STORED_LETTERS
+    letters stored), or, without a search, ``parity`` or ``identical``.
     """
 
     expanded: int
@@ -349,13 +353,18 @@ class EqualityVerdict:
 
 
 def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVerdict:
-    """Breadth-first search for a move path from w1 to w2.
+    """Breadth-first search for a move path from w1 to w2, from both ends.
 
-    Insertions are allowed up to word length `max_len`; at most `depth`
-    words are expanded, and the search stops once the words it stores hold
-    more than MAX_STORED_LETTERS letters.  The verdict never claims
-    inequality without a parity witness, because no complete decision
-    procedure is known.  Deterministic for fixed inputs and limits.
+    Each end keeps its own frontier, and the search always expands a word
+    from the smaller one, w1's on a tie.  It stops as soon as a word one
+    side stores is already stored by the other.  Insertions are allowed up
+    to word length `max_len` on either side, so read from w1 a path may
+    lengthen a word beyond it only while undoing deletions from a longer
+    w2.  At most `depth` words are expanded, counted over both sides, and
+    the search stops once the words both sides store hold more than
+    MAX_STORED_LETTERS letters.  The verdict never claims inequality
+    without a parity witness, because no complete decision procedure is
+    known.  Deterministic for fixed inputs and limits.
     """
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
@@ -367,11 +376,21 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
         return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
     n = w1.n
     start, goal = _encode(w1), _encode(w2)
-    # each stored word maps to the word it was first reached from
-    parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
-    queue = deque([start])
-    expanded, peak, letters = 0, 1, len(start)
-    while queue and expanded < depth:
+    # per side, each stored word maps to the word it was first reached from
+    fore: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
+    back: dict[tuple[int, ...], tuple[int, ...] | None] = {goal: None}
+    fore_queue, back_queue = deque([start]), deque([goal])
+    expanded, peak, letters = 0, 2, len(start) + len(goal)
+
+    def stats(stop: str) -> SearchStats:
+        frontier = max(peak, len(fore_queue) + len(back_queue))
+        return SearchStats(expanded, len(fore) + len(back), frontier, stop)
+
+    while fore_queue and back_queue and expanded < depth:
+        if len(fore_queue) <= len(back_queue):
+            parents, other, queue = fore, back, fore_queue
+        else:
+            parents, other, queue = back, fore, back_queue
         word = queue.popleft()
         expanded += 1
         for _, nxt in _neighbours(word, n, max_len):
@@ -379,27 +398,34 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
                 continue
             parents[nxt] = word
             letters += len(nxt)
-            if nxt == goal:
-                stats = SearchStats(expanded, len(parents), max(peak, len(queue)), "found")
-                return EqualityVerdict.equal(_path(parents, goal, n, max_len), stats)
+            if nxt in other:
+                chain = _chain(fore, nxt)[::-1] + _chain(back, nxt)[1:]
+                # undoing w2's side's deletions may lengthen a word up to w2
+                path = _path(chain, n, max(max_len, len(goal)))
+                return EqualityVerdict.equal(path, stats("found"))
             if letters > MAX_STORED_LETTERS:
-                stats = SearchStats(expanded, len(parents), max(peak, len(queue)), "limit")
-                return EqualityVerdict.unknown(stats)
+                return EqualityVerdict.unknown(stats("limit"))
             queue.append(nxt)
-        peak = max(peak, len(queue))
-    stop = "depth" if queue else "exhausted"
-    return EqualityVerdict.unknown(SearchStats(expanded, len(parents), peak, stop))
+        peak = max(peak, len(fore_queue) + len(back_queue))
+    return EqualityVerdict.unknown(stats("depth" if fore_queue and back_queue else "exhausted"))
 
 
-def _path(parents, goal: tuple[int, ...], n: int, max_len: int) -> tuple[RelationMove, ...]:
-    """The moves from the search's start to `goal`.  The search stores only
-    each word's predecessor; the move between them is the first one, in
-    enumeration order, that rewrites the predecessor into the word, because
-    that is the move that first reached it."""
-    chain = [goal]
+def _chain(parents, word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """`word` and its stored predecessors, back to the end it was reached from."""
+    chain = [word]
     while parents[chain[-1]] is not None:
         chain.append(parents[chain[-1]])
-    chain.reverse()
+    return chain
+
+
+def _path(chain, n: int, max_len: int) -> tuple[RelationMove, ...]:
+    """The moves along a chain of words, each one move from the next.  The
+    search stores only each word's predecessor; the move between two words
+    is the first one, in enumeration order, that rewrites the earlier into
+    the later.  On w1's side that is the move that first reached the later
+    word.  On w2's side the search found the reverse step, and the move
+    found here is its inverse: a deletion for an insertion and back, the
+    same swap or tetrahedron window otherwise."""
     return tuple(
         _relation_move(n, next(key for key, nxt in _neighbours(prev, n, max_len) if nxt == word))
         for prev, word in zip(chain, chain[1:])

@@ -258,7 +258,7 @@ def _deviating_pair(start, order, sums: Counter) -> tuple[int, int] | None:
     if moved:
         return tuple(sorted(moved))  # type: ignore[return-value]
     pairs = list(combinations(sorted(start), 2))
-    values = [sums[pair] for pair in pairs]
+    values = [sums.get(pair, 0) for pair in pairs]
     counts = Counter(values)
     if len(counts) == 1:
         return None if values[0] % 2 == 0 else pairs[0]

@@ -108,8 +108,8 @@ def test_equal_unknown_names_the_limit_that_stopped_it(capsys):
         capsys, ["equal", "--n", "4", "--depth", "1000", "--max-len", "4", "--stats", *pair]
     )
     assert code == 0 and out.splitlines() == [
-        "unknown (all 11 words within max-len=4 searched)",
-        "stats: expanded=11 stored=11 peak_frontier=10 stop=exhausted",
+        "unknown (every word within max-len=4 reachable from one of the two words searched)",
+        "stats: expanded=12 stored=22 peak_frontier=20 stop=exhausted",
     ]
     code, out, _ = run(capsys, ["equal", "--n", "4", "--depth", "10", "--max-len", "4", *pair])
     assert code == 0 and out.strip() == "unknown (depth=10 expansions reached)"

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -277,23 +277,79 @@ class TestBoundedEqual:
                 replay = apply_move(replay, m)
             assert replay == cur
 
-    def test_paths_pinned(self):
-        # verdicts and move paths of seeded pairs a few relation moves apart,
-        # under two expansion budgets; the digest was taken before the
-        # search moved to generator codes
+    @staticmethod
+    def seeded_pairs(count):
+        """Seeded pairs a few relation moves apart, with their length budget."""
         rng = random.Random(4242)
-        h = hashlib.sha256()
         for n in (4, 5, 6):
-            for _ in range(12):
+            for _ in range(count):
                 w1 = random_word(rng, n, 6)
                 longest = len(w1) + 4
                 w2 = w1
                 for _ in range(rng.randint(2, 5)):
                     w2 = apply_move(w2, rng.choice(applicable_moves(w2, True, longest)))
-                for depth in (20, 200):
-                    v = bounded_equal(w1, w2, depth, longest)
-                    h.update(repr((v.status, [str(m) for m in v.path or ()])).encode())
-        assert h.hexdigest() == "857e92cfc102c4b5bac24ada2931b51734710b96df968fac777fdcccc50efef5"
+                yield w1, w2, longest
+
+    def test_paths_pinned(self):
+        # verdicts and move paths of the seeded pairs under two expansion
+        # budgets; the digest was taken when the search became bidirectional
+        h = hashlib.sha256()
+        for w1, w2, longest in self.seeded_pairs(12):
+            for depth in (20, 200):
+                v = bounded_equal(w1, w2, depth, longest)
+                h.update(repr((v.status, [str(m) for m in v.path or ()])).encode())
+        assert h.hexdigest() == "b4a53ab3afeb931265636e4f29b615e05ba57ad4ba2b7d09b6b939527e0f7107"
+
+    def test_proves_what_a_one_sided_search_proves(self):
+        # a one-sided breadth-first search over the public move API, with
+        # the same expansion budget; the bidirectional search proves every
+        # pair it proves, with a path no longer
+        def one_sided(w1, w2, depth, max_len):
+            dist, queue = {w1: 0}, deque([w1])
+            for _ in range(depth):
+                if not queue:
+                    return None
+                w = queue.popleft()
+                for m in applicable_moves(w, True, max_len):
+                    nxt = apply_move(w, m)
+                    if nxt not in dist:
+                        dist[nxt] = dist[w] + 1
+                        if nxt == w2:
+                            return dist[nxt]
+                        queue.append(nxt)
+            return None
+
+        pairs = one_sided_proven = proven = 0
+        for w1, w2, longest in self.seeded_pairs(20):
+            if w1 == w2 or generator_parity(w1) != generator_parity(w2):
+                continue
+            v = bounded_equal(w1, w2, 20, longest)
+            moves = one_sided(w1, w2, 20, longest)
+            if moves is not None:
+                assert v.is_equal and len(v.path) <= moves, (format_word(w1), format_word(w2))
+                one_sided_proven += 1
+            pairs += 1
+            proven += v.is_equal
+        assert (pairs, one_sided_proven, proven) == (58, 37, 58)
+
+    def test_goal_side_moves_come_back_inverted(self):
+        # each pair meets after one expansion per side, and the last move was
+        # found from w2's side as the inverse step: a deletion from the
+        # longer w2 replays as an insertion, an insertion into the shorter w2
+        # as a deletion
+        a123, a145, a234 = (1, 2, 3), (1, 4, 5), (2, 3, 4)
+        cases = [
+            (word(5, a123), word(5, a145, a145, a123, a234, a234), ["ins@1:a234", "ins@0:a145"]),
+            (word(5, a145, a123, a145), word(5, a123), ["swap@1", "del@0"]),
+        ]
+        for w1, w2, path in cases:
+            v = bounded_equal(w1, w2, depth=100, max_len=3)
+            assert [str(m) for m in v.path] == path
+            assert (v.stats.expanded, v.stats.stop) == (2, "found")
+            replay = w1
+            for m in v.path:
+                replay = apply_move(replay, m)
+            assert replay == w2
 
     def test_negative_budgets_rejected(self):
         w = word(4, (1, 2, 3))
@@ -307,18 +363,29 @@ class TestSearchStats:
     def test_stop_reasons(self):
         w1 = word(4, (1, 2, 3), (1, 2, 4))
         w2 = word(4, (1, 2, 4), (1, 2, 3))
-        # all 11 words within length 4 are searched before the budget runs out
+        # each end reaches 11 words within length 4, and neither reaches the
+        # other: after one expansion per side, w1's side expands its other
+        # 10 words and its frontier empties
         assert bounded_equal(w1, w2, depth=1000, max_len=4).stats == SearchStats(
-            11, 11, 10, "exhausted"
+            12, 22, 20, "exhausted"
         )
         assert bounded_equal(w1, w2, depth=10, max_len=4).stats == SearchStats(
-            10, 11, 10, "depth"
+            10, 22, 20, "depth"
         )
         tetra = word(4, (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
         found = bounded_equal(tetra, GWord(4, tetra.letters[::-1]), 100, 8).stats
         assert (found.expanded, found.stop) == (1, "found")
         assert bounded_equal(w1, w1, 0, 0).stats.stop == "identical"
         assert bounded_equal(w1, word(4, (1, 2, 3)), 10, 6).stats.stop == "parity"
+
+    def test_exhausted_on_either_side(self):
+        # with max_len 3, `stuck` has no move at all, and `free` takes 7
+        # square insertions; the smaller frontier is expanded first, w1's
+        # on a tie, so w1's side empties first in one order and w2's in
+        # the other
+        stuck, free = word(4, (1, 2, 3), (1, 2, 4), (1, 2, 3)), word(4, (1, 2, 4))
+        assert bounded_equal(stuck, free, 1000, 3).stats == SearchStats(1, 2, 2, "exhausted")
+        assert bounded_equal(free, stuck, 1000, 3).stats == SearchStats(2, 9, 8, "exhausted")
 
     def test_stats_take_no_part_in_equality(self):
         stats = SearchStats(3, 4, 2, "found")
@@ -333,7 +400,15 @@ class TestSearchStats:
             stats = bounded_equal(w1, GWord(12, w1.letters[::-1]), 1000, length + 2).stats
             assert (stats.expanded, stats.stop) == (1, "limit")
             stored.append(stats.stored)
-        # letters are counted as each word is stored, and every word of the
-        # first expansion is a square inserted into the start: 2 + 250*4 and
-        # 10 + 83*12 letters are the first counts past the cap
-        assert stored == [251, 84]
+        # letters are counted over both ends as each word is stored, and
+        # every word of the first expansion is a square inserted into w1:
+        # 2*2 + 250*4 and 2*10 + 82*12 letters are the first counts past
+        # the cap
+        assert stored == [252, 84]
+        # w1's first expansion stores 660 words of 4 letters and fits under
+        # 3,000; the letters of w2's side go on the same count, which its
+        # 90th word takes past the cap
+        monkeypatch.setattr(group_core, "MAX_STORED_LETTERS", 3000)
+        w1 = word(12, (1, 2, 3), (1, 2, 4))
+        stats = bounded_equal(w1, GWord(12, w1.letters[::-1]), 1000, 4).stats
+        assert (stats.expanded, stats.stored, stats.stop) == (2, 2 + 660 + 90, "limit")
