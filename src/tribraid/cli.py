@@ -60,8 +60,8 @@ MAX_EQUAL_N = 100
 # A commute census pairs the far-commuting generators before it reads a
 # state: 1.5 s and 66 MiB at n = 14, 3.1 s and 139 MiB at n = 16.
 MAX_CENSUS_N = 14
-# Then it keeps a row of about 230 bytes per pair and state: 9 samples at
-# n = 14 (540,540 rows) take 5-7 s and 201 MiB.
+# Then it keeps a row of about 180 bytes per pair and state: 9 samples at
+# n = 14 (540,540 rows) take 5-7 s and 185 MiB.
 MAX_CENSUS_ROWS = 600_000
 
 
@@ -91,11 +91,8 @@ def _load_program(path: str):
         raise ProgramParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProgramParseError(f"invalid JSON in {path}: {exc}") from exc
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        n = 0  # program_from_json says what is wrong
-    if n > MAX_GEN_N:
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is int and n > MAX_GEN_N:  # otherwise program_from_json says what is wrong
         raise AboveCeiling(f"the program has {n} strands, above the ceiling of {MAX_GEN_N}")
     return program_from_json(obj)
 

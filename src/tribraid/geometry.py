@@ -108,23 +108,27 @@ def _grid(points) -> list[tuple[int, int]]:
     ]
 
 
-def _raise_if_collinear(grid: list[tuple[int, int]], s: int, others) -> None:
-    """GenericityError if point s of `grid` lies on a line through two of `others`.
-
-    Indices are 0-based; for sorted `others` the triples are tried in the
-    lexicographic order of their sorted labels, as the full check does.
-    """
-    px, py = grid[s]
-    rel = [(k, grid[k][0] - px, grid[k][1] - py) for k in others]
-    for (a, ax, ay), (b, bx, by) in combinations(rel, 2):
-        if ax * by == ay * bx:
-            a, b, c = sorted((a + 1, b + 1, s + 1))
-            raise GenericityError(f"strands {a},{b},{c} are collinear")
+def _collinear_pair(c: tuple[int, int], points) -> tuple[int, int] | None:
+    """The lexicographically first index pair i < j of `points` on a line
+    through the integer point c, or None, in O(len(points)): two offsets
+    from c are on one line exactly when their primitive directions agree up
+    to sign.  No point may equal c."""
+    cx, cy = c
+    first: dict[tuple[int, int], int] = {}
+    best = None
+    for k, (x, y) in enumerate(points):
+        dx, dy = x - cx, y - cy
+        g = gcd(dx, dy) if (dx, dy) > (0, 0) else -gcd(dx, dy)
+        i = first.setdefault((dx // g, dy // g), k)
+        if i != k and (best is None or i < best[0]):
+            best = i, k
+    return best
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """n labelled points with no three collinear (hence pairwise distinct)."""
+    """n labelled points with no three collinear (hence pairwise distinct),
+    checked in O(n^2)."""
 
     n: int
     points: tuple[RationalPoint, ...]
@@ -140,7 +144,10 @@ class Configuration:
             if grid[a] == grid[b]:
                 raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
         for a in range(self.n - 2):
-            _raise_if_collinear(grid, a, range(a + 1, self.n))
+            pair = _collinear_pair(grid[a], grid[a + 1 :])
+            if pair:
+                b, c = pair
+                raise GenericityError(f"strands {a + 1},{a + b + 2},{a + c + 2} are collinear")
 
     def point(self, strand: int) -> RationalPoint:
         if not 1 <= strand <= self.n:
@@ -150,9 +157,9 @@ class Configuration:
     def moved(self, strand: int, target: RationalPoint) -> "Configuration":
         """This configuration with `strand` at `target`.
 
-        Trusts `self` to be generic, so only the n-1 pairs and C(n-1,2)
-        triples through `strand` are checked: every other triple is
-        unchanged.  The errors are those the full check would raise.
+        Trusts `self` to be generic, so only the pairs and triples through
+        `strand` are checked, in O(n): every other triple is unchanged.
+        The errors are those the full check would raise.
         """
         self.point(strand)
         cfg = self._with_point(strand, target)
@@ -163,7 +170,10 @@ class Configuration:
             if grid[k] == grid[s]:
                 a, b = sorted((k + 1, strand))
                 raise GenericityError(f"strands {a} and {b} coincide")
-        _raise_if_collinear(grid, s, others)
+        pair = _collinear_pair(grid[s], [grid[k] for k in others])
+        if pair:
+            a, b, c = sorted((others[pair[0]] + 1, others[pair[1]] + 1, strand))
+            raise GenericityError(f"strands {a},{b},{c} are collinear")
         return cfg
 
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
@@ -288,7 +298,7 @@ def regular_rational_configuration(n: int) -> Configuration:
     strictly monotone in the angle.  Cyclic order (and therefore every
     triple's orientation) matches the true n-gon.
 
-    The result is built without the O(n^3) check, because it cannot fail:
+    The result is built without the O(n^2) check, because it cannot fail:
     every point lies exactly on the unit circle, and a line meets a circle
     in at most two points, so no three are collinear; the parameters of
     distinct strands are distinct, the half-angle map is injective and
@@ -448,17 +458,6 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
 _SHEARS = (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 5), Fraction(-1, 5))
 
 
-def _on_a_line(c: tuple[int, int], points) -> bool:
-    """True when the integer point c is on a line through two of `points`,
-    that is, when two of their offsets from c share a direction."""
-    directions = set()
-    for x, y in points:
-        dx, dy = x - c[0], y - c[1]
-        g = gcd(dx, dy) if (dx, dy) > (0, 0) else -gcd(dx, dy)
-        directions.add((dx // g, dy // g))
-    return len(directions) < len(points)
-
-
 def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     """Closed motion linking strands i and j once and nothing else.
 
@@ -500,7 +499,7 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
         m = max(4, 1 << (q * (wx * wx + wy * wy) // span).bit_length())
         # (b), on the grid moved to z_j and scaled by q*m
         corners = ((q * wx, q * wy), (vx, vy), (-q * wx, -q * wy), (-vx, -vy))
-        while any(_on_a_line(c, [(q * m * x, q * m * y) for x, y in rel]) for c in corners):
+        while any(_collinear_pair(c, [(q * m * x, q * m * y) for x, y in rel]) for c in corners):
             m *= 2
         shapes.append((m, shear))
     if not shapes:
@@ -545,7 +544,7 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
         d
         for k in count(1)
         for d in (k, -k)
-        if not any(_on_a_line((g[-1][0], d * g[-1][1]), g[:-1]) for g in grids)
+        if not any(_collinear_pair((g[-1][0], d * g[-1][1]), g[:-1]) for g in grids)
     )
     cfg = _trusted_configuration(p.n + 1, p.initial.points + (RationalPoint(R, d),))
     return MoveProgram(cfg, p.moves, closed=p.closed)
@@ -671,16 +670,26 @@ def program_to_json(p: MoveProgram) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """`value` if it is a JSON integer, else TypeError: `int` would truncate
+    1.5 and accept "4" and true."""
+    if type(value) is not int:
+        raise TypeError(f"integer required, got {value!r}")
+    return value
+
+
 def program_from_json(obj) -> MoveProgram:
     if not isinstance(obj, dict):
         raise ProgramParseError("program JSON must be an object")
     try:
-        n = int(obj["n"])
+        n = _integer(obj["n"])
         initial_raw = obj["initial"]
         moves_raw = obj.get("moves", [])
-        closed = bool(obj.get("closed", False))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ProgramParseError(f"missing or malformed program field: {exc}") from exc
+    closed = obj.get("closed", False)
+    if type(closed) is not bool:
+        raise ProgramParseError(f"'closed' must be true or false, got {closed!r}")
     if not isinstance(initial_raw, list):
         raise ProgramParseError("'initial' must be a list of points")
     points = tuple(_point_from_json(pt) for pt in initial_raw)
@@ -694,16 +703,16 @@ def program_from_json(obj) -> MoveProgram:
             raise ProgramParseError(f"move must be an object with a type, got {mv!r}")
         if mv["type"] == "line":
             try:
-                strand = int(mv["strand"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                strand = _integer(mv["strand"])
+            except (KeyError, TypeError) as exc:
                 raise ProgramParseError(f"bad line move {mv!r}") from exc
             if not 1 <= strand <= n:
                 raise ProgramParseError(f"strand {strand} out of range 1..{n}")
             moves.append(LinearMove(strand, _point_from_json(mv.get("to"))))
         elif mv["type"] == "twist":
             try:
-                moves.append(FullTwistMove(int(mv["turns"])))
-            except (KeyError, TypeError, ValueError, OverflowError, InvalidMove) as exc:
+                moves.append(FullTwistMove(_integer(mv["turns"])))
+            except (KeyError, TypeError, InvalidMove) as exc:
                 raise ProgramParseError(f"bad twist move {mv!r}") from exc
         else:
             raise ProgramParseError(f"unknown move type {mv['type']!r}")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import comb
+from typing import NamedTuple
 
 from .errors import BadTriple, DimensionMismatch, InvalidBudget, InvalidN, UnsupportedN
 from .group_core import GWord, GenTriple, all_generators, far_commutes
@@ -327,8 +328,7 @@ def state_from_id(n: int, mask: int) -> OrientationState:
     return OrientationState(n, mask)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     state: int
     case: str
     statuses: str
@@ -343,7 +343,7 @@ class CensusReport:
     cases: int
     rows: tuple[CensusRow, ...]
 
-    @property
+    @cached_property
     def violations(self) -> tuple[CensusRow, ...]:
         return tuple(r for r in self.rows if not r.ok)
 

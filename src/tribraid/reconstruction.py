@@ -17,11 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable
 from .group_core import GWord, generator_parity
-from .index_state import ClassifiedWord, _bit, _bit_base, _sign, classify_word
+from .index_state import ClassifiedWord, classify_word
 
 
 def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
@@ -128,21 +127,35 @@ def _swaps(cw: ClassifiedWord, orders: dict[int, list[int]]):
     """Make every ray swap of a word classified realisable from the initial
     state on the ray orders in `orders`, checking adjacency, and yield each
     as (axis, inner, outer, sign) in word order.  A letter with central c
-    swaps c (inner) with its third strand (outer) at its two other strands."""
-    n = cw.word.n
-    base = _bit_base(n)
-    bits = bytearray(comb(n, 3))
+    swaps c (inner) with its third strand (outer) at its two other strands.
+
+    The sign around axis a is that of the ordered triple (a, outer, inner)
+    at the letter's prefix state, and it reads no state: that triple is the
+    letter's own, which starts at +1 (the initial state is all-plus) and
+    which only the earlier copies of the same letter have flipped, so its
+    stored sign is -1 exactly when they are odd in number.  For the letter
+    i<j<k the ordering (a, outer, inner) with a < outer is (j,k,i), (i,k,j)
+    or (i,j,k) as the central is i, j or k, an odd permutation exactly when
+    the central is the middle index j.  So the sign is -1 exactly when (the
+    earlier copies are odd) XOR (the central is j), and the other axis,
+    which reads (outer, a, inner), gets the opposite sign."""
+    odd: set[tuple[int, int, int]] = set()
     for g, st in zip(cw.word.letters, cw.statuses):
         (inner,) = st.centrals
-        i, j, k = g.elems
+        elems = i, j, k = g.elems
         a, b = (j, k) if inner == i else (i, k) if inner == j else (i, j)
+        flipped = elems in odd
+        if flipped:
+            odd.remove(elems)
+        else:
+            odd.add(elems)
+        sign = -1 if flipped != (inner == j) else 1
         if a in orders:
             _swap_adjacent(orders[a], inner, b)
-            yield a, inner, b, _sign(base, bits, a, b, inner)
+            yield a, inner, b, sign
         if b in orders:
             _swap_adjacent(orders[b], inner, a)
-            yield b, inner, a, _sign(base, bits, b, a, inner)
-        bits[_bit(base, g)] ^= 1
+            yield b, inner, a, -sign
 
 
 @dataclass(frozen=True)
@@ -251,19 +264,31 @@ class KernelVerdict:
 def _deviating_pair(start, order, sums: Counter) -> tuple[int, int] | None:
     """None when one axis's swap word may be a power of the full twist: no
     ray slot moved and every pair has one common even sum (`sums` holds
-    twice each linking number).  Otherwise the first moved slot, else the
-    first pair off the commonest sum (ties to the smaller |sum|), else the
-    smallest pair."""
+    twice each linking number, for the pairs that swapped).  Otherwise the
+    first moved slot, else the first pair off the commonest sum (ties to the
+    smaller |sum|, then to the value met first in pair order), else the
+    smallest pair.
+
+    Only the swapped pairs are read: every other pair, and every entry back
+    at 0, sums to 0, so their count stands in for them.  A value v != 0
+    ties only with -v, and 0 with nothing, so only the nonzero values need
+    their pair order."""
     moved = min(((src, dst) for src, dst in zip(start, order) if src != dst), default=None)
     if moved:
         return tuple(sorted(moved))  # type: ignore[return-value]
-    pairs = list(combinations(sorted(start), 2))
-    values = [sums.get(pair, 0) for pair in pairs]
-    counts = Counter(values)
+    nonzero = sorted((pair, value) for pair, value in sums.items() if value)
+    counts = list(Counter(value for _, value in nonzero).items())
+    pairs = combinations(sorted(start), 2)
+    untouched = len(start) * (len(start) - 1) // 2 - len(nonzero)
+    if untouched:
+        counts.append((0, untouched))
     if len(counts) == 1:
-        return None if values[0] % 2 == 0 else pairs[0]
-    mode = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
-    return next(pair for pair, value in zip(pairs, values) if value != mode)
+        return None if counts[0][0] % 2 == 0 else next(pairs)
+    mode = max(counts, key=lambda kv: (kv[1], -abs(kv[0])))[0]
+    if mode == 0:
+        return nonzero[0][0]
+    # among the first len(nonzero) + 1 pairs one is untouched, hence off the mode
+    return next(pair for pair in pairs if sums.get(pair, 0) != mode)
 
 
 def kernel_witness(w: GWord) -> KernelVerdict:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -236,10 +237,20 @@ def test_program_with_an_infinite_number_exits_2(capsys, tmp_path):
         dict(good, n=float("inf")),
         dict(good, moves=[{"type": "line", "strand": float("inf"), "to": ["0", "0"]}]),
         dict(good, moves=[{"type": "twist", "turns": float("-inf")}]),
+        # and a field that is not a JSON integer (or, for closed, a JSON
+        # boolean) is refused, not truncated, above the ceiling or not
+        dict(good, n=4.2),
+        dict(good, n="4"),
+        dict(good, n=float(tribraid.cli.MAX_GEN_N + 1)),
+        dict(good, moves=[dict(good["moves"][0], strand=1.9)]),
+        dict(good, moves=[{"type": "twist", "turns": 1.5}]),
+        dict(good, moves=[{"type": "twist", "turns": True}]),
+        dict(good, closed="no"),
     ):
         path.write_text(json.dumps(bad))  # as Infinity, which json reads back
-        code, out, err = run(capsys, ["compile", str(path)])
-        assert code == 2 and out == "" and err.startswith("error: ")
+        for argv in (["compile", str(path)], ["gen", "--embed", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and err.startswith("error: "), (bad, argv)
 
 
 @pytest.fixture
@@ -404,3 +415,21 @@ print("alive:", [r() is not None for r in refs])
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "alive: [False, False, False]"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a module's underscore names are its own layout: a sibling that needs
+    # one should get a public function instead
+    package = Path(tribraid.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "tribraid"
+            ):
+                found += [
+                    (path.name, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []

@@ -201,6 +201,16 @@ def _random_generic_points(rng, n):
             return pts
 
 
+def _parabola_points(rng, n):
+    """n points of the parabola y = x^2, which no line meets three times, in
+    random strand order."""
+    xs = set()
+    while len(xs) < n:
+        xs.add(F(rng.randint(-200, 200), rng.choice((1, 2, 3))))
+    xs = rng.sample(sorted(xs), n)
+    return tuple(P(x, x * x) for x in xs)
+
+
 def _oracle_target(rng, pts, s):
     """A random target, one on a line through two static strands (an end
     configuration that is degenerate), one on a static strand, or one on the
@@ -321,9 +331,23 @@ class TestIntegerKernelOracle:
     def test_segment_events_moved_and_full_check(self):
         rng = random.Random(61)
         seen = Counter()
-        for _ in range(500):
-            n = rng.randint(4, 8)
-            pts = _random_generic_points(rng, n)
+        for trial in range(506):
+            if trial < 500:
+                n = rng.randint(4, 8)
+                pts = _random_generic_points(rng, n)
+            else:
+                # 30-40 strands, and the full check also on two planted
+                # collinear triples through one strand
+                n = rng.randint(30, 40)
+                pts = _parabola_points(rng, n)
+                planted = list(pts)
+                a, b, c, d, e = rng.sample(range(n), 5)
+                for x, y in ((b, c), (d, e)):
+                    t = F(rng.randint(-6, 6), rng.randint(1, 4))
+                    planted[y] = pts[a] + (pts[x] - pts[a]) * t
+                got = _outcome(Configuration, n, planted)
+                assert got[0] == "GenericityError"
+                assert got == _outcome(_oracle_full_check, tuple(planted))
             cfg = Configuration(n, pts)
             s = rng.randint(1, n)
             target = _oracle_target(rng, pts, s)
@@ -866,3 +890,13 @@ class TestProgramJson:
         bad = dict(good, moves=[{"type": "line", "strand": 9, "to": ["0", "0"]}])
         with pytest.raises(ProgramParseError):
             program_from_json(bad)
+        # int() would load 1.5 turns as one, strand 1.9 as strand 1 and "4"
+        # or 4.2 strands as 4, and bool() would read "no" as closed
+        line = program_to_json(pure_braid_generator_program(4, 1, 3))["moves"][0]
+        bads = [dict(good, n=value) for value in (4.2, 4.0, "4", True)]
+        bads += [dict(good, moves=[dict(line, strand=value)]) for value in (1.9, 1.0, "1", True)]
+        bads += [dict(good, moves=[{"type": "twist", "turns": v}]) for v in (1.5, 1.0, "1", True)]
+        bads += [dict(good, closed=value) for value in ("no", "false", 0, 1, None)]
+        for bad in bads:
+            with pytest.raises(ProgramParseError):
+                program_from_json(bad)

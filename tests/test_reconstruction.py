@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -29,6 +30,7 @@ from tribraid import (
     full_twist_program,
     geometric_linking,
     initial_cyclic_order,
+    initial_state,
     invariants_equal_mod_full_twist,
     is_realisable,
     kernel_witness,
@@ -37,6 +39,7 @@ from tribraid import (
     signed_index,
     tetra_letters,
 )
+from tribraid.reconstruction import _deviating_pair, _swaps
 
 
 class TestCyclicOrder:
@@ -276,6 +279,96 @@ class TestOnePassPins:
         assert h.hexdigest() == (
             "e6cf0b4424b2cf17f65110b50ccd4ce6de06c6f461e42b43f31eea9a167e9f15"
         )
+
+
+def _dense_deviating_pair(start, order, sums):
+    """`_deviating_pair` as it was when it read the sum of every pair: the
+    oracle for reading only the pairs that swapped."""
+    moved = min(((src, dst) for src, dst in zip(start, order) if src != dst), default=None)
+    if moved:
+        return tuple(sorted(moved))
+    pairs = list(combinations(sorted(start), 2))
+    values = [sums.get(pair, 0) for pair in pairs]
+    counts = Counter(values)
+    if len(counts) == 1:
+        return None if values[0] % 2 == 0 else pairs[0]
+    mode = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
+    return next(pair for pair, value in zip(pairs, values) if value != mode)
+
+
+class TestLocality:
+    """The two local facts the swap pass and the kernel verdict rest on."""
+
+    def test_swap_sign_is_the_prefix_state_sign(self):
+        # the sign read from letter parity is the orientation of
+        # (axis, outer, inner) at the letter's prefix state
+        rng = random.Random(4032)
+        checked = Counter()
+        for n in (4, 5, 6, 7, 8, 12, 16, 24, 32):
+            for _ in range(3):
+                w = good_walk(rng, n, 30)
+                for v in (w, GWord(n, w.letters + w.letters[::-1])):
+                    orders = {a: list(initial_cyclic_order(n, a)) for a in range(1, n + 1)}
+                    swaps = list(_swaps(classify_word(v), orders))
+                    assert len(swaps) == 2 * len(v.letters)
+                    s = initial_state(n)
+                    for pos, g in enumerate(v.letters):
+                        for axis, inner, outer, sign in swaps[2 * pos : 2 * pos + 2]:
+                            assert {axis, inner, outer} == set(g.elems)
+                            assert sign == signed_index(s, axis, outer, inner)
+                            checked[sign] += 1
+                        s = flip(s, g)
+        assert min(checked.values()) > 1000
+
+    def test_sparse_verdict_matches_the_dense_one(self):
+        rng = random.Random(4133)
+        seen = Counter()
+        for _ in range(3000):
+            n = rng.randint(4, 9)
+            start = initial_cyclic_order(n, rng.randint(1, n))
+            pairs = list(combinations(sorted(start), 2))
+            order = list(start)
+            sums = Counter()
+            kind = rng.choice(("sparse", "tie", "all equal", "moved"))
+            if kind == "sparse":
+                for pair in rng.sample(pairs, rng.randint(0, len(pairs))):
+                    sums[pair] = rng.randint(-3, 3)
+            elif kind == "tie":
+                # v on k pairs and -v on k others, the rest 0, so v, -v and
+                # (when k is small) 0 compete for the mode
+                v = rng.choice((-3, -2, -1, 1, 2, 3))
+                k = rng.randint(1, len(pairs) // 2)
+                chosen = rng.sample(pairs, 2 * k)
+                for pair in chosen[:k]:
+                    sums[pair] = v
+                for pair in chosen[k:]:
+                    sums[pair] = -v
+            elif kind == "all equal":
+                v = rng.randint(-3, 3)
+                for pair in pairs:
+                    sums[pair] = v
+            else:
+                rng.shuffle(order)
+                for pair in rng.sample(pairs, rng.randint(0, len(pairs))):
+                    sums[pair] = rng.randint(-2, 2)
+            # Counter entries back at 0, as cancelled swaps leave them
+            for pair in rng.sample(pairs, rng.randint(0, 2)):
+                if pair not in sums:
+                    sums[pair] = 0
+            expected = _dense_deviating_pair(start, order, sums)
+            assert _deviating_pair(start, order, sums) == expected, (start, order, sums)
+            values = Counter(sums.get(pair, 0) for pair in pairs)
+            tied = [v for v, c in values.items() if c == max(values.values())]
+            if order != list(start):
+                seen["moved"] += 1
+            elif len(values) == 1:
+                seen["all even" if next(iter(values)) % 2 == 0 else "all odd"] += 1
+            elif len(tied) == 2 and tied[0] == -tied[1]:
+                seen["v/-v tie"] += 1
+            else:
+                seen["off the mode"] += 1
+            seen["0 entry"] += 0 in sums.values()
+        assert min(seen.values()) >= 50, seen
 
 
 class TestTetraSurvivors:
