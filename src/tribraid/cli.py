@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 
 from .errors import AboveCeiling, InvalidBudget, ProgramParseError, TribraidError, WordParseError
 from .geometry import (
@@ -57,11 +58,13 @@ MAX_WORD_N = 250
 # search reaches the letter limit in 3.1 s and 243 MiB at n = 100, and in
 # 7.5 s and 367 MiB at n = 150.
 MAX_EQUAL_N = 100
-# A commute census pairs the far-commuting generators before it reads a
-# state: 1.5 s and 66 MiB at n = 14, 3.1 s and 139 MiB at n = 16.
+# A commute census reads every far-commuting pair, whatever its sample
+# count: with no samples, 0.8 s and 33 MiB at n = 14 as a command, 1.5 s and
+# 56 MiB at n = 16 in one process.
 MAX_CENSUS_N = 14
-# Then it keeps a row of about 180 bytes per pair and state: 9 samples at
-# n = 14 (540,540 rows) take 5-7 s and 185 MiB.
+# It keeps a few bytes per pair and state and renders rows only when they
+# are read, but --full prints them all: 9 samples at n = 14 (540,540 rows)
+# take 1.2 s and 38 MiB as a command, and 4.7 s and 290 MiB with --full.
 MAX_CENSUS_ROWS = 600_000
 
 
@@ -81,15 +84,17 @@ def _read_word(args) -> GWord:
 
 
 def _load_program(path: str):
+    # a JSON number with a fraction or an exponent stays its decimal text, a
+    # Decimal, so that coordinates are read exactly and not as binary floats
     try:
         if path == "-":
-            obj = json.load(sys.stdin)
+            obj = json.load(sys.stdin, parse_float=Decimal)
         else:
             with open(path) as fh:
-                obj = json.load(fh)
+                obj = json.load(fh, parse_float=Decimal)
     except OSError as exc:
         raise ProgramParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer longer than Python reads
         raise ProgramParseError(f"invalid JSON in {path}: {exc}") from exc
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is int and n > MAX_GEN_N:  # otherwise program_from_json says what is wrong
@@ -240,7 +245,14 @@ def cmd_selftest(args) -> int:
         segment_events,
     )
     from .group_core import all_generators, apply_move
-    from .index_state import initial_state, is_realisable, run_word
+    from .index_state import (
+        flip,
+        initial_state,
+        is_realisable,
+        letter_status,
+        run_word,
+        state_from_id,
+    )
     from .reconstruction import NONTRIVIAL_BY_LINKING, kernel_witness
 
     def check_censuses() -> bool:
@@ -251,6 +263,32 @@ def cmd_selftest(args) -> int:
             return False
         tetra = relation_census(4, "tetra")
         return all("good count 2" in row.detail for row in tetra.violations)
+
+    def check_sliced_kernel() -> bool:
+        # censuses read every status through one kernel that computes a
+        # letter at all states at once; their rows against letter_status at
+        # each state alone.  8 seeded states at n=6 read every letter, and at
+        # n=4 each letter has one outside strand, so the square census shows
+        # every gap table entry unmasked by the AND of the others
+        def tag(s, g):
+            central = letter_status(s, g).centrals
+            return f"{g}:g{min(central)}" if central else f"{g}:bad"
+
+        for report in (
+            relation_census(6, "commute", samples=8, seed=1997),
+            relation_census(4, "square"),
+        ):
+            for row in report.rows:
+                s = state_from_id(report.n, row.state)
+                letters = [parse_word(name, report.n).letters[0] for name in row.case.split("|")]
+                # a then b, and b then a; a square case is a then a
+                a, b = letters if len(letters) == 2 else letters * 2
+                expected = f"{tag(s, a)},{tag(flip(s, a), b)}"
+                if report.lemma == "commute":
+                    expected += f"|{tag(s, b)},{tag(flip(s, b), a)}"
+                if row.statuses != expected:
+                    return False
+        return True
 
     def check_full_twist() -> bool:
         out = compile_program(full_twist_program(4, 1))
@@ -367,6 +405,7 @@ def cmd_selftest(args) -> int:
         return word == reversed_tetra and bounded_equal(*parity_pair, 10, 6).is_distinct
 
     checks = [
+        ("sliced census kernel against letter_status", check_sliced_kernel),
         ("relation censuses", check_censuses),
         ("full twist compiles to the empty word", check_full_twist),
         ("generator gadget round trip", check_round_trip),
@@ -380,8 +419,12 @@ def cmd_selftest(args) -> int:
     ]
     failed = 0
     for name, fn in checks:
-        ok = fn()
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
+        # a check that raises fails, and the rest still run
+        try:
+            ok, why = fn(), ""
+        except Exception as exc:
+            ok, why = False, f" ({type(exc).__name__}: {exc})"
+        print(f"{'PASS' if ok else 'FAIL'} {name}{why}")
         failed += 0 if ok else 1
     return 0 if failed == 0 else 1
 

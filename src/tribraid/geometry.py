@@ -644,11 +644,27 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
 # Program JSON format
 
 
+# the largest power of ten a coordinate's text may carry, as many as the
+# digits Python reads into an int by default: Fraction("1e999999999") would
+# build a billion-digit integer
+_MAX_EXPONENT = 4300
+
+
+def _rational(value) -> Fraction:
+    """A coordinate, read exactly from its text: an int, a string such as
+    "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`)."""
+    text = str(value)
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _point_from_json(obj) -> RationalPoint:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ProgramParseError(f"point must be a 2-element list, got {obj!r}")
     try:
-        return RationalPoint(Fraction(str(obj[0])), Fraction(str(obj[1])))
+        return RationalPoint(_rational(obj[0]), _rational(obj[1]))
     except (ValueError, ZeroDivisionError) as exc:
         raise ProgramParseError(f"bad rational in point {obj!r}: {exc}") from exc
 

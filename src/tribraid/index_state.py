@@ -12,13 +12,20 @@ A state is an int bitmask over the sorted triples in lexicographic order
 (the order of `all_triples`): bit b is set when triple b carries -1.  Code
 that reads a state many times reads a byte table instead, one byte per
 triple (`_bits`), because every read of an int's bit copies the whole int.
+
+A census reads a letter at many states at once, sliced by triple
+(`_columns`): triple b's column is an int whose byte s is bit b of state s,
+so one whole-int operation acts on every state, and `_sliced_centrals` looks
+up the gap tables for all of them with `bytes.translate`.  This is
+bit-slicing (Biham, "A fast new DES implementation in software", 1997).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, permutations
 from math import comb
 from typing import NamedTuple
@@ -336,16 +343,159 @@ class CensusRow(NamedTuple):
     detail: str = ""
 
 
+# the gap tables as `bytes.translate` tables, which map a column of gap keys
+# (one per byte) to the column of their entries
+_GAP_BYTES = tuple(bytes(table) + bytes(256 - len(table)) for table in _GAP_TABLES)
+
+
+def _columns(masks: Sequence[int], width: int) -> list[int]:
+    """The states `masks` sliced by triple: column b is an int whose byte s
+    is bit b of masks[s]."""
+    digits = "".join(f"{mask:0{width}b}" for mask in masks).encode().translate(_ASCII_BITS)
+    return [int.from_bytes(digits[width - 1 - b :: width], "little") for b in range(width)]
+
+
+def _flipped(cols: list[int], b: int, size: int) -> list[int]:
+    """The columns of the `size` states of `cols`, each with triple b flipped:
+    a column of ones XORed into column b."""
+    out = list(cols)
+    out[b] ^= int.from_bytes(b"\1" * size, "little")
+    return out
+
+
+def _gap_keys(base, cols: list[int], n: int, i: int, j: int, k: int):
+    """Per outside strand p of letter i<j<k: its gap's translate table and
+    its column of gap keys, `{i,j,p} | {i,k,p} << 1 | {j,k,p} << 2` over the
+    triples' columns.  No byte carries into the next, since every column
+    byte is 0 or 1."""
+    below, ij, jk, above = _GAP_BYTES
+    bi, bj = base[i], base[j]
+    for p in range(1, i):
+        r = base[p][i]
+        yield below, cols[r + j] | cols[r + k] << 1 | cols[base[p][j] + k] << 2
+    for p in range(i + 1, j):
+        r = bi[p]
+        yield ij, cols[r + j] | cols[r + k] << 1 | cols[base[p][j] + k] << 2
+    rij = bi[j]
+    for p in range(j + 1, k):
+        yield jk, cols[rij + p] | cols[bi[p] + k] << 1 | cols[bj[p] + k] << 2
+    rik, rjk = bi[k], bj[k]
+    for p in range(k + 1, n + 1):
+        yield above, cols[rij + p] | cols[rik + p] << 1 | cols[rjk + p] << 2
+
+
+def _sliced_centrals(base, cols: list[int], size: int, n: int, i: int, j: int, k: int) -> int:
+    """`_centrals` of letter i<j<k at all `size` states of `cols` (from
+    `_columns`) at once: byte s of the result is its centrals bitset at
+    state s, the AND over the outside strands of their gap table entries."""
+    acc = -1
+    for table, keys in _gap_keys(base, cols, n, i, j, k):
+        acc &= int.from_bytes(keys.to_bytes(size, "little").translate(table), "little")
+        if not acc:
+            break
+    return acc
+
+
+class _Case(NamedTuple):
+    """One census case at every census state.  `codes` holds its letters'
+    centrals bitsets state by state (`_interleaved`); `tags[t][code]`
+    renders letter t, and `template` joins the renderings.  `detail(codes)`
+    is the row's detail, "" when the row holds, and `suspects` is nonzero in
+    byte s wherever the row at state s may fail."""
+
+    name: str
+    codes: bytes
+    tags: tuple[tuple[str, ...], ...]
+    template: str
+    detail: Callable[[bytes], str]
+    suspects: int
+
+    def codes_at(self, s: int) -> bytes:
+        return self.codes[s * len(self.tags) : (s + 1) * len(self.tags)]
+
+
+def _interleaved(size: int, columns: Sequence[int]) -> bytes:
+    """The code columns of one case's L letters regrouped by state: bytes
+    L*s to L*s+L-1 hold their codes at state s, so one slice reads a row."""
+    out = bytearray(size * len(columns))
+    for t, column in enumerate(columns):
+        out[t :: len(columns)] = column.to_bytes(size, "little")
+    return bytes(out)
+
+
+class _CensusRows(Sequence):
+    """The rows of a census, rendered when read: row r is case
+    r % len(cases) at state r // len(cases).  It equals, and hashes like, the
+    tuple of its rows."""
+
+    def __init__(self, states: Sequence[int], cases: tuple[_Case, ...]):
+        self._states = states
+        self._cases = cases
+
+    def _row(self, s: int, case: _Case) -> CensusRow:
+        codes = case.codes_at(s)
+        statuses = case.template.format(*(tags[c] for tags, c in zip(case.tags, codes)))
+        detail = case.detail(codes)
+        return CensusRow(self._states[s], case.name, statuses, not detail, detail)
+
+    def __len__(self) -> int:
+        return len(self._states) * len(self._cases)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[r] for r in range(len(self))[index])
+        s, c = divmod(range(len(self))[index], len(self._cases))
+        return self._row(s, self._cases[c])
+
+    def __iter__(self):
+        for s in range(len(self._states)):
+            for case in self._cases:
+                yield self._row(s, case)
+
+    def __eq__(self, other):
+        if isinstance(other, _CensusRows):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} census rows>"
+
+    def violations(self) -> tuple[CensusRow, ...]:
+        """The rows that fail, in row order, read only at suspect states."""
+        size = len(self._states)
+        suspect = [
+            (case, case.suspects.to_bytes(size, "little")) for case in self._cases if case.suspects
+        ]
+        return tuple(
+            self._row(s, case)
+            for s in range(size)
+            for case, flags in suspect
+            if flags[s] and case.detail(case.codes_at(s))
+        )
+
+
 @dataclass(frozen=True)
 class CensusReport:
+    """A census's verdicts: `cases` rows, one per state and case.
+
+    A census computes each letter's codes at all of its states at once
+    (`_sliced_centrals`) and keeps those columns, not rows: `rows` is a
+    read-only sequence that renders a row whenever one is read, and equals
+    the tuple of its rows.  `violations` is found from the columns, so only
+    the failing rows are ever rendered for it.
+    """
+
     n: int
     lemma: str
     cases: int
-    rows: tuple[CensusRow, ...]
+    rows: _CensusRows
 
     @cached_property
     def violations(self) -> tuple[CensusRow, ...]:
-        return tuple(r for r in self.rows if not r.ok)
+        return self.rows.violations()
 
     @property
     def ok(self) -> bool:
@@ -368,35 +518,9 @@ class CensusReport:
 
 def _tags(g: GenTriple) -> tuple[str, ...]:
     """The `letter:status` renderings of g, indexed by centrals bitset."""
+    name = str(g)
     i, j, k = g.elems
-    return (f"{g}:bad", f"{g}:g{i}", f"{g}:g{j}", "", f"{g}:g{k}")
-
-
-_UNREAD = 0xFF
-
-
-def _census_reader(n: int):
-    """`read(mask, b)`: the centrals bitset of the letter whose triple index
-    is b, at state `mask`.  A census reads every status through one reader.
-    Its memo holds one byte row per state: the state's byte table, then one
-    code per letter, filled as letters are read, so each (state, letter)
-    status is computed once."""
-    base = _bit_base(n)
-    width = comb(n, 3)
-    triples = all_triples(n)
-    memo: dict[int, bytearray] = {}
-
-    def read(mask: int, b: int) -> int:
-        try:
-            row = memo[mask]
-        except KeyError:
-            row = memo[mask] = _bits(mask, width) + bytearray((_UNREAD,)) * width
-        code = row[width + b]
-        if code == _UNREAD:
-            code = row[width + b] = _centrals(base, row, n, *triples[b])
-        return code
-
-    return read
+    return (f"{name}:bad", f"{name}:g{i}", f"{name}:g{j}", "", f"{name}:g{k}")
 
 
 def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ...]:
@@ -427,108 +551,128 @@ def _tetra_windows() -> tuple[tuple[str, tuple, tuple, frozenset], ...]:
     return tuple(windows)
 
 
-def _tetra_codes(read, base, mask: int, word: tuple[GenTriple, ...]) -> list[int]:
-    codes = []
-    for g in word:
-        b = _bit(base, g)
-        codes.append(read(mask, b))
-        mask ^= 1 << b
-    return codes
-
-
-def _tetra_case(read, base, mask: int, lhs, rhs, middles, tags) -> tuple[bool, str, str]:
-    cl, cr = _tetra_codes(read, base, mask, lhs), _tetra_codes(read, base, mask, rhs)
-    rendered = "|".join(
-        ",".join(tags[g][c] for g, c in zip(word, codes)) for word, codes in ((lhs, cl), (rhs, cr))
-    )
-    n_l = sum(1 for c in cl if c)
-    n_r = sum(1 for c in cr if c)
+def _tetra_detail(lhs, rhs, middles, codes: bytes) -> str:
+    cl, cr = codes[:4], codes[4:]
+    n_l, n_r = 4 - cl.count(0), 4 - cr.count(0)
     if n_l not in (0, 1, 4):
-        return False, rendered, f"good count {n_l} not in {{0,1,4}}"
+        return f"good count {n_l} not in {{0,1,4}}"
     if n_l != n_r:
-        return False, rendered, f"good counts differ: {n_l} vs {n_r}"
+        return f"good counts differ: {n_l} vs {n_r}"
     if n_l == 1:
         g_l = next(g for g, c in zip(lhs, cl) if c)
         g_r = next(g for g, c in zip(rhs, cr) if c)
         if g_l != g_r:
-            return False, rendered, f"lone good letters differ: {g_l} vs {g_r}"
+            return f"lone good letters differ: {g_l} vs {g_r}"
     if n_l == 4:
-        centrals = tuple(g.elems[c >> 1] for g, c in zip(lhs + rhs, cl + cr))
+        centrals = tuple(g.elems[c >> 1] for g, c in zip(lhs + rhs, codes))
         if centrals not in middles:
-            return False, rendered, "no total order realises all eight letters"
-    return True, rendered, ""
+            return "no total order realises all eight letters"
+    return ""
 
 
 def _tetra_census() -> CensusReport:
-    read = _census_reader(4)
     base = _bit_base(4)
+    states = range(1 << comb(4, 3))
+    size = len(states)
+    cols = _columns(states, comb(4, 3))
     tags = {g: _tags(g) for g in all_generators(4)}
-    rows = []
-    for mask in range(1 << comb(4, 3)):
-        for case, lhs, rhs, middles in _tetra_windows():
-            ok, rendered, detail = _tetra_case(read, base, mask, lhs, rhs, middles, tags)
-            rows.append(CensusRow(mask, case, rendered, ok, detail))
-    return CensusReport(4, "tetra", len(rows), tuple(rows))
+    # a window's verdict needs all eight codes, so every row is suspect
+    every = int.from_bytes(b"\1" * size, "little")
+    cases = []
+    for name, lhs, rhs, middles in _tetra_windows():
+        codes = []
+        for word in (lhs, rhs):
+            # each letter read at its prefix state
+            cur = cols
+            for g in word:
+                codes.append(_sliced_centrals(base, cur, size, 4, *g.elems))
+                cur = _flipped(cur, _bit(base, g), size)
+        cases.append(
+            _Case(
+                name,
+                _interleaved(size, codes),
+                tuple(tags[g] for g in lhs + rhs),
+                "{},{},{},{}|{},{},{},{}",
+                partial(_tetra_detail, lhs, rhs, middles),
+                every,
+            )
+        )
+    rows = _CensusRows(states, tuple(cases))
+    return CensusReport(4, "tetra", len(rows), rows)
+
+
+def _square_detail(codes: bytes) -> str:
+    return "" if codes[0] == codes[1] else "square copies disagree"
 
 
 def _square_census() -> CensusReport:
-    read = _census_reader(4)
     base = _bit_base(4)
-    plan = [(str(g), _bit(base, g), _tags(g)) for g in all_generators(4)]
-    rows = []
-    for mask in range(1 << comb(4, 3)):
-        for case, b, tags in plan:
-            first = read(mask, b)
-            second = read(mask ^ 1 << b, b)
-            ok = first == second
-            rows.append(
-                CensusRow(
-                    mask,
-                    case,
-                    f"{tags[first]},{tags[second]}",
-                    ok,
-                    "" if ok else "square copies disagree",
-                )
+    states = range(1 << comb(4, 3))
+    size = len(states)
+    cols = _columns(states, comb(4, 3))
+    cases = []
+    for g in all_generators(4):
+        first = _sliced_centrals(base, cols, size, 4, *g.elems)
+        second = _sliced_centrals(base, _flipped(cols, _bit(base, g), size), size, 4, *g.elems)
+        tags = _tags(g)
+        cases.append(
+            _Case(
+                str(g),
+                _interleaved(size, (first, second)),
+                (tags, tags),
+                "{},{}",
+                _square_detail,
+                first ^ second,
             )
-    return CensusReport(4, "square", len(rows), tuple(rows))
+        )
+    rows = _CensusRows(states, tuple(cases))
+    return CensusReport(4, "square", len(rows), rows)
+
+
+def _commute_detail(codes: bytes) -> str:
+    fa, fb, rb, ra = codes
+    return "" if fa == ra and fb == rb else "statuses change under swap"
 
 
 def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
-    read = _census_reader(n)
     base = _bit_base(n)
-    gens = all_generators(n)
-    plan = [
-        (f"{a}|{b}", _bit(base, a), _bit(base, b), _tags(a), _tags(b))
-        for a, b in combinations(gens, 2)
-        if far_commutes(a, b)
-    ]
     width = comb(n, 3)
     if n == 5:
-        masks = range(1 << width)
+        states = range(1 << width)
     else:
         # the full state space is 2^C(n,3); sample it with a fixed seed
         rng = random.Random(seed)
-        masks = [rng.randrange(1 << width) for _ in range(samples)]
-    rows = []
-    for mask in masks:
-        # every letter far-commutes with another, so all are read here
-        here = [read(mask, b) for b in range(width)]
-        for case, a, b, tags_a, tags_b in plan:
-            # a then b, and b then a, each letter read at its prefix state
-            fa, rb = here[a], here[b]
-            fb = read(mask ^ 1 << a, b)
-            ra = read(mask ^ 1 << b, a)
-            ok = fa == ra and fb == rb
-            rows.append(
-                CensusRow(
-                    mask,
-                    case,
-                    f"{tags_a[fa]},{tags_b[fb]}|{tags_b[rb]},{tags_a[ra]}",
-                    ok,
-                    "" if ok else "statuses change under swap",
-                )
+        states = [rng.randrange(1 << width) for _ in range(samples)]
+    size = len(states)
+    cols = _columns(states, width)
+    # letters by triple index; every letter far-commutes with another, so
+    # all are read here
+    gens = all_generators(n)
+    here = [_sliced_centrals(base, cols, size, n, *g.elems) for g in gens]
+    flips = [_flipped(cols, b, size) for b in range(width)]
+    names = [str(g) for g in gens]
+    tags = [_tags(g) for g in gens]
+    cases = []
+    for a, b in combinations(range(width), 2):
+        ga, gb = gens[a], gens[b]
+        if not far_commutes(ga, gb):
+            continue
+        # a then b, and b then a, each letter read at its prefix state
+        fa, rb = here[a], here[b]
+        fb = _sliced_centrals(base, flips[a], size, n, *gb.elems)
+        ra = _sliced_centrals(base, flips[b], size, n, *ga.elems)
+        cases.append(
+            _Case(
+                f"{names[a]}|{names[b]}",
+                _interleaved(size, (fa, fb, rb, ra)),
+                (tags[a], tags[b], tags[b], tags[a]),
+                "{},{}|{},{}",
+                _commute_detail,
+                (fa ^ ra) | (fb ^ rb),
             )
-    return CensusReport(n, "commute", len(rows), tuple(rows))
+        )
+    rows = _CensusRows(states, tuple(cases))
+    return CensusReport(n, "commute", len(rows), rows)
 
 
 def commute_census_rows(n: int, samples: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -174,12 +175,16 @@ class AnnularInvariants:
     perm: tuple[tuple[int, int], ...]
     linking: tuple[tuple[tuple[int, int], Fraction], ...]
 
+    @cached_property
+    def _by_pair(self) -> dict[tuple[int, int], Fraction]:
+        return dict(self.linking)
+
     def linking_of(self, i: int, j: int) -> Fraction:
         key = (i, j) if i < j else (j, i)
-        for pair, value in self.linking:
-            if pair == key:
-                return value
-        raise BadTriple(f"pair {key} not covered by axis {self.axis}")
+        try:
+            return self._by_pair[key]
+        except KeyError:
+            raise BadTriple(f"pair {key} not covered by axis {self.axis}") from None
 
     @property
     def is_identity(self) -> bool:
@@ -190,9 +195,8 @@ class AnnularInvariants:
         lines.append(f"permutation: {_cycle_notation(dict(self.perm))}")
         lines.append("linking:")
         lines.append("     " + "".join(f"{s:>6}" for s in self.strands))
-        linking = dict(self.linking)
         for i in self.strands:
-            cells = (linking[min(i, j), max(i, j)] if i != j else "." for j in self.strands)
+            cells = (self._by_pair[min(i, j), max(i, j)] if i != j else "." for j in self.strands)
             lines.append(f"{i:>5}" + "".join(f"{str(value):>6}" for value in cells))
         return "\n".join(lines)
 

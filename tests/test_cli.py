@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,41 @@ def test_program_with_an_infinite_number_exits_2(capsys, tmp_path):
             assert code == 2 and out == "" and err.startswith("error: "), (bad, argv)
 
 
+def test_program_numbers_are_read_from_their_decimal_text(capsys, tmp_path):
+    # as binary floats, 0.30000000000000000001 is 3/10 and 1e-400 is 0, which
+    # puts strands 1, 3 and 4 on one line
+    path = tmp_path / "exact.json"
+    path.write_text(
+        '{"n": 4, "initial": [[0, 0], [1, 0.30000000000000000001], [1e-400, 2], [0, 1]]}'
+    )
+    assert run(capsys, ["compile", str(path)])[:2] == (0, "\n")
+    code, out, _ = run(capsys, ["gen", "--embed", str(path)])
+    initial = [[Fraction(x) for x in point] for point in json.loads(out)["initial"]]
+    assert code == 0
+    assert initial[1:3] == [[1, Fraction(30000000000000000001, 10**20)], [Fraction(1, 10**400), 2]]
+
+
+def test_program_numbers_without_an_exact_reading_exit_2(capsys, tmp_path):
+    good = program_to_json(pure_braid_generator_program(4, 1, 3))
+    path = tmp_path / "bad.json"
+    cases = [
+        (dict(good, n="@"), ("4.0", "4e0", "1" + "0" * 5000)),
+        (dict(good, moves=[dict(good["moves"][0], strand="@")]), ("1.0",)),
+        (dict(good, moves=[{"type": "twist", "turns": "@"}]), ("1.0",)),
+        # a power of ten beyond 4300 digits, written as a number or a string
+        (
+            dict(good, initial=[["@", "1"], *good["initial"][1:]]),
+            ("NaN", "-Infinity", "1e-999999999", "1e5000", '"1e5000"', '"1e-5000"'),
+        ),
+    ]
+    for obj, numbers in cases:
+        for number in numbers:
+            path.write_text(json.dumps(obj).replace('"@"', number))
+            for argv in (["compile", str(path)], ["gen", "--embed", str(path)]):
+                code, out, err = run(capsys, argv)
+                assert code == 2 and out == "" and err.startswith("error: "), (number, argv)
+
+
 @pytest.fixture
 def refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):
@@ -363,6 +399,23 @@ def test_selftest_catches_a_drifted_kernel_witness(capsys, monkeypatch, drift):
     monkeypatch.setattr(tribraid.reconstruction, "kernel_witness", lambda w: drift(exact(w)))
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1 and "FAIL kernel witness against per-axis invariants" in out.splitlines()
+
+
+@pytest.mark.parametrize("gap, key, value", [(0, 1, 0), (3, 6, 2), (1, 3, 4), (2, 4, 5)])
+def test_selftest_catches_a_changed_gap_table_entry(capsys, monkeypatch, gap, key, value):
+    # one entry of the census kernel's translate tables; a two-bit entry
+    # (5) makes the census rendering raise, which fails the check too
+    tables = list(tribraid.index_state._GAP_BYTES)
+    table = bytearray(tables[gap])
+    assert table[key] != value
+    table[key] = value
+    tables[gap] = bytes(table)
+    monkeypatch.setattr(tribraid.index_state, "_GAP_BYTES", tuple(tables))
+    code, out, _ = run(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
+    # the census check may fail too; the checks after it still run and pass
+    assert len(lines) == 11 and all(line.startswith("PASS") for line in lines[2:])
 
 
 def test_interleaved_subcommands_give_the_same_output(capsys, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from helpers import good_walk, random_word, word
 from tribraid import (
     BadTriple,
+    CensusRow,
     DimensionMismatch,
     GWord,
     GenTriple,
@@ -36,7 +37,17 @@ from tribraid import (
     tetra_letters,
 )
 from tribraid import index_state
-from tribraid.index_state import _GAP_TABLES, commute_census_rows
+from tribraid.index_state import (
+    _GAP_TABLES,
+    _bit_base,
+    _bits,
+    _centrals,
+    _columns,
+    _flipped,
+    _sliced_centrals,
+    all_triples,
+    commute_census_rows,
+)
 
 
 class TestInitialState:
@@ -314,29 +325,72 @@ class TestCensuses:
         assert report.cases == 0 and report.rows == ()
 
     @pytest.mark.parametrize(
-        "n, lemma, samples, most",
+        "n, lemma, samples, calls",
         [
-            # every state and letter at n=5; at n=6 each sample and its 20
-            # one-letter neighbours, each neighbour read at the 10 letters
-            # that far-commute with the flipped one
-            (5, "commute", 512, 2**10 * 10),
-            (4, "square", 512, 2**4 * 4),
-            (4, "tetra", 512, 2**4 * 4),
-            (6, "commute", 64, 64 * (20 + 20 * 10)),
+            # every letter at the census states, then, per far-commuting
+            # pair, each letter at the states with the other one flipped
+            (5, "commute", 512, 10 + 2 * 15),
+            (6, "commute", 64, 20 + 2 * 100),
+            (6, "commute", 1, 20 + 2 * 100),
+            # each letter, then each letter with its own triple flipped
+            (4, "square", 512, 4 + 4),
+            # each of the 8 letters of the 24 windows, at its prefix
+            (4, "tetra", 512, 24 * 8),
         ],
     )
-    def test_each_status_is_computed_once(self, monkeypatch, n, lemma, samples, most):
-        calls = 0
-        centrals = index_state._centrals
+    def test_kernel_calls_are_counted(self, monkeypatch, n, lemma, samples, calls):
+        count = 0
+        kernel = index_state._sliced_centrals
 
         def counted(*args):
-            nonlocal calls
-            calls += 1
-            return centrals(*args)
+            nonlocal count
+            count += 1
+            return kernel(*args)
 
-        monkeypatch.setattr(index_state, "_centrals", counted)
+        monkeypatch.setattr(index_state, "_sliced_centrals", counted)
         relation_census(n, lemma, samples=samples)
-        assert calls == most if n == 5 else 0 < calls <= most
+        assert count == calls
+
+    def test_violations_are_the_failing_rows(self, monkeypatch):
+        # a123 reads bad everywhere once a345 is flipped, although a
+        # one-letter flip outside a letter's strands cannot change it
+        kernel = index_state._sliced_centrals
+        plain = _columns(range(2**10), 10)
+        flipped = all_triples(5).index((3, 4, 5))
+
+        def altered(base, cols, size, n, i, j, k):
+            moved = [t for t, (c, p) in enumerate(zip(cols, plain)) if c != p]
+            if (i, j, k) == (1, 2, 3) and moved == [flipped]:
+                return 0
+            return kernel(base, cols, size, n, i, j, k)
+
+        monkeypatch.setattr(index_state, "_sliced_centrals", altered)
+        report = relation_census(5, "commute")
+        failing = [r for r in report.rows if not r.ok]
+        assert failing and list(report.violations) == failing
+        assert {(r.case, r.detail) for r in failing} == {("a123|a345", "statuses change under swap")}
+        assert not report.ok and f"violations={len(failing)}" in report.to_table()
+
+    def test_rows_are_a_read_only_sequence_of_rendered_rows(self):
+        report = relation_census(6, "commute", samples=5, seed=3)
+        rows = report.rows
+        listed = tuple(rows)
+        assert len(rows) == len(listed) == report.cases == 500
+        assert all(type(r) is CensusRow for r in listed)
+        assert [rows[r] for r in range(len(rows))] == list(listed)
+        assert rows[-1] == listed[-1] and rows[-len(rows)] == listed[0]
+        for cut in (slice(3, 17, 4), slice(None, None, -1), slice(-7, None), slice(9, 2)):
+            assert rows[cut] == listed[cut]
+        for bad in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[bad]
+        with pytest.raises(TypeError):
+            rows[0] = listed[0]
+        assert rows == listed and listed == rows and rows != list(listed)
+        assert hash(rows) == hash(listed)
+        assert {rows: 1}[listed] == 1
+        assert rows == relation_census(6, "commute", samples=5, seed=3).rows
+        assert rows != relation_census(6, "commute", samples=5, seed=4).rows
 
     def test_unsupported_ranges(self):
         with pytest.raises(UnsupportedN):
@@ -398,6 +452,35 @@ class TestCensuses:
                 }
                 assert goods_l == goods_r
         assert observed == {2, 4}
+
+
+class TestSlicedKernel:
+    """The census kernel, all states of a column set at once, against the
+    single-state `_centrals`."""
+
+    @staticmethod
+    def state_sets(rng, n):
+        width = comb(n, 3)
+        sparse = sum(1 << b for b in rng.sample(range(width), 2))
+        dense = (1 << width) - 1 ^ sum(1 << b for b in rng.sample(range(width), 2))
+        yield [rng.getrandbits(width)]
+        yield [dense, sparse, *(rng.getrandbits(width) for _ in range(rng.randrange(1, 40)))]
+
+    def test_bytes_are_single_state_codes(self):
+        rng = random.Random(1997)
+        for n in range(4, 10):
+            base, width = _bit_base(n), comb(n, 3)
+            for masks in self.state_sets(rng, n):
+                size = len(masks)
+                cols = _columns(masks, width)
+                b = rng.randrange(width)
+                reads = ((cols, masks), (_flipped(cols, b, size), [m ^ 1 << b for m in masks]))
+                for columns, states in reads:
+                    for g in all_generators(n):
+                        sliced = _sliced_centrals(base, columns, size, n, *g.elems)
+                        assert sliced.to_bytes(size, "little") == bytes(
+                            _centrals(base, _bits(m, width), n, *g.elems) for m in states
+                        )
 
 
 class TestStateEnumeration:

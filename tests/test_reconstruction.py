@@ -124,6 +124,31 @@ class TestAnnularInvariants:
         assert not inv.is_identity
         assert inv.linking_of(1, 2) == Fraction(1, 2)
 
+    def test_linking_of_is_the_pair_entry(self):
+        # each pair's entry of `linking`, as a scan finds it, and the same
+        # BadTriple for a pair the axis does not cover
+        def scan(inv, i, j):
+            key = (i, j) if i < j else (j, i)
+            for pair, value in inv.linking:
+                if pair == key:
+                    return value
+            raise BadTriple(f"pair {key} not covered by axis {inv.axis}")
+
+        for n in range(6, 17, 2):
+            w = compile_program(pure_braid_generator_program(n, 1, n // 2 + 1)).word
+            for axis in (1, 2, n):
+                inv = annular_invariants(reconstruct_axis(w, axis))
+                for i, j in permutations(range(0, n + 2), 2):
+                    try:
+                        expected = scan(inv, i, j)
+                    except BadTriple as exc:
+                        with pytest.raises(BadTriple) as got:
+                            inv.linking_of(i, j)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert inv.linking_of(i, j) == expected
+            assert inv.linking_of(1, n // 2 + 1) == 1  # the gadget's pair, about axis n
+
     def test_text_rendering(self):
         inv = annular_invariants(empty_cyl_word(4, 4))
         text = inv.to_text()
