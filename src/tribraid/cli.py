@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from decimal import Decimal
+from itertools import islice
 
 from .errors import AboveCeiling, InvalidBudget, ProgramParseError, TribraidError, WordParseError
 from .geometry import (
@@ -58,13 +59,15 @@ MAX_WORD_N = 250
 # search reaches the letter limit in 3.1 s and 243 MiB at n = 100, and in
 # 7.5 s and 367 MiB at n = 150.
 MAX_EQUAL_N = 100
-# A commute census reads every far-commuting pair, whatever its sample
-# count: with no samples, 0.8 s and 33 MiB at n = 14 as a command, 1.5 s and
-# 56 MiB at n = 16 in one process.
+# A commute census with states reads every far-commuting pair, whatever its
+# sample count: one sample at n = 14 (60,060 pairs) takes 0.8-1.0 s and
+# 36 MiB as a command, and 1.2-1.6 s and 63 MiB at n = 16 in one process.
+# With no samples it reads nothing: 0.17 s and 18 MiB as a command at n = 14.
 MAX_CENSUS_N = 14
-# It keeps a few bytes per pair and state and renders rows only when they
-# are read, but --full prints them all: 9 samples at n = 14 (540,540 rows)
-# take 1.2 s and 38 MiB as a command, and 4.7 s and 290 MiB with --full.
+# It keeps a few bytes per pair and state, renders rows only when they are
+# read and writes them a block at a time: 9 samples at n = 14 (540,540
+# rows) take 1.1 s and 38 MiB as a command, and 3.3 s and 42 MiB with
+# --full, so the ceiling bounds the columns kept and the time taken.
 MAX_CENSUS_ROWS = 600_000
 
 
@@ -197,14 +200,18 @@ def cmd_census(args) -> int:
                 f"ceiling of {MAX_CENSUS_ROWS:,}"
             )
     report = relation_census(n, args.lemma, samples=args.samples, seed=args.seed)
-    print(report.to_table(full=args.full))
+    # a block of lines per write, so that --full holds few rendered rows;
+    # standard output writes through, which makes a write per line slow
+    lines = report.lines(full=args.full)
+    while block := list(islice(lines, 4096)):
+        print("\n".join(block))
     return 0 if report.ok else 1
 
 
 # the largest `gen --n`.  Building a gadget is cheap: `--braid 1,50` takes
-# 0.02 s at n = 100 in process, 0.2-0.3 s as a command.  Compiling it is not:
-# its word has 5,360 letters at n = 100 and 20,850 at n = 200, which
-# `compile_program` reads in 0.43 s and 3.4 s.  It also caps programs read.
+# 0.01 s at n = 100 in process, 0.13 s and 18 MiB as a command.  Compiling it
+# is not: its word has 5,360 letters at n = 100 and 20,850 at n = 200, which
+# `compile_program` reads in 0.2 s and 1.7 s.  It also caps programs read.
 MAX_GEN_N = 100
 
 

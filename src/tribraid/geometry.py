@@ -6,7 +6,9 @@ it reads are first scaled to integer numerators over one common
 denominator (`_grid`), which changes no sign and no event time.  Because
 only one strand moves per segment, each triple's collinearity condition is
 linear in the time parameter, so event times are exact rationals with an
-exact total order.  Orientation is +1 for positively oriented
+exact total order.  A program is walked on one grid: its initial points and
+every move's target share the denominator, and `Fraction`s are built only
+for the event times the walk returns.  Orientation is +1 for positively oriented
 (counterclockwise) triangles, calibrated so that the rational regular
 configuration carries the all-plus initial orientation state on sorted
 triples.
@@ -16,11 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, lcm
-from operator import attrgetter
 
 from .errors import (
     BadTriple,
@@ -73,11 +74,6 @@ class RationalPoint:
         return f"({self.x},{self.y})"
 
 
-def perp(v: RationalPoint) -> RationalPoint:
-    """v rotated a quarter turn counterclockwise."""
-    return RationalPoint(-v.y, v.x)
-
-
 def cross(u: RationalPoint, v: RationalPoint) -> Fraction:
     return u.x * v.y - u.y * v.x
 
@@ -95,13 +91,19 @@ def orientation(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> int:
     return (d > 0) - (d < 0)
 
 
+def _denominator(points) -> int:
+    """The least common denominator of the points' coordinates."""
+    den = 1
+    for p in points:
+        den = lcm(den, p.x.denominator, p.y.denominator)
+    return den
+
+
 def _grid(points) -> list[tuple[int, int]]:
     """The points as integer numerators over one common positive denominator:
     every predicate here is the sign of a polynomial homogeneous in the
     coordinates, and every event time a ratio of two of one degree."""
-    den = 1
-    for p in points:
-        den = lcm(den, p.x.denominator, p.y.denominator)
+    den = _denominator(points)
     return [
         (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
         for p in points
@@ -163,17 +165,7 @@ class Configuration:
         """
         self.point(strand)
         cfg = self._with_point(strand, target)
-        grid = _grid(cfg.points)
-        s = strand - 1
-        others = [k for k in range(self.n) if k != s]
-        for k in others:
-            if grid[k] == grid[s]:
-                a, b = sorted((k + 1, strand))
-                raise GenericityError(f"strands {a} and {b} coincide")
-        pair = _collinear_pair(grid[s], [grid[k] for k in others])
-        if pair:
-            a, b, c = sorted((others[pair[0]] + 1, others[pair[1]] + 1, strand))
-            raise GenericityError(f"strands {a},{b},{c} are collinear")
+        _check_mover(_grid(cfg.points), strand)
         return cfg
 
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
@@ -181,6 +173,21 @@ class Configuration:
         pts = list(self.points)
         pts[strand - 1] = target
         return _trusted_configuration(self.n, tuple(pts))
+
+
+def _check_mover(grid: list[tuple[int, int]], strand: int) -> None:
+    """Raise the error of the first pair, then the first triple, through
+    `strand` that is degenerate in the integer configuration `grid`."""
+    s = strand - 1
+    others = [k for k in range(len(grid)) if k != s]
+    for k in others:
+        if grid[k] == grid[s]:
+            a, b = sorted((k + 1, strand))
+            raise GenericityError(f"strands {a} and {b} coincide")
+    pair = _collinear_pair(grid[s], [grid[k] for k in others])
+    if pair:
+        a, b, c = sorted((others[pair[0]] + 1, others[pair[1]] + 1, strand))
+        raise GenericityError(f"strands {a},{b},{c} are collinear")
 
 
 def _trusted_configuration(n: int, points: tuple[RationalPoint, ...]) -> Configuration:
@@ -236,35 +243,38 @@ class MoveProgram:
         return self.initial.n
 
     @cached_property
-    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple[Configuration, ...]]:
-        """The events, the total twist and the boundary configurations, from
-        the one pass that checks the moves: `segment_events` for a linear
-        move, the common circle for a full twist.  An invalid program caches
-        nothing and raises on every call."""
+    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple[Configuration, ...], tuple]:
+        """The events, the total twist and the boundary configurations, as
+        points and on one integer grid, from the one pass that checks the
+        moves: `_move_events` for a linear move, the common circle for a full
+        twist.  The initial points and every target share the grid, so a
+        move replaces one entry of it.  An invalid program caches nothing and
+        raises on every call."""
         cur = self.initial
-        configs = [cur]
+        ends = tuple(mv.target for mv in self.moves if isinstance(mv, LinearMove))
+        flat = _grid(cur.points + ends)
+        grid, targets = flat[: self.n], iter(flat[self.n :])
+        configs, grids = [cur], [tuple(grid)]
         events: list[CollinearityEvent] = []
         twist = 0
         for idx, mv in enumerate(self.moves):
             if isinstance(mv, FullTwistMove):
-                if len({x * x + y * y for x, y in _grid(cur.points)}) != 1:
+                if len({x * x + y * y for x, y in grid}) != 1:
                     raise GenericityError(
                         "full twist requires all strands on a common circle about the origin"
                     )
                 twist += mv.turns
             elif isinstance(mv, LinearMove):
-                events.extend(segment_events(cur, mv.strand, mv.target, move_index=idx))
-                cur = cur._with_point(mv.strand, mv.target)  # checked by segment_events
+                cur.point(mv.strand)  # range check
+                end = next(targets)
+                events.extend(_move_events(grid, mv.strand, end, idx))
+                grid[mv.strand - 1] = end
+                cur = cur._with_point(mv.strand, mv.target)  # checked by _move_events
             else:
                 raise InvalidMove(f"unknown move {mv!r}")
             configs.append(cur)
-        return tuple(events), twist, tuple(configs)
-
-    @cached_property
-    def _boundary_grids(self) -> list[list[tuple[int, int]]]:
-        """The validated boundary configurations, on one `_grid`."""
-        flat = _grid([pt for cfg in boundary_configurations(self) for pt in cfg.points])
-        return [flat[k : k + self.n] for k in range(0, len(flat), self.n)]
+            grids.append(tuple(grid))
+        return tuple(events), twist, tuple(configs), tuple(grids)
 
 
 @dataclass(frozen=True)
@@ -284,19 +294,19 @@ class CompileOutput:
     twist_turns: int
 
 
-def _circle_point(t: Fraction) -> RationalPoint:
-    """Rational point on the unit circle at angle 2*atan(t)."""
-    den = 1 + t * t
-    return RationalPoint((1 - t * t) / den, 2 * t / den)
-
-
 def regular_rational_configuration(n: int) -> Configuration:
     """Rational stand-in for the regular n-gon on the unit circle.
 
     Strand j sits in the angular sector of the true vertex at turn fraction
-    j/n, placed via the tangent-half-angle map with a parameter that is
-    strictly monotone in the angle.  Cyclic order (and therefore every
-    triple's orientation) matches the true n-gon.
+    beta = b/n, with b = j for 2j <= n and b = j - n otherwise, so beta is in
+    (-1/2, 1/2].  Beta = 1/2 is the point (-1, 0).  Any other beta is placed
+    by the tangent-half-angle map ((1-t^2)/(1+t^2), 2t/(1+t^2)) at
+    t = 3*beta/(1 - 4*beta^2), which is strictly monotone on (-1/2, 1/2) and
+    exact at the rational vertices 0 and +-1/4.  Scaled by n^2, t = p/q with
+    p = 3bn and q = n^2 - 4b^2 > 0, so the point is
+    ((q^2 - p^2)/(q^2 + p^2), 2pq/(q^2 + p^2)), computed here in integers.
+    Cyclic order (and therefore every triple's orientation) matches the true
+    n-gon.
 
     The result is built without the O(n^2) check, because it cannot fail:
     every point lies exactly on the unit circle, and a line meets a circle
@@ -308,15 +318,13 @@ def regular_rational_configuration(n: int) -> Configuration:
         raise InvalidN(f"strand count must be >= 4, got {n}")
     pts = []
     for j in range(1, n + 1):
-        beta = Fraction(j, n)
-        if beta > Fraction(1, 2):
-            beta -= 1
-        if beta == Fraction(1, 2):
-            pts.append(RationalPoint(-1, 0))
+        b = j if 2 * j <= n else j - n
+        if 2 * b == n:
+            pts.append(RationalPoint(Fraction(-1), Fraction(0)))
         else:
-            # monotone on (-1/2, 1/2), exact at the rational vertices 0, ±1/4
-            t = 3 * beta / (1 - 4 * beta * beta)
-            pts.append(_circle_point(t))
+            p, q = 3 * b * n, n * n - 4 * b * b
+            r = q * q + p * p
+            pts.append(RationalPoint(Fraction(q * q - p * p, r), Fraction(2 * p * q, r)))
     return _trusted_configuration(n, tuple(pts))
 
 
@@ -349,37 +357,58 @@ def segment_events(
     """
     c.point(s)  # range check
     grid = _grid(c.points + (target,))
+    end = grid.pop()
+    return _move_events(grid, s, end, move_index)
+
+
+def _earlier(r, u) -> int:
+    """The sign of r's time minus u's, for roots (num, den, ...) with den > 0
+    at time num/den."""
+    return r[0] * u[1] - u[0] * r[1]
+
+
+_BY_TIME = cmp_to_key(_earlier)
+
+
+def _move_events(
+    grid: list[tuple[int, int]], s: int, end: tuple[int, int], move_index: int
+) -> list[CollinearityEvent]:
+    """`segment_events` on one integer grid: strand s moves from grid[s-1]
+    to the integer point `end`.  `grid` is trusted generic and left as it
+    is."""
+    n = len(grid)
     px, py = grid[s - 1]
-    dx, dy = grid[-1][0] - px, grid[-1][1] - py
+    dx, dy = end[0] - px, end[1] - py
     # each static strand relative to the mover's start, with its cross with d
     rel = []
-    for k in range(1, c.n + 1):
+    for k, (x, y) in enumerate(grid, 1):
         if k != s:
-            rx, ry = grid[k - 1][0] - px, grid[k - 1][1] - py
+            rx, ry = x - px, y - py
             rel.append((k, rx, ry, rx * dy - ry * dx))
     roots = []
     for (a, ax, ay, ad), (b, bx, by, bd) in combinations(rel, 2):
         # the orientation of (p0 + t*d, z_a, z_b) has the sign of num + t*den
         num = ax * by - ay * bx  # nonzero: the start configuration is generic
         den = bd - ad
-        if num + den == 0:
-            c.moved(s, target)  # the end configuration is degenerate: say how
+        if num + den == 0:  # the end configuration is degenerate: say how
+            _check_mover(grid[: s - 1] + [end] + grid[s:], s)
         if 0 < -num < den or den < -num < 0:  # 0 < -num/den < 1
-            roots.append((a, ax, ay, b, bx, by, num, den))
-    # the central from positions at t = -num/den relative to p0, times den
-    events = [
-        CollinearityEvent(
-            move_index,
-            Fraction(-num, den),
-            GenTriple(c.n, (s, a, b)),
-            _central(s, a, b, -num * dx, -num * dy, ax * den, ay * den, bx * den, by * den),
-        )
-        for a, ax, ay, b, bx, by, num, den in roots
-    ]
+            # in lowest terms with den > 0: the grid's numerators can be long
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            roots.append((-num // g, den // g, a, ax, ay, b, bx, by))
     # pairs come in lexicographic order, which for a fixed s is also the
     # order of the triples, so a stable sort by time alone gives (t, triple)
-    events.sort(key=attrgetter("t"))
-    return events
+    roots.sort(key=_BY_TIME)
+    # the central from positions at t = num/den relative to p0, times den
+    return [
+        CollinearityEvent(
+            move_index,
+            Fraction(num, den),
+            GenTriple(n, (s, a, b)),
+            _central(s, a, b, num * dx, num * dy, ax * den, ay * den, bx * den, by * den),
+        )
+        for num, den, a, ax, ay, b, bx, by in roots
+    ]
 
 
 def configuration_state(c: Configuration) -> OrientationState:
@@ -409,7 +438,7 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     collinear) but add to the twist count; their common-circle precondition
     is checked.  A program marked closed must end exactly where it started.
     """
-    events, twist, configs = p._walk
+    events, twist, configs, _ = p._walk
     if p.closed and configs[-1] != p.initial:
         raise NotClosed("program marked closed but the final configuration differs")
     return CompileOutput(GWord(p.n, tuple(e.triple for e in events)), events, twist)
@@ -445,7 +474,7 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
         raise BadTriple("linking needs two distinct strands")
     p.initial.point(i)  # range checks
     p.initial.point(j)
-    grids = p._boundary_grids
+    grids = p._walk[3]
     wn = sum(mv.turns for mv in p.moves if isinstance(mv, FullTwistMove))
     ux, uy = grids[0][i - 1][0] - grids[0][j - 1][0], grids[0][i - 1][1] - grids[0][j - 1][1]
     for k in range(1, len(grids)):
@@ -463,11 +492,12 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
 
     Strand i runs along its chord to z_j + w/m, once around the loop
     |a| + |b| = 1/m, where z = z_j + a*w + b*v, and back; w = z_i - z_j and
-    v = perp(w) + s*w.  Shears s in `_SHEARS` with v parallel to some
-    z_k - z_j are skipped; for the others m(s) is the smallest power of two
-    >= 4 with (a) |a_k| + |b_k| > 1/m for every other strand k and (b) no
-    corner on a line through two strands other than i and j.  The smallest
-    m(s) wins, the earlier shear on ties.
+    v = perp(w) + s*w, with perp(w) the quarter turn of w counterclockwise.
+    Shears s in `_SHEARS` with v parallel to some z_k - z_j are skipped; for
+    the others m(s) is the smallest power of two >= 4 with (a)
+    |a_k| + |b_k| > 1/m for every other strand k and (b) no corner on a line
+    through two strands other than i and j.  The smallest m(s) wins, the
+    earlier shear on ties, so the scan stops at the first m(s) = 4.
 
     Proof: the chord legs lie inside the unit circle that holds every
     strand, so they meet none, and they cancel in every winding number.
@@ -483,12 +513,13 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     if i == j:
         raise BadTriple("generator needs two distinct strands")
     cfg = regular_rational_configuration(n)
-    pi, pj = cfg.point(i), cfg.point(j)
+    pi = cfg.point(i)
+    cfg.point(j)  # range check
     grid = _grid(cfg.points)
     (xi, yi), (xj, yj) = grid[i - 1], grid[j - 1]
     wx, wy = xi - xj, yi - yj
     rel = [(x - xj, y - yj) for k, (x, y) in enumerate(grid, 1) if k not in (i, j)]
-    shapes = []
+    best = None
     for shear in _SHEARS:
         p, q = shear.numerator, shear.denominator
         vx, vy = p * wx - q * wy, p * wy + q * wx  # q*v
@@ -499,16 +530,29 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
         m = max(4, 1 << (q * (wx * wx + wy * wy) // span).bit_length())
         # (b), on the grid moved to z_j and scaled by q*m
         corners = ((q * wx, q * wy), (vx, vy), (-q * wx, -q * wy), (-vx, -vy))
-        while any(_collinear_pair(c, [(q * m * x, q * m * y) for x, y in rel]) for c in corners):
+        while True:
+            scaled = [(q * m * x, q * m * y) for x, y in rel]
+            if not any(_collinear_pair(c, scaled) for c in corners):
+                break
             m *= 2
-        shapes.append((m, shear))
-    if not shapes:
+        if best is None or m < best[0]:
+            best = m, q, vx, vy
+        if m == 4:  # no scale is smaller, and the earlier shear wins ties
+            break
+    if best is None:
         raise ConstructionFailure(f"every shear puts a loop corner on a line through strand {j}")
-    m, shear = min(shapes, key=lambda shape: shape[0])
-    u = (pi - pj) * Fraction(1, m)
-    v = perp(u) + u * shear
-    entry = pj + u
-    waypoints = (entry, pj + v, pj - u, pj - v, entry, pi)
+    m, q, vx, vy = best
+    # z_j +- u over m*den and z_j +- v over q*m*den, where u = w/m and q*v
+    # is (vx, vy) on the grid
+    den = m * _denominator(cfg.points)
+    around = (
+        (m * xj + wx, m * yj + wy, den),
+        (q * m * xj + vx, q * m * yj + vy, q * den),
+        (m * xj - wx, m * yj - wy, den),
+        (q * m * xj - vx, q * m * yj - vy, q * den),
+    )
+    loop = [RationalPoint(Fraction(x, d), Fraction(y, d)) for x, y, d in around]
+    waypoints = (*loop, loop[0], pi)
     return MoveProgram(cfg, tuple(LinearMove(i, w) for w in waypoints), closed=True)
 
 
@@ -650,10 +694,18 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
 _MAX_EXPONENT = 4300
 
 
+def _plain_int(text: str) -> bool:
+    """Whether `text` is ASCII digits with at most a leading minus sign."""
+    return text.isascii() and (text[1:] if text[:1] == "-" else text).isdigit()
+
+
 def _rational(value) -> Fraction:
     """A coordinate, read exactly from its text: an int, a string such as
     "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`)."""
     text = str(value)
+    num, slash, den = text.partition("/")
+    if _plain_int(num) and (not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > _MAX_EXPONENT:
         raise ValueError(f"exponent beyond {_MAX_EXPONENT}")

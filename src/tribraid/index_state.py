@@ -23,7 +23,7 @@ bit-slicing (Biham, "A fast new DES implementation in software", 1997).
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations, permutations
@@ -501,19 +501,20 @@ class CensusReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_table(self, full: bool = False) -> str:
-        lines = [
+    def lines(self, full: bool = False) -> Iterator[str]:
+        """The table's lines, each rendered when it is reached: a header,
+        then every row with `full`, else the violations."""
+        yield (
             f"census lemma={self.lemma} n={self.n} cases={self.cases} "
             f"violations={len(self.violations)}"
-        ]
-        rows = self.rows if full else self.violations
-        for r in rows:
+        )
+        for r in self.rows if full else self.violations:
             flag = "ok" if r.ok else "VIOLATION"
             line = f"state={r.state} case={r.case} statuses={r.statuses} {flag}"
-            if r.detail:
-                line += f" ({r.detail})"
-            lines.append(line)
-        return "\n".join(lines)
+            yield f"{line} ({r.detail})" if r.detail else line
+
+    def to_table(self, full: bool = False) -> str:
+        return "\n".join(self.lines(full))
 
 
 def _tags(g: GenTriple) -> tuple[str, ...]:
@@ -643,6 +644,8 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
         # the full state space is 2^C(n,3); sample it with a fixed seed
         rng = random.Random(seed)
         states = [rng.randrange(1 << width) for _ in range(samples)]
+    if not states:
+        return CensusReport(n, "commute", 0, _CensusRows(states, ()))
     size = len(states)
     cols = _columns(states, width)
     # letters by triple index; every letter far-commutes with another, so

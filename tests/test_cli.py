@@ -17,6 +17,7 @@ from tribraid import (
     program_from_json,
     program_to_json,
     pure_braid_generator_program,
+    relation_census,
 )
 from tribraid.cli import main
 
@@ -147,6 +148,7 @@ def test_census_full_table(capsys):
     code, out, _ = run(capsys, ["census", "--lemma", "square", "--n", "4", "--full"])
     assert code == 0
     assert len(out.strip().splitlines()) == 65
+    assert out == relation_census(4, "square").to_table(full=True) + "\n"
 
 
 def test_census_negative_samples_exit_2(capsys):

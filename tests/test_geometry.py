@@ -275,6 +275,26 @@ class TestRegularConfiguration:
             cfg = regular_rational_configuration(n)
             assert Configuration(n, cfg.points) == cfg
 
+    @staticmethod
+    def _half_angle_oracle(n):
+        """The points by the tangent-half-angle map on Fractions."""
+        pts = []
+        for j in range(1, n + 1):
+            beta = F(j, n)
+            if beta > F(1, 2):
+                beta -= 1
+            if beta == F(1, 2):
+                pts.append(P(-1, 0))
+            else:
+                t = 3 * beta / (1 - 4 * beta * beta)
+                den = 1 + t * t
+                pts.append(P((1 - t * t) / den, 2 * t / den))
+        return tuple(pts)
+
+    def test_matches_the_half_angle_oracle(self):
+        for n in range(4, 101):
+            assert regular_rational_configuration(n).points == self._half_angle_oracle(n)
+
 
 class TestConfiguration:
     def test_rejects_collinear_and_duplicate(self):
@@ -458,18 +478,23 @@ class TestOneWalk:
 
             return wrapper
 
-        monkeypatch.setattr(geometry, "segment_events", counted("events", segment_events))
+        # the integer kernel every linear move of a walk goes through
+        monkeypatch.setattr(geometry, "_move_events", counted("events", geometry._move_events))
+        monkeypatch.setattr(geometry, "_grid", counted("grid", geometry._grid))
         monkeypatch.setattr(Configuration, "moved", counted("moved", Configuration.moved))
         for prog in progs:
             for i, j in permutations(range(1, prog.n + 1), 2):
                 geometric_linking(prog, i, j)
             boundary_configurations(prog)
+            inverse_program(prog)
         assert calls == Counter()
-        # the counters do count: a fresh copy is walked once
+        # the counters do count: a fresh copy is walked once, on one grid,
+        # with one kernel call per linear move
         fresh = dataclasses.replace(progs[0])
         geometric_linking(fresh, 1, 2)
         compile_program(fresh)
-        assert calls == Counter(events=len(fresh.moves))
+        boundary_configurations(fresh)
+        assert calls == Counter(events=len(fresh.moves), grid=1)
 
 
 class TestEventPins:
@@ -762,6 +787,16 @@ class TestGeneratorProgram:
         row = [geometric_linking(prog, i, k) for k in range(1, n + 1) if k != i]
         assert row == [int(k == j) for k in range(1, n + 1) if k != i]
 
+    def test_programs_pinned(self):
+        # SHA-256 of every gadget's JSON at n = 4..12, taken from the
+        # construction that built its waypoints from RationalPoint arithmetic
+        # and compared every shear's scale
+        h = hashlib.sha256()
+        for n in range(4, 13):
+            for i, j in permutations(range(1, n + 1), 2):
+                h.update(json.dumps(program_to_json(pure_braid_generator_program(n, i, j))).encode())
+        assert h.hexdigest() == "69b4d213078d485aa21a657399332d74469bdce9a216256babec8f5f7020b60c"
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(BadTriple):
             pure_braid_generator_program(4, 2, 2)
@@ -875,6 +910,18 @@ class TestProgramJson:
         prog = program_from_json(obj)
         out = compile_program(prog)
         assert [g.elems for g in out.word.letters] == [(1, 3, 4), (1, 3, 4)]
+
+    def test_coordinates_read_as_fraction_reads_them(self):
+        texts = ["1_000", " 3/4", "+3", "-0", "--1", "\u0663/4", "3/0", "1/-2", "1e5", "0x10"]
+        texts += ["7" * 4301, "-12/8", "007/010", "-", "3/", "/4", "2/3/4", "-5"]
+        for text in texts:
+            try:
+                expected = F(text)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(ProgramParseError):
+                    geometry._point_from_json([text, "0"])
+            else:
+                assert geometry._point_from_json([text, text]) == P(expected, expected)
 
     def test_parse_errors(self):
         with pytest.raises(ProgramParseError):

@@ -332,6 +332,8 @@ class TestCensuses:
             (5, "commute", 512, 10 + 2 * 15),
             (6, "commute", 64, 20 + 2 * 100),
             (6, "commute", 1, 20 + 2 * 100),
+            # no states, no reads, whatever the number of letters
+            (14, "commute", 0, 0),
             # each letter, then each letter with its own triple flipped
             (4, "square", 512, 4 + 4),
             # each of the 8 letters of the 24 windows, at its prefix
@@ -391,6 +393,23 @@ class TestCensuses:
         assert {rows: 1}[listed] == 1
         assert rows == relation_census(6, "commute", samples=5, seed=3).rows
         assert rows != relation_census(6, "commute", samples=5, seed=4).rows
+
+    def test_lines_render_rows_as_they_are_read(self, monkeypatch):
+        report = relation_census(6, "commute", samples=64)
+        table = report.to_table(full=True)
+        rendered = 0
+        row = index_state._CensusRows._row
+
+        def counted(*args):
+            nonlocal rendered
+            rendered += 1
+            return row(*args)
+
+        monkeypatch.setattr(index_state._CensusRows, "_row", counted)
+        lines = report.lines(full=True)
+        assert next(lines) == table.split("\n", 1)[0] and rendered == 0
+        next(lines)
+        assert rendered == 1
 
     def test_unsupported_ranges(self):
         with pytest.raises(UnsupportedN):
