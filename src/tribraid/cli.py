@@ -132,8 +132,7 @@ def cmd_classify(args) -> int:
     cw = classify_word(w)
     print("pos\tletter\tstatus\tcentrals")
     for pos, (g, st) in enumerate(zip(w.letters, cw.statuses), start=1):
-        centrals = ",".join(map(str, sorted(st.centrals))) if st.good else "-"
-        print(f"{pos}\t{g}\t{'good' if st.good else 'bad'}\t{centrals}")
+        print(f"{pos}\t{g}\t{'good' if st.good else 'bad'}\t{st.central or '-'}")
     print(f"realisable: {'yes' if cw.realisable else 'no'}")
     return 0
 
@@ -253,12 +252,12 @@ def cmd_selftest(args) -> int:
     )
     from .group_core import all_generators, apply_move
     from .index_state import (
+        OrientationState,
         flip,
         initial_state,
         is_realisable,
         letter_status,
         run_word,
-        state_from_id,
     )
     from .reconstruction import NONTRIVIAL_BY_LINKING, kernel_witness
 
@@ -278,15 +277,15 @@ def cmd_selftest(args) -> int:
         # n=4 each letter has one outside strand, so the square census shows
         # every gap table entry unmasked by the AND of the others
         def tag(s, g):
-            central = letter_status(s, g).centrals
-            return f"{g}:g{min(central)}" if central else f"{g}:bad"
+            central = letter_status(s, g).central
+            return f"{g}:g{central}" if central else f"{g}:bad"
 
         for report in (
             relation_census(6, "commute", samples=8, seed=1997),
             relation_census(4, "square"),
         ):
             for row in report.rows:
-                s = state_from_id(report.n, row.state)
+                s = OrientationState(report.n, row.state)
                 letters = [parse_word(name, report.n).letters[0] for name in row.case.split("|")]
                 # a then b, and b then a; a square case is a then a
                 a, b = letters if len(letters) == 2 else letters * 2

@@ -91,23 +91,19 @@ def orientation(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> int:
     return (d > 0) - (d < 0)
 
 
-def _denominator(points) -> int:
-    """The least common denominator of the points' coordinates."""
+def _grid(points) -> tuple[list[tuple[int, int]], int]:
+    """The points as integer numerators over their least common denominator,
+    and that denominator: every predicate here is the sign of a polynomial
+    homogeneous in the coordinates, and every event time a ratio of two of
+    one degree."""
     den = 1
     for p in points:
         den = lcm(den, p.x.denominator, p.y.denominator)
-    return den
-
-
-def _grid(points) -> list[tuple[int, int]]:
-    """The points as integer numerators over one common positive denominator:
-    every predicate here is the sign of a polynomial homogeneous in the
-    coordinates, and every event time a ratio of two of one degree."""
-    den = _denominator(points)
-    return [
+    grid = [
         (p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator))
         for p in points
     ]
+    return grid, den
 
 
 def _collinear_pair(c: tuple[int, int], points) -> tuple[int, int] | None:
@@ -141,7 +137,7 @@ class Configuration:
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) != self.n:
             raise DimensionMismatch(f"{len(self.points)} points for n={self.n}")
-        grid = _grid(self.points)
+        grid, _ = _grid(self.points)
         for a, b in combinations(range(self.n), 2):
             if grid[a] == grid[b]:
                 raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
@@ -165,7 +161,7 @@ class Configuration:
         """
         self.point(strand)
         cfg = self._with_point(strand, target)
-        _check_mover(_grid(cfg.points), strand)
+        _check_mover(_grid(cfg.points)[0], strand)
         return cfg
 
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
@@ -243,16 +239,16 @@ class MoveProgram:
         return self.initial.n
 
     @cached_property
-    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple[Configuration, ...], tuple]:
+    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple, tuple, int]:
         """The events, the total twist and the boundary configurations, as
-        points and on one integer grid, from the one pass that checks the
-        moves: `_move_events` for a linear move, the common circle for a full
-        twist.  The initial points and every target share the grid, so a
-        move replaces one entry of it.  An invalid program caches nothing and
-        raises on every call."""
+        points and on one integer grid, with the grid's denominator, from the
+        one pass that checks the moves: `_move_events` for a linear move, the
+        common circle for a full twist.  The initial points and every target
+        share the grid, so a move replaces one entry of it.  An invalid
+        program caches nothing and raises on every call."""
         cur = self.initial
         ends = tuple(mv.target for mv in self.moves if isinstance(mv, LinearMove))
-        flat = _grid(cur.points + ends)
+        flat, den = _grid(cur.points + ends)
         grid, targets = flat[: self.n], iter(flat[self.n :])
         configs, grids = [cur], [tuple(grid)]
         events: list[CollinearityEvent] = []
@@ -274,7 +270,7 @@ class MoveProgram:
                 raise InvalidMove(f"unknown move {mv!r}")
             configs.append(cur)
             grids.append(tuple(grid))
-        return tuple(events), twist, tuple(configs), tuple(grids)
+        return tuple(events), twist, tuple(configs), tuple(grids), den
 
 
 @dataclass(frozen=True)
@@ -340,9 +336,7 @@ def _central(s, a, b, mx, my, ax, ay, bx, by) -> int:
     return a if (mx - ax) * (bx - ax) + (my - ay) * (by - ay) < 0 else b
 
 
-def segment_events(
-    c: Configuration, s: int, target: RationalPoint, move_index: int = 0
-) -> list[CollinearityEvent]:
+def segment_events(c: Configuration, s: int, target: RationalPoint) -> list[CollinearityEvent]:
     """Collinearity events while strand s moves linearly to `target`.
 
     For each static pair {a,b} the condition det(z_a - p(t), z_b - p(t)) = 0
@@ -353,12 +347,13 @@ def segment_events(
     and the mover must not meet a static point.  Events may share a time:
     their static pairs are then disjoint (a shared strand would put it on
     two distinct lines through the mover, or the mover on it), so their
-    letters far-commute and either order reads the same braid.
+    letters far-commute and either order reads the same braid.  Every
+    event's `move_index` is 0: only a program's walk numbers its moves.
     """
     c.point(s)  # range check
-    grid = _grid(c.points + (target,))
+    grid, _ = _grid(c.points + (target,))
     end = grid.pop()
-    return _move_events(grid, s, end, move_index)
+    return _move_events(grid, s, end, 0)
 
 
 def _earlier(r, u) -> int:
@@ -438,7 +433,7 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     collinear) but add to the twist count; their common-circle precondition
     is checked.  A program marked closed must end exactly where it started.
     """
-    events, twist, configs, _ = p._walk
+    events, twist, configs, _, _ = p._walk
     if p.closed and configs[-1] != p.initial:
         raise NotClosed("program marked closed but the final configuration differs")
     return CompileOutput(GWord(p.n, tuple(e.triple for e in events)), events, twist)
@@ -515,7 +510,7 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     cfg = regular_rational_configuration(n)
     pi = cfg.point(i)
     cfg.point(j)  # range check
-    grid = _grid(cfg.points)
+    grid, den = _grid(cfg.points)
     (xi, yi), (xj, yj) = grid[i - 1], grid[j - 1]
     wx, wy = xi - xj, yi - yj
     rel = [(x - xj, y - yj) for k, (x, y) in enumerate(grid, 1) if k not in (i, j)]
@@ -544,12 +539,11 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     m, q, vx, vy = best
     # z_j +- u over m*den and z_j +- v over q*m*den, where u = w/m and q*v
     # is (vx, vy) on the grid
-    den = m * _denominator(cfg.points)
     around = (
-        (m * xj + wx, m * yj + wy, den),
-        (q * m * xj + vx, q * m * yj + vy, q * den),
-        (m * xj - wx, m * yj - wy, den),
-        (q * m * xj - vx, q * m * yj - vy, q * den),
+        (m * xj + wx, m * yj + wy, m * den),
+        (q * m * xj + vx, q * m * yj + vy, q * m * den),
+        (m * xj - wx, m * yj - wy, m * den),
+        (q * m * xj - vx, q * m * yj - vy, q * m * den),
     )
     loop = [RationalPoint(Fraction(x, d), Fraction(y, d)) for x, y, d in around]
     waypoints = (*loop, loop[0], pi)
@@ -578,17 +572,16 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
     compile_program(p)
     if any(isinstance(mv, FullTwistMove) for mv in p.moves):
         raise InvalidMove("cannot embed a program containing full twists")
-    configs = boundary_configurations(p)
+    # every boundary configuration on the walk's one grid
+    grids, den = p._walk[3:]
     R = 8
-    while any(pt.x >= R for c in configs for pt in c.points):
+    while any(x >= R * den for grid in grids for x, _ in grid):
         R *= 2
-    # each configuration on its grid, with (R, 1) last
-    grids = [_grid(c.points + (RationalPoint(R, 1),)) for c in configs]
     d = next(
         d
         for k in count(1)
         for d in (k, -k)
-        if not any(_collinear_pair((g[-1][0], d * g[-1][1]), g[:-1]) for g in grids)
+        if not any(_collinear_pair((R * den, d * den), grid) for grid in grids)
     )
     cfg = _trusted_configuration(p.n + 1, p.initial.points + (RationalPoint(R, d),))
     return MoveProgram(cfg, p.moves, closed=p.closed)

@@ -83,10 +83,23 @@ def _mask(bits: bytearray) -> int:
 @dataclass(frozen=True)
 class OrientationState:
     """Signs on sorted strand triples; `minus` is the bitmask of the
-    triples at -1, so it is 0 exactly at the all-plus state."""
+    triples at -1, so it is 0 exactly at the all-plus state.  It is the id
+    censuses print, and the constructor checks it: n >= 4 and
+    0 <= minus < 2^C(n,3)."""
 
     n: int
     minus: int
+
+    def __post_init__(self):
+        if self.n < 4:
+            raise InvalidN(f"strand count must be >= 4, got {self.n}")
+        # the bit length, not a compare with 1 << C(n,3): that bound alone
+        # would be a 2.6 Mbit int at n = 250
+        width = self.minus.bit_length()
+        if self.minus < 0 or width > comb(self.n, 3):
+            # Python will not print an int of over 4,300 digits
+            shown = self.minus if width <= 256 else f"of {width} bits"
+            raise BadTriple(f"state id {shown} out of range for n={self.n}")
 
     @cached_property
     def _table(self) -> bytes:
@@ -110,8 +123,6 @@ def initial_state(n: int) -> OrientationState:
     sorted triple i<j<k the arc from i to j is shorter than the arc from i
     to k and the stored sign is +1.
     """
-    if n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n}")
     return OrientationState(n, 0)
 
 
@@ -215,26 +226,30 @@ def _centrals(base, bits, n: int, i: int, j: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class LetterStatus:
-    """The set of admissible central elements; good means nonempty.
+    """The admissible central element, 0 when there is none; good means
+    there is one.
 
-    Membership is unchanged by reversing the flanking order, so the set is
-    well defined.  For any single outside strand the three central
-    conditions are mutually exclusive (every gap table entry has at most
-    one bit), and n >= 4 leaves at least one outside strand, so the set
-    holds at most one element.
+    Admissibility is unchanged by reversing the flanking order, so the
+    central is well defined.  For any single outside strand the three
+    central conditions are mutually exclusive (every gap table entry has at
+    most one bit), and n >= 4 leaves at least one outside strand, so at
+    most one strand is admissible.
     """
 
-    centrals: frozenset[int]
+    central: int
 
     @property
     def good(self) -> bool:
-        return bool(self.centrals)
+        return self.central != 0
+
+    @cached_property
+    def centrals(self) -> frozenset[int]:
+        """The admissible centrals as a set: {central}, or empty when bad."""
+        return frozenset((self.central,) if self.central else ())
 
 
-@cache
-def _status(central: int) -> LetterStatus:
-    """The status admitting `central` alone, or the bad status for 0."""
-    return LetterStatus(frozenset((central,)) if central else frozenset())
+# one status per central, shared by every letter that admits it
+_status = cache(LetterStatus)
 
 
 def _status_at(base, bits, n: int, g: GenTriple) -> LetterStatus:
@@ -323,16 +338,6 @@ def enumerate_states(n: int):
     """All 2^C(n,3) orientation states, in the order of their masks."""
     for mask in range(1 << comb(n, 3)):
         yield OrientationState(n, mask)
-
-
-def state_id(s: OrientationState) -> int:
-    return s.minus
-
-
-def state_from_id(n: int, mask: int) -> OrientationState:
-    if not 0 <= mask < 1 << comb(n, 3):
-        raise BadTriple(f"state id {mask} out of range for n={n}")
-    return OrientationState(n, mask)
 
 
 class CensusRow(NamedTuple):
@@ -479,7 +484,7 @@ class _CensusRows(Sequence):
 
 @dataclass(frozen=True)
 class CensusReport:
-    """A census's verdicts: `cases` rows, one per state and case.
+    """A census's verdicts: one row per state and case.
 
     A census computes each letter's codes at all of its states at once
     (`_sliced_centrals`) and keeps those columns, not rows: `rows` is a
@@ -490,8 +495,11 @@ class CensusReport:
 
     n: int
     lemma: str
-    cases: int
     rows: _CensusRows
+
+    @property
+    def cases(self) -> int:
+        return len(self.rows)
 
     @cached_property
     def violations(self) -> tuple[CensusRow, ...]:
@@ -599,7 +607,7 @@ def _tetra_census() -> CensusReport:
             )
         )
     rows = _CensusRows(states, tuple(cases))
-    return CensusReport(4, "tetra", len(rows), rows)
+    return CensusReport(4, "tetra", rows)
 
 
 def _square_detail(codes: bytes) -> str:
@@ -627,7 +635,7 @@ def _square_census() -> CensusReport:
             )
         )
     rows = _CensusRows(states, tuple(cases))
-    return CensusReport(4, "square", len(rows), rows)
+    return CensusReport(4, "square", rows)
 
 
 def _commute_detail(codes: bytes) -> str:
@@ -645,7 +653,7 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
         rng = random.Random(seed)
         states = [rng.randrange(1 << width) for _ in range(samples)]
     if not states:
-        return CensusReport(n, "commute", 0, _CensusRows(states, ()))
+        return CensusReport(n, "commute", _CensusRows(states, ()))
     size = len(states)
     cols = _columns(states, width)
     # letters by triple index; every letter far-commutes with another, so
@@ -675,7 +683,7 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
             )
         )
     rows = _CensusRows(states, tuple(cases))
-    return CensusReport(n, "commute", len(rows), rows)
+    return CensusReport(n, "commute", rows)
 
 
 def commute_census_rows(n: int, samples: int) -> int:

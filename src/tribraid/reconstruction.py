@@ -14,7 +14,7 @@ no rays).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -46,25 +46,18 @@ class CylLetter:
 
 @dataclass(frozen=True)
 class CylWord:
-    """A cylindrical braid word; every swap must be cyclically adjacent."""
+    """A cylindrical braid word; every swap must be cyclically adjacent.
+    `final_order` is the ray order the swaps leave, computed by replaying
+    them."""
 
     n: int
     axis: int
     letters: tuple[CylLetter, ...]
-    final_order: tuple[int, ...]
+    final_order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        order = _replay_order(self.n, self.axis, self.letters)
-        if order != tuple(self.final_order):
-            raise AdjacencyViolation(
-                f"declared final order {self.final_order} does not match the swap replay {order}"
-            )
-
-    @classmethod
-    def from_letters(cls, n: int, axis: int, letters) -> "CylWord":
-        letters = tuple(letters)
-        return cls(n, axis, letters, _replay_order(n, axis, letters))
+        object.__setattr__(self, "final_order", _replay_order(self.n, self.axis, self.letters))
 
     def __str__(self) -> str:
         return " ".join(str(lt) for lt in self.letters)
@@ -95,7 +88,7 @@ def _replay_order(n: int, axis: int, letters) -> tuple[int, ...]:
 
 
 def empty_cyl_word(n: int, axis: int) -> CylWord:
-    return CylWord(n, axis, (), initial_cyclic_order(n, axis))
+    return CylWord(n, axis, ())
 
 
 def reconstruct_axis(w: GWord, axis: int) -> CylWord:
@@ -142,7 +135,7 @@ def _swaps(cw: ClassifiedWord, orders: dict[int, list[int]]):
     which reads (outer, a, inner), gets the opposite sign."""
     odd: set[tuple[int, int, int]] = set()
     for g, st in zip(cw.word.letters, cw.statuses):
-        (inner,) = st.centrals
+        inner = st.central
         elems = i, j, k = g.elems
         a, b = (j, k) if inner == i else (i, k) if inner == j else (i, j)
         flipped = elems in odd

@@ -39,6 +39,9 @@ def test_gen_full_twist_pipes_into_compile(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, ["compile", str(path), "--check-closed"])
     assert code == 0
     assert out.strip() == ""  # the empty word
+    # a twist has no events, only its turns
+    code, out, _ = run(capsys, ["compile", "--events", "-"], program_json, monkeypatch)
+    assert (code, out) == (0, "\ntwist_turns=1\n")
 
 
 def test_compile_from_stdin_with_events(capsys, monkeypatch):
@@ -57,6 +60,8 @@ def test_compile_n_flag_must_match(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(program_to_json(prog)))
     code, _, err = run(capsys, ["compile", str(path), "--n", "5"])
     assert code == 2 and "contradicts" in err
+    code, _, err = run(capsys, ["compile", str(tmp_path / "missing.json")])
+    assert code == 2 and err.startswith(f"error: cannot read {tmp_path / 'missing.json'}")
 
 
 def test_classify_marks_bad_letter(capsys):
@@ -167,6 +172,17 @@ def test_reconstruct_word_and_invariants(capsys):
     )
     assert code == 0
     assert "permutation: ()" in out
+    # one swap of rays 2 and 3 around axis 1: a 2-cycle and half a linking
+    code, out, _ = run(capsys, ["reconstruct", "--n", "4", "--axis", "1", "--invariants", "a123"])
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "permutation: (2 3)",
+        "linking:",
+        "          2     3     4",
+        "    2     .  -1/2     0",
+        "    3  -1/2     .     0",
+        "    4     0     0     .",
+    ]
 
 
 def test_reconstruct_not_realisable_exits_1(capsys):
@@ -184,6 +200,10 @@ def test_gen_braid_and_embed(capsys, tmp_path):
     code, out, _ = run(capsys, ["gen", "--embed", str(path)])
     assert code == 0
     assert program_from_json(json.loads(out)).n == 5
+    code, out, err = run(capsys, ["gen", "--braid", "1,2"])
+    assert (code, out, err) == (2, "", "error: --braid requires --n\n")
+    code, out, err = run(capsys, ["gen", "--braid", "1;2", "--n", "4"])
+    assert (code, out, err) == (2, "", "error: --braid expects 'i,j', got '1;2'\n")
 
 
 def test_gen_above_the_n_ceiling_exits_2_before_building(capsys, monkeypatch):
@@ -470,6 +490,22 @@ print("alive:", [r() is not None for r in refs])
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "alive: [False, False, False]"
+
+
+def test_export_list_is_what_the_package_binds():
+    # a stale entry would make `from tribraid import *` raise
+    tree = ast.parse(Path(tribraid.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in bound if not name.startswith("_")}
+    assert len(tribraid.__all__) == len(public) and set(tribraid.__all__) == public
+    namespace = {}
+    exec("from tribraid import *", namespace)
+    assert public <= namespace.keys()
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

@@ -15,7 +15,9 @@ from tribraid import (
     GenTriple,
     InvalidBudget,
     InvalidN,
+    LetterStatus,
     MoveKind,
+    OrientationState,
     UnsupportedN,
     all_generators,
     applicable_moves,
@@ -32,8 +34,6 @@ from tribraid import (
     run_word,
     signed_index,
     stable_projection,
-    state_from_id,
-    state_id,
     tetra_letters,
 )
 from tribraid import index_state
@@ -96,8 +96,15 @@ class TestFlip:
         assert s.value((1, 3, 4)) == 1
 
     def test_dimension_mismatch(self):
+        g = GenTriple(4, (1, 2, 3))
         with pytest.raises(DimensionMismatch):
-            flip(initial_state(5), GenTriple(4, (1, 2, 3)))
+            flip(initial_state(5), g)
+        with pytest.raises(DimensionMismatch):
+            run_word(initial_state(5), GWord(4, (g,)))
+        with pytest.raises(DimensionMismatch):
+            letter_status(initial_state(5), g)
+        with pytest.raises(DimensionMismatch):
+            classify_word(GWord(4, (g,)), start=initial_state(5))
 
 
 class TestRunWord:
@@ -125,7 +132,14 @@ class TestLetterStatus:
     def test_a123_bad_after_a134(self):
         s = flip(initial_state(4), GenTriple(4, (1, 3, 4)))
         st = letter_status(s, GenTriple(4, (1, 2, 3)))
-        assert st.centrals == frozenset() and not st.good
+        assert st.centrals == frozenset() and not st.good and st.central == 0
+
+    def test_one_central_or_none(self):
+        assert LetterStatus(2).centrals == frozenset({2}) and LetterStatus(2).good
+        assert LetterStatus(0).centrals == frozenset() and not LetterStatus(0).good
+        # the set is a view of the central: it cannot be set apart from it
+        with pytest.raises(AttributeError):
+            LetterStatus(2).centrals = frozenset({3})
 
     def test_status_unchanged_by_own_flip(self):
         # the central conditions only read triples containing an outside strand
@@ -181,7 +195,7 @@ class TestBitmaskOracle:
             gens = all_generators(n)
             for _ in range(200):
                 mask = self.random_mask(rng, len(triples))
-                s = state_from_id(n, mask)
+                s = OrientationState(n, mask)
                 for b in rng.sample(range(len(triples)), 3):
                     assert s.value(triples[b]) == (-1 if mask >> b & 1 else 1)
                 g = rng.choice(gens)
@@ -197,8 +211,8 @@ class TestBitmaskOracle:
                 expected = mask
                 for g in w.letters:
                     expected ^= 1 << rank[g.elems]
-                assert run_word(state_from_id(n, mask), w).minus == expected
-                cw = classify_word(w, start=state_from_id(n, mask))
+                assert run_word(OrientationState(n, mask), w).minus == expected
+                cw = classify_word(w, start=OrientationState(n, mask))
                 assert cw.final_state.minus == expected
 
     def test_gap_tables_admit_at_most_one_central(self):
@@ -504,8 +518,20 @@ class TestSlicedKernel:
 
 class TestStateEnumeration:
     def test_round_trip_ids(self):
-        for s in enumerate_states(4):
-            assert state_from_id(4, state_id(s)) == s
+        # a state's id is its mask, and the constructor takes it back
+        for mask, s in enumerate(enumerate_states(4)):
+            assert s.minus == mask and OrientationState(4, s.minus) == s
+
+    def test_constructor_checks_the_state(self):
+        for mask in (-1, 1 << 4, 1 << 100):
+            with pytest.raises(BadTriple, match=f"state id {mask} out of range for n=4"):
+                OrientationState(4, mask)
+        OrientationState(4, (1 << 4) - 1)
+        OrientationState(250, (1 << comb(250, 3)) - 1)
+        with pytest.raises(BadTriple, match="state id of 2573001 bits out of range for n=250"):
+            OrientationState(250, 1 << comb(250, 3))
+        with pytest.raises(InvalidN, match="strand count must be >= 4, got 3"):
+            OrientationState(3, 0)
 
     def test_count(self):
         assert sum(1 for _ in enumerate_states(4)) == 16
@@ -537,8 +563,8 @@ class TestByteTablePins:
         # nonzero start is turned into one byte per triple
         width = comb(n, 3)
         yield None
-        yield state_from_id(n, rng.getrandbits(width))
-        yield state_from_id(n, sum(1 << b for b in rng.sample(range(width), 3)))
+        yield OrientationState(n, rng.getrandbits(width))
+        yield OrientationState(n, sum(1 << b for b in rng.sample(range(width), 3)))
 
     @classmethod
     def _corpus(cls):

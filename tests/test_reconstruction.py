@@ -54,33 +54,30 @@ class TestCyclicOrder:
 class TestCylWord:
     def test_replay_validation(self):
         # ring of three: all pairs adjacent, opposite swaps cancel
-        c = CylWord.from_letters(
-            4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1))
-        )
+        c = CylWord(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
         assert c.final_order == (1, 2, 3)
+        # the final order is the replay's, never declared
+        with pytest.raises(TypeError):
+            CylWord(4, 4, (), (1, 2, 3))
 
     def test_adjacency_violation_on_ring_of_four(self):
         with pytest.raises(AdjacencyViolation):
-            CylWord.from_letters(5, 5, (CylLetter(1, 3, 1),))
+            CylWord(5, 5, (CylLetter(1, 3, 1),))
 
     def test_wrap_adjacency_allowed(self):
-        c = CylWord.from_letters(5, 5, (CylLetter(1, 4, 1),))
+        c = CylWord(5, 5, (CylLetter(1, 4, 1),))
         assert c.final_order == (4, 2, 3, 1)
-
-    def test_declared_final_order_checked(self):
-        with pytest.raises(AdjacencyViolation):
-            CylWord(4, 4, (CylLetter(1, 2, 1),), (1, 2, 3))
 
     def test_rejects_axis_and_bad_ids(self):
         with pytest.raises(BadTriple):
-            CylWord.from_letters(4, 4, (CylLetter(1, 4, 1),))
+            CylWord(4, 4, (CylLetter(1, 4, 1),))
         with pytest.raises(BadTriple):
-            CylWord.from_letters(4, 4, (CylLetter(2, 2, 1),))
+            CylWord(4, 4, (CylLetter(2, 2, 1),))
         with pytest.raises(BadTriple):
-            CylWord.from_letters(4, 4, (CylLetter(1, 2, 2),))
+            CylWord(4, 4, (CylLetter(1, 2, 2),))
 
     def test_text_format(self):
-        c = CylWord.from_letters(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
+        c = CylWord(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
         assert str(c) == "b(1,2,+) b(1,2,-)"
 
 
@@ -114,12 +111,12 @@ class TestAnnularInvariants:
         assert all(v == 0 for _, v in inv.linking)
 
     def test_opposite_swaps_cancel(self):
-        c = CylWord.from_letters(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
+        c = CylWord(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
         inv = annular_invariants(c)
         assert inv.is_identity and inv.linking_of(1, 2) == 0
 
     def test_half_integer_single_swap(self):
-        c = CylWord.from_letters(4, 4, (CylLetter(1, 2, 1),))
+        c = CylWord(4, 4, (CylLetter(1, 2, 1),))
         inv = annular_invariants(c)
         assert not inv.is_identity
         assert inv.linking_of(1, 2) == Fraction(1, 2)
