@@ -152,20 +152,9 @@ class Configuration:
             raise BadTriple(f"strand {strand} out of range 1..{self.n}")
         return self.points[strand - 1]
 
-    def moved(self, strand: int, target: RationalPoint) -> "Configuration":
-        """This configuration with `strand` at `target`.
-
-        Trusts `self` to be generic, so only the pairs and triples through
-        `strand` are checked, in O(n): every other triple is unchanged.
-        The errors are those the full check would raise.
-        """
-        self.point(strand)
-        cfg = self._with_point(strand, target)
-        _check_mover(_grid(cfg.points)[0], strand)
-        return cfg
-
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
-        """`moved` without its check, for a target already known generic."""
+        """This configuration with `strand` at `target`, unchecked: the
+        caller has already checked the target generic."""
         pts = list(self.points)
         pts[strand - 1] = target
         return _trusted_configuration(self.n, tuple(pts))
@@ -214,7 +203,7 @@ class FullTwistMove:
     turns: int
 
     def __post_init__(self):
-        if not isinstance(self.turns, int) or self.turns == 0:
+        if type(self.turns) is not int or self.turns == 0:
             raise InvalidMove(f"full twist needs a nonzero integer turn count, got {self.turns!r}")
 
 
@@ -696,6 +685,9 @@ def _rational(value) -> Fraction:
     """A coordinate, read exactly from its text: an int, a string such as
     "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`)."""
     text = str(value)
+    # the int and "p/q" branch is a fast path, not a second reading: without
+    # it `motion` fell about 3.5 % over 4 alternating 10-s pairs (all four
+    # worse), and 1.6-3.4 % over 3 more, on a shared 2-core x86-64 machine
     num, slash, den = text.partition("/")
     if _plain_int(num) and (not slash or den.isascii() and den.isdigit()):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))

@@ -47,9 +47,6 @@ class GenTriple:
         if self.elems != elems:  # a sorted tuple is kept, not copied
             object.__setattr__(self, "elems", elems)
 
-    def __contains__(self, strand: int) -> bool:
-        return strand in self.elems
-
     def __str__(self) -> str:
         if self.n <= 9:
             return "a" + "".join(str(i) for i in self.elems)

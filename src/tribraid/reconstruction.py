@@ -14,6 +14,7 @@ no rays).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -64,7 +65,10 @@ class CylWord:
 
 
 def _swap_adjacent(order: list[int], a: int, b: int) -> None:
-    pa, pb = order.index(a), order.index(b)
+    try:
+        pa, pb = order.index(a), order.index(b)
+    except ValueError:
+        raise BadTriple(f"swap of {a} and {b} names a strand missing from {tuple(order)}") from None
     last = len(order) - 1
     adjacent = abs(pa - pb) == 1 or (last > 1 and {pa, pb} == {0, last})
     if not adjacent:
@@ -79,8 +83,6 @@ def _replay_order(n: int, axis: int, letters) -> tuple[int, ...]:
     for lt in letters:
         if lt.inner == lt.outer or axis in (lt.inner, lt.outer):
             raise BadTriple(f"bad swap letter {lt} for axis {axis}")
-        if lt.inner not in order or lt.outer not in order:
-            raise BadTriple(f"swap letter {lt} names a missing strand")
         if lt.sign not in (-1, 1):
             raise BadTriple(f"swap sign must be ±1, got {lt.sign}")
         _swap_adjacent(order, lt.inner, lt.outer)
@@ -101,27 +103,22 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
     calibrated so a counterclockwise revolution of one strand about another
     contributes +1 to their linking number.
     """
-    order = list(initial_cyclic_order(w.n, axis))
+    initial_cyclic_order(w.n, axis)  # a bad axis raises before classifying
     cw = classify_word(w)
     if not cw.realisable:
         bad = [i for i, st in enumerate(cw.statuses) if not st.good]
         raise NotRealisable(f"letters at positions {bad} are not realisable")
-    swaps = _swaps(cw, {axis: order})
-    letters = [CylLetter(inner, outer, sign) for _, inner, outer, sign in swaps]
-    # every swap was checked adjacent as it was made: skip CylWord's replay
-    cyl = object.__new__(CylWord)
-    object.__setattr__(cyl, "n", w.n)
-    object.__setattr__(cyl, "axis", axis)
-    object.__setattr__(cyl, "letters", tuple(letters))
-    object.__setattr__(cyl, "final_order", tuple(order))
-    return cyl
+    letters = tuple(CylLetter(inner, outer, sign) for _, inner, outer, sign in _swaps(cw, (axis,)))
+    return CylWord(w.n, axis, letters)
 
 
-def _swaps(cw: ClassifiedWord, orders: dict[int, list[int]]):
-    """Make every ray swap of a word classified realisable from the initial
-    state on the ray orders in `orders`, checking adjacency, and yield each
-    as (axis, inner, outer, sign) in word order.  A letter with central c
-    swaps c (inner) with its third strand (outer) at its two other strands.
+def _swaps(cw: ClassifiedWord, axes: Container[int]):
+    """Yield every ray swap around the axes in `axes` of a word classified
+    realisable from the initial state, as (axis, inner, outer, sign) in
+    word order.  A letter with central c swaps c (inner) with its third
+    strand (outer) at its two other strands.  No ray order is kept here:
+    a `CylWord` replays its own, and `kernel_witness` makes the swaps on its
+    orders.
 
     The sign around axis a is that of the ordered triple (a, outer, inner)
     at the letter's prefix state, and it reads no state: that triple is the
@@ -144,11 +141,9 @@ def _swaps(cw: ClassifiedWord, orders: dict[int, list[int]]):
         else:
             odd.add(elems)
         sign = -1 if flipped != (inner == j) else 1
-        if a in orders:
-            _swap_adjacent(orders[a], inner, b)
+        if a in axes:
             yield a, inner, b, sign
-        if b in orders:
-            _swap_adjacent(orders[b], inner, a)
+        if b in axes:
             yield b, inner, a, -sign
 
 
@@ -233,8 +228,7 @@ def invariants_equal_mod_full_twist(a: AnnularInvariants, b: AnnularInvariants):
         raise DimensionMismatch("invariants cover different strand sets")
     if a.perm != b.perm:
         return None
-    b_linking = dict(b.linking)
-    diffs = {b_linking[pair] - value for pair, value in a.linking}
+    diffs = {b._by_pair[pair] - value for pair, value in a.linking}
     if len(diffs) != 1:
         return None
     (m,) = diffs
@@ -313,7 +307,8 @@ def kernel_witness(w: GWord) -> KernelVerdict:
     axes = range(1, w.n + 1)
     orders = {axis: list(initial_cyclic_order(w.n, axis)) for axis in axes}
     sums: dict[int, Counter] = {axis: Counter() for axis in axes}
-    for axis, inner, outer, sign in _swaps(cw, orders):
+    for axis, inner, outer, sign in _swaps(cw, axes):
+        _swap_adjacent(orders[axis], inner, outer)
         sums[axis][min(inner, outer), max(inner, outer)] += sign
     for axis in axes:
         pair = _deviating_pair(initial_cyclic_order(w.n, axis), orders[axis], sums[axis])

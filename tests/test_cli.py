@@ -524,3 +524,27 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_only_the_trusted_configuration_bypasses_a_constructor():
+    # object.__new__ skips a class's own checks: one builder, for points
+    # already known generic, may do that, and nothing else in the package
+    package = Path(tribraid.__file__).resolve().parent
+    found = []
+
+    def visit(node, path, scope):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            found.append((path.name, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, None)
+    assert found == [("geometry.py", "_trusted_configuration")]

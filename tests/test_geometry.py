@@ -310,39 +310,6 @@ class TestConfiguration:
         with pytest.raises(BadTriple):
             cfg.point(5)
 
-    def test_moved_matches_full_check(self):
-        # moved re-checks only the triples through the moved strand; on a
-        # generic source it must agree with the full check on every target
-        rng = random.Random(53)
-        rejected = 0
-        for _ in range(300):
-            n = rng.randint(4, 7)
-            while True:
-                pts = [P(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n)]
-                try:
-                    cfg = Configuration(n, pts)
-                    break
-                except GenericityError:
-                    continue
-            s = rng.randint(1, n)
-            a, b = rng.sample([k for k in range(1, n + 1) if k != s], 2)
-            za, zb = cfg.point(a), cfg.point(b)
-            target = rng.choice([
-                P(rng.randint(-6, 6), rng.randint(-6, 6)),
-                za + (zb - za) * F(rng.randint(-5, 5), rng.randint(1, 4)),
-                za,
-            ])
-            full = pts[: s - 1] + [target] + pts[s:]
-            try:
-                expected = Configuration(n, full)
-            except GenericityError as exc:
-                rejected += 1
-                with pytest.raises(GenericityError, match=re.escape(str(exc))):
-                    cfg.moved(s, target)
-                continue
-            assert cfg.moved(s, target) == expected
-        assert 100 < rejected < 250  # both outcomes are well exercised
-
 
 class TestIntegerKernelOracle:
     """The integer kernels against the pure-Fraction oracle above: the same
@@ -381,9 +348,6 @@ class TestIntegerKernelOracle:
             else:
                 seen[re.sub(r"[0-9]+", "#", got[1])] += 1
             assert got == expected
-            got = _outcome(cfg.moved, s, target)
-            got = (got[0], got[1].points) if got[0] == "ok" else got
-            assert got == _outcome(_oracle_moved, pts, s, target)
             full = pts[: s - 1] + (target,) + pts[s:]
             got = _outcome(Configuration, n, full)
             got = (got[0], got[1].points) if got[0] == "ok" else got
@@ -482,7 +446,6 @@ class TestOneWalk:
         # the integer kernel every linear move of a walk goes through
         monkeypatch.setattr(geometry, "_move_events", counted("events", geometry._move_events))
         monkeypatch.setattr(geometry, "_grid", counted("grid", geometry._grid))
-        monkeypatch.setattr(Configuration, "moved", counted("moved", Configuration.moved))
         for prog in progs:
             for i, j in permutations(range(1, prog.n + 1), 2):
                 geometric_linking(prog, i, j)
@@ -577,31 +540,26 @@ class TestSegmentEvents:
                 assert e1.triple < e2.triple and far_commutes(e1.triple, e2.triple)
 
     def test_event_counts_match_orientation_flips(self):
-        rng = random.Random(43)
         for seed in range(15):
             prog = random_closed_program(5, seed=seed)
-            cur = prog.initial
-            for mv in prog.moves:
+            configs = boundary_configurations(prog)
+            for mv, cur, nxt in zip(prog.moves, configs, configs[1:]):
                 events = segment_events(cur, mv.strand, mv.target)
-                nxt = cur.moved(mv.strand, mv.target)
                 by_triple = Counter(e.triple.elems for e in events)
                 for t in combinations(range(1, 6), 3):
                     o0 = orientation(*(cur.point(s) for s in t))
                     o1 = orientation(*(nxt.point(s) for s in t))
                     assert by_triple.get(t, 0) == (1 if o0 != o1 else 0)
-                cur = nxt
 
     def test_event_times_are_exact_roots(self):
         prog = random_closed_program(4, seed=9)
-        cur = prog.initial
-        for mv in prog.moves:
+        for mv, cur in zip(prog.moves, boundary_configurations(prog)):
             p0 = cur.point(mv.strand)
             d = mv.target - p0
             for e in segment_events(cur, mv.strand, mv.target):
                 a, b = (s for s in e.triple.elems if s != mv.strand)
                 pos = p0 + d * e.t
                 assert orientation(pos, cur.point(a), cur.point(b)) == 0
-            cur = cur.moved(mv.strand, mv.target)
 
 
 class TestCompile:

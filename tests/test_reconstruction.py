@@ -75,6 +75,9 @@ class TestCylWord:
             CylWord(4, 4, (CylLetter(2, 2, 1),))
         with pytest.raises(BadTriple):
             CylWord(4, 4, (CylLetter(1, 2, 2),))
+        # a strand outside 1..n is missing from the ray order
+        with pytest.raises(BadTriple):
+            CylWord(4, 4, (CylLetter(1, 9, 1),))
 
     def test_text_format(self):
         c = CylWord(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
@@ -330,8 +333,7 @@ class TestLocality:
             for _ in range(3):
                 w = good_walk(rng, n, 30)
                 for v in (w, GWord(n, w.letters + w.letters[::-1])):
-                    orders = {a: list(initial_cyclic_order(n, a)) for a in range(1, n + 1)}
-                    swaps = list(_swaps(classify_word(v), orders))
+                    swaps = list(_swaps(classify_word(v), range(1, n + 1)))
                     assert len(swaps) == 2 * len(v.letters)
                     s = initial_state(n)
                     for pos, g in enumerate(v.letters):
