@@ -49,12 +49,15 @@ from .reconstruction import (
 
 # Ceilings on the size arguments, checked before anything is read or built
 # (exit 2), from growth measured in one process on a shared 2-core machine,
-# Python 3.11.  Classifying keeps one state, a table of C(n,3) bytes, whatever
-# the word's length: 2.5 MiB at n = 250, where a word costs 10-20 ms for its
-# table and final mask and about 0.1 ms per good letter (200 random letters
-# take 0.23 s and peak at 23 MiB as a command); at n = 500 one letter takes
-# 0.1 s and 65 MiB.
-MAX_WORD_N = 250
+# Python 3.11.  Classifying keeps the pair rows a word touches and one bit per
+# triple, C(n,3)/8 bytes (2.6 MB at n = 500).  As commands, 200 random letters
+# take 0.11 s and 19 MiB to classify at n = 250 and 0.14-0.19 s and 32 MiB at
+# n = 500 (0.3-0.47 s and 109 MiB at n = 1000), with 0.11 s and 17 MiB of
+# that the interpreter and its imports; `project --stable` takes 0.17-0.18 s
+# and 31 MiB at n = 500.  The costliest is `reconstruct --invariants`, whose
+# table has (n-1)^2 cells: 0.30 s and 26 MiB at n = 250, 0.92-0.94 s and
+# 54 MiB at n = 500 for a realisable 200-letter word.
+MAX_WORD_N = 500
 # One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
 # search reaches the letter limit in 3.1 s and 243 MiB at n = 100, and in
 # 7.5 s and 367 MiB at n = 150.

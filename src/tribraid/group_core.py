@@ -37,12 +37,18 @@ class GenTriple:
     elems: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n}")
-        elems = tuple(sorted(self.elems))
+        if type(self.n) is not int or self.n < 4:
+            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
+        try:
+            elems = tuple(sorted(self.elems))
+        except TypeError:  # not a sequence, or indices that do not compare
+            raise BadTriple(f"need three int indices, got {self.elems!r}") from None
         if len(elems) != 3 or len(set(elems)) != 3:
             raise BadTriple(f"need three distinct indices, got {tuple(self.elems)}")
-        if elems[0] < 1 or elems[2] > self.n:
+        i, j, k = elems
+        if not type(i) is type(j) is type(k) is int:  # a bool or a float is not a strand
+            raise BadTriple(f"need three int indices, got {tuple(self.elems)}")
+        if i < 1 or k > self.n:
             raise BadTriple(f"indices {elems} out of range 1..{self.n}")
         if self.elems != elems:  # a sorted tuple is kept, not copied
             object.__setattr__(self, "elems", elems)
@@ -89,10 +95,15 @@ class GWord:
     letters: tuple[GenTriple, ...] = ()
 
     def __post_init__(self):
-        if self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n}")
-        object.__setattr__(self, "letters", tuple(self.letters))
+        if type(self.n) is not int or self.n < 4:
+            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
+        try:
+            object.__setattr__(self, "letters", tuple(self.letters))
+        except TypeError:
+            raise BadTriple(f"letters must be a sequence of generators, got {self.letters!r}") from None
         for g in self.letters:
+            if type(g) is not GenTriple:
+                raise BadTriple(f"letter {g!r} is not a generator")
             if g.n != self.n:
                 raise DimensionMismatch(f"letter {g} has n={g.n}, word has n={self.n}")
 

@@ -13,6 +13,12 @@ A state is an int bitmask over the sorted triples in lexicographic order
 that reads a state many times reads a byte table instead, one byte per
 triple (`_bits`), because every read of an int's bit copies the whole int.
 
+A letter is read from three pair rows: the row of x<y is an int whose bit p
+is the bit of triple {x,y,p}.  Its status is a few whole-int operations on
+the rows of its pairs ij, ik and jk (`_central`), whatever n is, and the
+letter flips one bit in each of them.  `classify_word` keeps only the rows
+the word touches; `letter_status` reads its three from the byte table.
+
 A census reads a letter at many states at once, sliced by triple
 (`_columns`): triple b's column is an int whose byte s is bit b of state s,
 so one whole-int operation acts on every state, and `_sliced_centrals` looks
@@ -62,7 +68,6 @@ def _bit(base, g: GenTriple) -> int:
 
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
-_BITS_ASCII = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bits(mask: int, width: int) -> bytearray:
@@ -71,13 +76,6 @@ def _bits(mask: int, width: int) -> bytearray:
     if not mask:
         return bytearray(width)
     return bytearray(f"{mask:0{width}b}"[::-1], "ascii").translate(_ASCII_BITS)
-
-
-def _mask(bits: bytearray) -> int:
-    """The mask of a byte table; the inverse of `_bits`."""
-    digits = bits.translate(_BITS_ASCII)
-    digits.reverse()
-    return int(digits, 2)
 
 
 @dataclass(frozen=True)
@@ -195,40 +193,49 @@ def _gap_table(gap: int) -> tuple[int, ...]:
 _GAP_TABLES = tuple(_gap_table(gap) for gap in range(4))
 
 
-def _centrals(base, bits, n: int, i: int, j: int, k: int) -> int:
-    """The centrals of letter i<j<k at the state whose byte table is `bits`,
-    as a bitset over (i, j, k): the AND over the outside strands of their
-    gap table entries.
+def _row(base, table, n: int, x: int, y: int) -> int:
+    """The pair row of x<y at the state whose byte table is `table`: bit p
+    is the bit of the sorted triple {x,y,p}.  O(n); classifying reads it
+    once per pair it touches, and only from a start other than all-plus."""
+    bx = base[x]
+    row = 0
+    for p in range(1, x):
+        row |= table[base[p][x] + y] << p
+    for p in range(x + 1, y):
+        row |= table[bx[p] + y] << p
+    r = bx[y]
+    for p in range(y + 1, n + 1):
+        row |= table[r + p] << p
+    return row
 
-    The loops repeat `_gap_keys` on purpose.  Reading the keys through that
-    generator, with `_GAP_BYTES` as tables, cost `realisability` 644 -> 534
-    scaled ops/s over 4 alternating 10-s pairs (all four worse), and
-    647.8 -> 531.6 on one more pair, on a shared 2-core x86-64 machine."""
-    below, ij, jk, above = _GAP_TABLES
-    bi, bj = base[i], base[j]
-    acc = 7
-    for p in range(1, i):
-        bp = base[p]
-        r = bp[i]
-        acc &= below[bits[r + j] | bits[r + k] << 1 | bits[bp[j] + k] << 2]
-        if not acc:
-            return 0
-    for p in range(i + 1, j):
-        r = bi[p]
-        acc &= ij[bits[r + j] | bits[r + k] << 1 | bits[base[p][j] + k] << 2]
-        if not acc:
-            return 0
-    rij = bi[j]
-    for p in range(j + 1, k):
-        acc &= jk[bits[rij + p] | bits[bi[p] + k] << 1 | bits[bj[p] + k] << 2]
-        if not acc:
-            return 0
-    rik, rjk = bi[k], bj[k]
-    for p in range(k + 1, n + 1):
-        acc &= above[bits[rij + p] | bits[rik + p] << 1 | bits[rjk + p] << 2]
-        if not acc:
-            return 0
-    return acc
+
+def _central(ij: int, ik: int, jk: int, full: int, i: int, j: int, k: int) -> int:
+    """The central of letter i<j<k, 0 when it has none, from its pair rows
+    `ij`, `ik` and `jk`; `full` has the bits of strands 1..n.
+
+    Outside strand p reads the key (bit p of ij, ik, jk), and every
+    (gap, central) entry of `_GAP_TABLES` admits exactly one pair of keys
+    {κ, 7-κ} (tests derive this), so p admits a central exactly when the two
+    XORs x_p = ij_p ^ ik_p and y_p = ik_p ^ jk_p take the values fixed by
+    the central and by p's gap.  With U the outside strands, G1 those
+    strictly between i and j, G2 those strictly between j and k and
+    O = U ^ G1 ^ G2 the rest, the AND over p reads: i is central iff
+    X == O|G1 and Y == G1, j iff X == G2 and Y == G1, k iff X == G2 and
+    Y == O|G2, where X and Y are the XORs over U.  At most one holds, since
+    U is not empty."""
+    u = full ^ (1 << i | 1 << j | 1 << k)
+    x = (ij ^ ik) & u
+    y = (ik ^ jk) & u
+    g1 = (1 << j) - (2 << i)
+    g2 = (1 << k) - (2 << j)
+    if x == g2:
+        if y == g1:
+            return j
+        if y == u ^ g1:
+            return k
+    elif y == g1 and x == u ^ g2:
+        return i
+    return 0
 
 
 @dataclass(frozen=True)
@@ -263,16 +270,15 @@ class LetterStatus:
 _status = cache(LetterStatus)
 
 
-def _status_at(base, bits, n: int, g: GenTriple) -> LetterStatus:
-    code = _centrals(base, bits, n, *g.elems)
-    return _status(g.elems[code >> 1] if code else 0)
-
-
 def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
-    """Classify one letter at a state."""
+    """Classify one letter at a state: its three pair rows, read from the
+    state's byte table."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    return _status_at(_bit_base(s.n), s._table, s.n, g)
+    n, base, table = s.n, _bit_base(s.n), s._table
+    i, j, k = g.elems
+    ij, ik, jk = _row(base, table, n, i, j), _row(base, table, n, i, k), _row(base, table, n, j, k)
+    return _status(_central(ij, ik, jk, (2 << n) - 2, i, j, k))
 
 
 @dataclass(frozen=True)
@@ -281,9 +287,10 @@ class ClassifiedWord:
 
     Every letter acts on the running state, good or bad; the action is
     defined for all words, and the stable projection only converges under
-    this reading.  No prefix state is kept: classifying holds one running
-    state, a table of C(n,3) bytes (2.5 MiB at n=250), and turns it into
-    the final mask once.
+    this reading.  No prefix state is kept: classifying holds the rows of
+    the pairs the word touches (three per letter, n+1 bits each) and one
+    bit per triple for the letters seen an odd number of times (C(n,3)/8
+    bytes, 321 KB at n=250), which it XORs into the start's mask once.
     """
 
     word: GWord
@@ -299,19 +306,34 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
     """Statuses of every letter at its prefix state.
 
     `start` defaults to the initial state; any state may be given, to read
-    a relation window in isolation.
+    a relation window in isolation.  Each letter reads its three pair rows
+    (`_central`) and flips one bit in each.
     """
     s = initial_state(w.n) if start is None else start
     if s.n != w.n:
         raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
     n = w.n
     base = _bit_base(n)
-    bits = _bits(s.minus, comb(n, 3))
+    full = (2 << n) - 2
+    m = n + 1  # the row of x<y is keyed x * m + y
+    if s.minus:
+        pairs = {pair for g in w.letters for pair in combinations(g.elems, 2)}
+        rows = {x * m + y: _row(base, s._table, n, x, y) for x, y in pairs}
+    else:  # every row of the all-plus start is 0
+        rows = {}
+    get = rows.get
+    odd = bytearray(comb(n, 3) + 7 >> 3)
     statuses: list[LetterStatus] = []
     for g in w.letters:
-        statuses.append(_status_at(base, bits, n, g))
-        bits[_bit(base, g)] ^= 1
-    return ClassifiedWord(w, tuple(statuses), OrientationState(n, _mask(bits)))
+        i, j, k = g.elems
+        a, b, c = i * m + j, i * m + k, j * m + k
+        ij, ik, jk = get(a, 0), get(b, 0), get(c, 0)
+        statuses.append(_status(_central(ij, ik, jk, full, i, j, k)))
+        rows[a], rows[b], rows[c] = ij ^ 1 << k, ik ^ 1 << j, jk ^ 1 << i
+        t = base[i][j] + k
+        odd[t >> 3] ^= 1 << (t & 7)
+    final = s.minus ^ int.from_bytes(odd, "little")
+    return ClassifiedWord(w, tuple(statuses), OrientationState(n, final))
 
 
 def is_realisable(w: GWord) -> bool:
@@ -401,8 +423,8 @@ def _gap_keys(base, cols: list[int], n: int, i: int, j: int, k: int):
 
 
 def _sliced_centrals(base, cols: list[int], size: int, n: int, i: int, j: int, k: int) -> int:
-    """`_centrals` of letter i<j<k at all `size` states of `cols` (from
-    `_columns`) at once: byte s of the result is its centrals bitset at
+    """The centrals bitset of letter i<j<k at all `size` states of `cols`
+    (from `_columns`) at once: byte s of the result is its centrals bitset at
     state s, the AND over the outside strands of their gap table entries."""
     acc = -1
     for table, keys in _gap_keys(base, cols, n, i, j, k):

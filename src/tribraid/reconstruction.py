@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable
+from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, InvalidN, NotRealisable
 from .group_core import GWord, generator_parity
 from .index_state import ClassifiedWord, classify_word
 
@@ -28,18 +28,28 @@ from .index_state import ClassifiedWord, classify_word
 def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
     """(axis+1, ..., n, 1, ..., axis-1): the order in which chords from the
     axis vertex of the regular configuration sweep the other strands."""
-    if not 1 <= axis <= n:
-        raise BadTriple(f"axis {axis} out of range 1..{n}")
+    if type(n) is not int or n < 4:
+        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    if type(axis) is not int or not 1 <= axis <= n:
+        raise BadTriple(f"axis {axis!r} out of range 1..{n}")
     return tuple((axis - 1 + t) % n + 1 for t in range(1, n))
 
 
 @dataclass(frozen=True)
 class CylLetter:
-    """One ray swap: `inner` is the central point, closer to the axis."""
+    """One ray swap: `inner` is the central point, closer to the axis.  The
+    constructor checks the letter alone: two distinct int strands and a
+    sign of +1 or -1 (no bools)."""
 
     inner: int
     outer: int
     sign: int
+
+    def __post_init__(self):
+        if not type(self.inner) is type(self.outer) is int or self.inner == self.outer:
+            raise BadTriple(f"a swap needs two distinct int strands, got {self!r}")
+        if type(self.sign) is not int or self.sign not in (-1, 1):
+            raise BadTriple(f"swap sign must be ±1, got {self.sign!r}")
 
     def __str__(self) -> str:
         return f"b({self.inner},{self.outer},{'+' if self.sign > 0 else '-'})"
@@ -57,7 +67,10 @@ class CylWord:
     final_order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+        try:
+            object.__setattr__(self, "letters", tuple(self.letters))
+        except TypeError:
+            raise BadTriple(f"letters must be a sequence of swaps, got {self.letters!r}") from None
         object.__setattr__(self, "final_order", _replay_order(self.n, self.axis, self.letters))
 
     def __str__(self) -> str:
@@ -81,10 +94,8 @@ def _swap_adjacent(order: list[int], a: int, b: int) -> None:
 def _replay_order(n: int, axis: int, letters) -> tuple[int, ...]:
     order = list(initial_cyclic_order(n, axis))
     for lt in letters:
-        if lt.inner == lt.outer or axis in (lt.inner, lt.outer):
-            raise BadTriple(f"bad swap letter {lt} for axis {axis}")
-        if lt.sign not in (-1, 1):
-            raise BadTriple(f"swap sign must be ±1, got {lt.sign}")
+        if type(lt) is not CylLetter or axis in (lt.inner, lt.outer):
+            raise BadTriple(f"bad swap letter {lt!r} for axis {axis}")
         _swap_adjacent(order, lt.inner, lt.outer)
     return tuple(order)
 

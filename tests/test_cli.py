@@ -423,6 +423,24 @@ def test_selftest_catches_a_drifted_kernel_witness(capsys, monkeypatch, drift):
     assert code == 1 and "FAIL kernel witness against per-axis invariants" in out.splitlines()
 
 
+def test_selftest_catches_a_drifted_row_kernel(capsys, monkeypatch):
+    # the j rule of the letter kernel with G1 and G2 swapped
+    exact = tribraid.index_state._central
+
+    def drifted(ij, ik, jk, full, i, j, k):
+        u = full ^ (1 << i | 1 << j | 1 << k)
+        g1, g2 = (1 << j) - (2 << i), (1 << k) - (2 << j)
+        if (ij ^ ik) & u == g1 and (ik ^ jk) & u == g2:
+            return j
+        central = exact(ij, ik, jk, full, i, j, k)
+        return 0 if central == j else central
+
+    monkeypatch.setattr(tribraid.index_state, "_central", drifted)
+    code, out, _ = run(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
+
+
 @pytest.mark.parametrize("gap, key, value", [(0, 1, 0), (3, 6, 2), (1, 3, 4), (2, 4, 5)])
 def test_selftest_catches_a_changed_gap_table_entry(capsys, monkeypatch, gap, key, value):
     # one entry of the census kernel's translate tables; a two-bit entry

@@ -52,6 +52,27 @@ class TestGenTriple:
         with pytest.raises(InvalidN):
             GenTriple(3, (1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "build, args, error",
+        [
+            (GenTriple, (4, (1, 2, 3.0)), BadTriple),
+            (GenTriple, (4, (True, 2, 3)), BadTriple),
+            (GenTriple, (4, (1, "2", 3)), BadTriple),
+            (GenTriple, (4, 123), BadTriple),
+            (GenTriple, (4.0, (1, 2, 3)), InvalidN),
+            (GenTriple, (True, (1, 2, 3)), InvalidN),
+            (GWord, (4.0, ()), InvalidN),
+            (GWord, (4, (1,)), BadTriple),
+            (GWord, (4, ((1, 2, 3),)), BadTriple),
+            (GWord, (4, 5), BadTriple),
+        ],
+    )
+    def test_wrong_types_raise_typed_errors(self, build, args, error):
+        # the letter kernels shift by a letter's indices, so an index must
+        # be an int (not a bool or a float) before any of them reads it
+        with pytest.raises(error):
+            build(*args)
+
 
 class TestParsing:
     def test_round_trip_compact(self):

@@ -42,8 +42,6 @@ from tribraid import index_state
 from tribraid.index_state import (
     _GAP_TABLES,
     _bit_base,
-    _bits,
-    _centrals,
     _columns,
     _flipped,
     _sliced_centrals,
@@ -216,6 +214,52 @@ class TestBitmaskOracle:
                 assert run_word(OrientationState(n, mask), w).minus == expected
                 cw = classify_word(w, start=OrientationState(n, mask))
                 assert cw.final_state.minus == expected
+
+    def test_classify_word_matches_definition(self):
+        # every letter at its prefix state, from random starts; random
+        # letters are mostly bad, and three consecutive strands mostly good
+        # near the all-plus state
+        rng = random.Random(47)
+
+        def letter(n):
+            if rng.random() < 0.5:
+                return GenTriple(n, tuple(rng.sample(range(1, n + 1), 3)))
+            i = rng.randrange(1, n - 1)
+            return GenTriple(n, (i, i + 1, i + 2))
+
+        for n in self.NS:
+            seen = set()
+            for t in range(6):
+                width = comb(n, 3)
+                mask = rng.getrandbits(width) if t % 2 else 1 << rng.randrange(width)
+                cur = start = OrientationState(n, mask)
+                w = GWord(n, tuple(letter(n) for _ in range(12)))
+                cw = classify_word(w, start=start)
+                for g, st in zip(w.letters, cw.statuses):
+                    assert st.centrals == self.reference_centrals(cur, g)
+                    seen.add(st.good)
+                    cur = flip(cur, g)
+                assert cw.final_state == cur
+            assert seen == {True, False}
+
+    def test_gap_tables_give_the_row_rule(self):
+        # each (gap, central) entry admits one complementary key pair
+        # {κ, 7-κ}, so outside strand p reads only x_p = κ0 ^ κ1 and
+        # y_p = κ1 ^ κ2; these are bit p of the targets `_central` compares
+        # X and Y with, by the region p lies in (gap 0 or 3: O, 1: G1, 2: G2)
+        regions = ("O", "G1", "G2", "O")
+        targets = {  # central bit: (X, Y) as unions of regions
+            0: ({"O", "G1"}, {"G1"}),
+            1: ({"G2"}, {"G1"}),
+            2: ({"G2"}, {"O", "G2"}),
+        }
+        for gap, table in enumerate(_GAP_TABLES):
+            for bit, (x_target, y_target) in targets.items():
+                keys = [key for key in range(8) if table[key] >> bit & 1]
+                assert len(keys) == 2 and sum(keys) == 7
+                kappa = keys[0]
+                assert (kappa ^ kappa >> 1) & 1 == (regions[gap] in x_target)
+                assert (kappa >> 1 ^ kappa >> 2) & 1 == (regions[gap] in y_target)
 
     def test_gap_tables_admit_at_most_one_central(self):
         # the status is the AND of these entries over the outside strands,
@@ -486,7 +530,7 @@ class TestCensuses:
 
 class TestSlicedKernel:
     """The census kernel, all states of a column set at once, against the
-    single-state `_centrals`."""
+    single-state `letter_status`."""
 
     @staticmethod
     def state_sets(rng, n):
@@ -495,6 +539,11 @@ class TestSlicedKernel:
         dense = (1 << width) - 1 ^ sum(1 << b for b in rng.sample(range(width), 2))
         yield [rng.getrandbits(width)]
         yield [dense, sparse, *(rng.getrandbits(width) for _ in range(rng.randrange(1, 40)))]
+
+    @staticmethod
+    def code(status, g):
+        """A status as the census kernel's centrals bitset over g's strands."""
+        return 1 << g.elems.index(status.central) if status.good else 0
 
     def test_bytes_are_single_state_codes(self):
         rng = random.Random(1997)
@@ -509,7 +558,8 @@ class TestSlicedKernel:
                     for g in all_generators(n):
                         sliced = _sliced_centrals(base, columns, size, n, *g.elems)
                         assert sliced.to_bytes(size, "little") == bytes(
-                            _centrals(base, _bits(m, width), n, *g.elems) for m in states
+                            self.code(letter_status(OrientationState(n, m), g), g)
+                            for m in states
                         )
 
 

@@ -19,6 +19,7 @@ from tribraid import (
     DimensionMismatch,
     FullTwistMove,
     GWord,
+    InvalidN,
     MoveProgram,
     NotRealisable,
     annular_invariants,
@@ -78,6 +79,23 @@ class TestCylWord:
         # a strand outside 1..n is missing from the ray order
         with pytest.raises(BadTriple):
             CylWord(4, 4, (CylLetter(1, 9, 1),))
+
+    @pytest.mark.parametrize(
+        "build, args, error",
+        [
+            (CylLetter, (1, 2, True), BadTriple),
+            (CylLetter, (1.0, 2, 1), BadTriple),
+            (CylLetter, (1, 2, 1.0), BadTriple),
+            (CylWord, (4, 4.0, ()), BadTriple),
+            (CylWord, ("4", 4, ()), InvalidN),
+            (CylWord, (4.0, 4, ()), InvalidN),
+            (CylWord, (4, 4, ((1, 2, 1),)), BadTriple),
+            (CylWord, (4, 4, 7), BadTriple),
+        ],
+    )
+    def test_wrong_types_raise_typed_errors(self, build, args, error):
+        with pytest.raises(error):
+            build(*args)
 
     def test_text_format(self):
         c = CylWord(4, 4, (CylLetter(1, 2, 1), CylLetter(1, 2, -1)))
