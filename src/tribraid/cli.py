@@ -59,8 +59,8 @@ from .reconstruction import (
 # 54 MiB at n = 500 for a realisable 200-letter word.
 MAX_WORD_N = 500
 # One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
-# search reaches the letter limit in 3.1 s and 243 MiB at n = 100, and in
-# 7.5 s and 367 MiB at n = 150.
+# search reaches the letter limit in 1.3 s and 227 MiB at n = 100, and in
+# 1.8-2.0 s and 326 MiB at n = 150, where a letter takes 4 bytes.
 MAX_EQUAL_N = 100
 # A commute census with states reads every far-commuting pair, whatever its
 # sample count: one sample at n = 14 (60,060 pairs) takes 0.8-1.0 s and

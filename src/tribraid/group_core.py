@@ -65,15 +65,24 @@ def _code(elems: tuple[int, ...]) -> int:
     return 1 << i | 1 << j | 1 << k
 
 
+def _rank(n: int, i: int, j: int, k: int) -> int:
+    """The index of i < j < k among all generators in lexicographic order.
+    C(n,3) - C(n-i+1,3) triples have a smaller first index and
+    C(n-i,2) - C(n-j+1,2) have first index i and a smaller second; by
+    Pascal's rule, C(n-i+1,3) - C(n-i,2) = C(n-i,3)."""
+    a, b = n - i, n - j + 1
+    return (n * (n - 1) * (n - 2) - a * (a - 1) * (a - 2)) // 6 - b * (b - 1) // 2 + k - j - 1
+
+
 @functools.cache
-def _generators(n: int) -> dict[int, GenTriple]:
-    """Every generator keyed by its code, in lexicographic index order."""
-    return {_code(c): GenTriple(n, c) for c in combinations(range(1, n + 1), 3)}
+def _generators(n: int) -> tuple[GenTriple, ...]:
+    """Every generator, in lexicographic index order."""
+    return tuple(GenTriple(n, c) for c in combinations(range(1, n + 1), 3))
 
 
 def all_generators(n: int) -> list[GenTriple]:
     """All C(n,3) generators, in lexicographic index order."""
-    return list(_generators(n).values())
+    return list(_generators(n))
 
 
 def _far(a: int, b: int) -> bool:
@@ -183,50 +192,70 @@ def _tetra(a: int, b: int, c: int, d: int) -> bool:
     return (a | b | c | d).bit_count() == 4 and len({a, b, c, d}) == 4
 
 
-def _neighbours(word: tuple[int, ...], n: int, max_len: int):
-    """(move key, rewritten word) for every relation move on a word of
-    generator codes: square deletions, swaps and tetrahedron windows by
-    position, then, when the result fits in `max_len`, square insertions by
-    position and then by generator.  A key is (kind, position, code of the
-    inserted generator or None)."""
+@functools.cache
+def _alphabet(n: int) -> tuple[list[int], list[str]]:
+    """For a search that may insert: every generator's code, indexed by its
+    letter's code point, and every letter doubled, in generator order."""
+    codes = [_code(c) for c in combinations(range(1, n + 1), 3)]
+    return codes, [chr(r) * 2 for r in range(len(codes))]
+
+
+def _encode(w: GWord) -> str:
+    """The search's form of a word: one code point per letter, the
+    generator's index in lexicographic order."""
+    return "".join(chr(_rank(w.n, *g.elems)) for g in w.letters)
+
+
+def _neighbours(word: str, codes, doubled: list[str], max_len: int):
+    """Every word one relation move from `word`: square deletions, swaps
+    and tetrahedron windows by position, then, when the result fits in
+    `max_len`, square insertions by position and then by generator, the
+    order of `applicable_moves`.  `codes[ord(letter)]` is a letter's code
+    and `doubled` lists every letter doubled.  Lazy, since a search that
+    finds its goal stops partway through an expansion."""
     length = len(word)
     for p in range(length - 1):
         if word[p] == word[p + 1]:
-            yield (MoveKind.SQUARE_DELETE, p, None), word[:p] + word[p + 2 :]
+            yield word[:p] + word[p + 2 :]
+    masks = [codes[x] for x in map(ord, word)]
     for p in range(length - 1):
-        a, b = word[p], word[p + 1]
-        if _far(a, b):
-            yield (MoveKind.FAR_COMMUTE, p, None), word[:p] + (b, a) + word[p + 2 :]
+        if _far(masks[p], masks[p + 1]):
+            yield word[:p] + word[p + 1] + word[p] + word[p + 2 :]
     for p in range(length - 3):
-        a, b, c, d = word[p : p + 4]
-        if _tetra(a, b, c, d):
-            yield (MoveKind.TETRA_REVERSE, p, None), word[:p] + (d, c, b, a) + word[p + 4 :]
+        if _tetra(*masks[p : p + 4]):
+            yield word[:p] + word[p : p + 4][::-1] + word[p + 4 :]
     if length + 2 <= max_len:
-        codes, insert = _generators(n), MoveKind.SQUARE_INSERT
         for p in range(length + 1):
             head, tail = word[:p], word[p:]
-            for g in codes:
-                yield (insert, p, g), head + (g, g) + tail
-
-
-def _encode(w: GWord) -> tuple[int, ...]:
-    return tuple(_code(g.elems) for g in w.letters)
-
-
-def _relation_move(n: int, key) -> RelationMove:
-    kind, p, g = key
-    return RelationMove(kind, p, None if g is None else _generators(n)[g])
+            for pair in doubled:
+                yield head + pair + tail
 
 
 def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> list[RelationMove]:
-    """Every relation move applicable to w, in a fixed deterministic order.
+    """Every relation move applicable to w, in a fixed deterministic order:
+    square deletions, swaps and tetrahedron windows by position, then
+    square insertions by position and then by generator.
 
     Square insertions are only listed when `allow_insert` is set and the
     resulting length stays within `max_len`; unrestricted insertion would
     make move enumeration infinite.
     """
-    limit = max_len if allow_insert else 0
-    return [_relation_move(w.n, key) for key, _ in _neighbours(_encode(w), w.n, limit)]
+    masks = [_code(g.elems) for g in w.letters]
+    pairs = list(enumerate(zip(masks, masks[1:])))
+    moves = [RelationMove(MoveKind.SQUARE_DELETE, p) for p, (a, b) in pairs if a == b]
+    moves += [RelationMove(MoveKind.FAR_COMMUTE, p) for p, (a, b) in pairs if _far(a, b)]
+    moves += [
+        RelationMove(MoveKind.TETRA_REVERSE, p)
+        for p in range(len(masks) - 3)
+        if _tetra(*masks[p : p + 4])
+    ]
+    if allow_insert and len(masks) + 2 <= max_len:
+        moves += [
+            RelationMove(MoveKind.SQUARE_INSERT, p, g)
+            for p in range(len(masks) + 1)
+            for g in _generators(w.n)
+        ]
+    return moves
 
 
 def apply_move(w: GWord, m: RelationMove) -> GWord:
@@ -281,15 +310,16 @@ def generator_parity(w: GWord) -> ParityVector:
 
 
 # A bounded search stops once the words it stores, on both sides, hold more
-# letters than this, whatever its depth and length budgets allow.  A word
-# costs about 110 bytes plus 8 per letter, so short words cost the most per
+# letters than this, whatever its depth and length budgets allow.  A stored
+# word is a str of one code point per letter, 1 byte each up to n=12, 2 up to
+# n=74 and 4 above, after a header of 49-76 bytes, and its dict entry and
+# queue slot take about 40 bytes more, so short words cost the most per
 # letter: at n=20, "a(1,2,3) a(1,2,4)" against its reverse with max_len 6
-# stops after 1,002,317 words of at most 6 letters at a 156 MiB peak, and a
-# random 200-letter word at n=6 (`random.Random(1)`) against its reverse
-# (depth 300, max_len 200) after 30,010 words at 64 MiB, where a cap of a
-# million words let such a search reach 711 MiB.  The largest searches in
-# the tests and the `equality` benchmark corpus store 1,321 and 30,758
-# letters.
+# stops after 1,002,317 words of at most 6 letters at a 140 MiB peak (as a
+# process), and a random 200-letter word at n=6 (`random.Random(1)`) against
+# its reverse (depth 300, max_len 200) after 30,010 words at 24 MiB.  The
+# largest searches in the tests and the `equality` benchmark corpus store
+# 3,642 and 30,734 letters, apart from one n=72 test that stores 221,228.
 MAX_STORED_LETTERS = 6_000_000
 
 
@@ -378,15 +408,22 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
         raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
     if depth < 0 or max_len < 0:
         raise InvalidBudget(f"search budgets must be >= 0, got depth={depth}, max_len={max_len}")
-    if generator_parity(w1) != generator_parity(w2):
-        return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))
-    if w1 == w2:
-        return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
-    n = w1.n
     start, goal = _encode(w1), _encode(w2)
+    odd = _odd_letters(start)
+    if odd != _odd_letters(goal):
+        return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))
+    if start == goal:
+        return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
+    if max_len < len(odd) + 2:
+        # every word holds each odd letter, so none has room for an
+        # insertion, and the letters of w1 and w2 are all there are
+        codes = {ord(c): _code(g.elems) for c, g in zip(start + goal, w1.letters + w2.letters)}
+        doubled: list[str] = []
+    else:
+        codes, doubled = _alphabet(w1.n)
     # per side, each stored word maps to the word it was first reached from
-    fore: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
-    back: dict[tuple[int, ...], tuple[int, ...] | None] = {goal: None}
+    fore: dict[str, str | None] = {start: None}
+    back: dict[str, str | None] = {goal: None}
     fore_queue, back_queue = deque([start]), deque([goal])
     expanded, peak, letters = 0, 2, len(start) + len(goal)
 
@@ -401,15 +438,14 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
             parents, other, queue = back, fore, back_queue
         word = queue.popleft()
         expanded += 1
-        for _, nxt in _neighbours(word, n, max_len):
+        for nxt in _neighbours(word, codes, doubled, max_len):
             if nxt in parents:
                 continue
             parents[nxt] = word
             letters += len(nxt)
             if nxt in other:
                 chain = _chain(fore, nxt)[::-1] + _chain(back, nxt)[1:]
-                # undoing w2's side's deletions may lengthen a word up to w2
-                path = _path(chain, n, max(max_len, len(goal)))
+                path = tuple(_move(w1.n, codes, *step) for step in zip(chain, chain[1:]))
                 return EqualityVerdict.equal(path, stats("found"))
             if letters > MAX_STORED_LETTERS:
                 return EqualityVerdict.unknown(stats("limit"))
@@ -418,7 +454,12 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     return EqualityVerdict.unknown(stats("depth" if fore_queue and back_queue else "exhausted"))
 
 
-def _chain(parents, word: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _odd_letters(word: str) -> set[str]:
+    """The letters that occur an odd number of times: the parity vector."""
+    return {c for c, count in Counter(word).items() if count % 2}
+
+
+def _chain(parents, word: str) -> list[str]:
     """`word` and its stored predecessors, back to the end it was reached from."""
     chain = [word]
     while parents[chain[-1]] is not None:
@@ -426,15 +467,29 @@ def _chain(parents, word: tuple[int, ...]) -> list[tuple[int, ...]]:
     return chain
 
 
-def _path(chain, n: int, max_len: int) -> tuple[RelationMove, ...]:
-    """The moves along a chain of words, each one move from the next.  The
-    search stores only each word's predecessor; the move between two words
-    is the first one, in enumeration order, that rewrites the earlier into
-    the later.  On w1's side that is the move that first reached the later
-    word.  On w2's side the search found the reverse step, and the move
-    found here is its inverse: a deletion for an insertion and back, the
-    same swap or tetrahedron window otherwise."""
-    return tuple(
-        _relation_move(n, next(key for key, nxt in _neighbours(prev, n, max_len) if nxt == word))
-        for prev, word in zip(chain, chain[1:])
-    )
+def _squared(longer: str, p: int, shorter: str) -> bool:
+    """True when `longer` is `shorter` with a square inserted at p."""
+    return longer[p] == longer[p + 1] and longer[:p] + longer[p + 2 :] == shorter
+
+
+def _move(n: int, codes, prev: str, word: str) -> RelationMove:
+    """The first move, in enumeration order, that rewrites `prev` into
+    `word`, one move away.  The search stores only each word's predecessor.
+    On w1's side this is the move that first reached `word`; on w2's side
+    the search found the reverse step, and this is its inverse: a deletion
+    for an insertion and back, the same swap or tetrahedron window
+    otherwise.  A swap changes two adjacent letters and a tetrahedron
+    window four, so at most one of them fits, at the first letter that
+    differs; deletions and insertions of a repeated letter may fit at
+    several positions, and an insertion at p can only be of word[p]."""
+    if len(word) < len(prev):
+        p = next(p for p in range(len(prev) - 1) if _squared(prev, p, word))
+        return RelationMove(MoveKind.SQUARE_DELETE, p)
+    if len(word) > len(prev):
+        p = next(p for p in range(len(prev) + 1) if _squared(word, p, prev))
+        code = codes[ord(word[p])]
+        letter = GenTriple(n, tuple(s for s in range(1, n + 1) if code >> s & 1))
+        return RelationMove(MoveKind.SQUARE_INSERT, p, letter)
+    p = next(p for p, (a, b) in enumerate(zip(prev, word)) if a != b)
+    kind = MoveKind.FAR_COMMUTE if prev[p + 2 :] == word[p + 2 :] else MoveKind.TETRA_REVERSE
+    return RelationMove(kind, p)

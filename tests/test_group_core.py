@@ -167,16 +167,28 @@ def plain_moves(w, allow_insert=False, max_len=0):
     return moves
 
 
+def move_corpus():
+    """300 seeded words at n=4..6 whose letters come from a few strands,
+    which makes squares and tetra windows common."""
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.choice((4, 5, 6))
+        strands = rng.sample(range(1, n + 1), rng.randint(4, n))
+        gens = [GenTriple(n, c) for c in combinations(strands, 3)]
+        yield GWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(0, 9))))
+
+
+def search_neighbours(w, max_len):
+    """The words the search reaches from w in one move, as GWords."""
+    gens = all_generators(w.n)
+    found = group_core._neighbours(group_core._encode(w), *group_core._alphabet(w.n), max_len)
+    return [GWord(w.n, tuple(gens[ord(c)] for c in nxt)) for nxt in found]
+
+
 class TestMoveEnumeration:
     def test_matches_nested_loops_and_every_move_applies(self):
-        rng = random.Random(31)
         kinds = Counter()
-        for _ in range(300):
-            n = rng.choice((4, 5, 6))
-            # letters from a few strands make squares and tetra windows common
-            strands = rng.sample(range(1, n + 1), rng.randint(4, n))
-            gens = [GenTriple(n, c) for c in combinations(strands, 3)]
-            w = GWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(0, 9))))
+        for w in move_corpus():
             for allow_insert in (False, True):
                 moves = applicable_moves(w, allow_insert=allow_insert, max_len=len(w) + 2)
                 assert moves == plain_moves(w, allow_insert, len(w) + 2)
@@ -184,6 +196,82 @@ class TestMoveEnumeration:
                     apply_move(w, m)  # raises InvalidMove if the pattern is not there
                 kinds.update(m.kind for m in moves)
         assert all(kinds[kind] >= 50 for kind in MoveKind)
+
+    def test_search_enumerates_exactly_the_public_moves(self):
+        for w in move_corpus():
+            moves = applicable_moves(w, True, len(w) + 2)
+            assert search_neighbours(w, len(w) + 2) == [apply_move(w, m) for m in moves]
+
+    def test_path_moves_are_the_first_public_move_to_each_neighbour(self):
+        g, h, f = (1, 2, 3), (1, 4, 5), (2, 3, 6)
+        runs = [word(6, g, g, g), word(6, h, g, g, g, h), word(6, g, h), word(6, g, h, f, g)]
+        for w in [*move_corpus(), *runs]:
+            prev, codes = group_core._encode(w), group_core._alphabet(w.n)[0]
+            first = {}
+            for m in applicable_moves(w, True, len(w) + 2):
+                first.setdefault(apply_move(w, m), m)
+            for x, m in first.items():
+                assert group_core._move(w.n, codes, prev, group_core._encode(x)) == m
+
+
+class TestSearchAlphabet:
+    def test_rank_is_the_generator_order(self):
+        for n in range(4, 41):
+            ranks = [group_core._rank(n, *g.elems) for g in all_generators(n)]
+            assert ranks == list(range(len(ranks)))
+
+    def test_no_generator_table_without_insertions(self, monkeypatch):
+        # counts the per-n tables built at n=100, where each has 161,700
+        # entries; only a search with room for an insertion needs one
+        built = Counter()
+
+        def counted(name, table):
+            def build(n):
+                built[name] += 1
+                return table(n)
+
+            return build
+
+        for name in ("_generators", "_alphabet"):
+            monkeypatch.setattr(group_core, name, counted(name, getattr(group_core, name)))
+        g, h = (1, 2, 3), (1, 2, 4)
+        tetra = word(100, g, h, (1, 3, 4), (2, 3, 4))
+        assert bounded_equal(word(100, g), word(100, h), 10, 6).stats.stop == "parity"
+        assert bounded_equal(tetra, tetra, 10, 6).stats.stop == "identical"
+        v = bounded_equal(tetra, GWord(100, tetra.letters[::-1]), 10, 5)
+        assert v.stats.stop == "found"
+        assert bounded_equal(word(100, g, h), word(100, h, g), 10, 3).stats.stop == "exhausted"
+        # w1's two swaps make its frontier the larger, and w2's side then
+        # deletes a square, which the path replays as an insertion
+        abc = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+        v = bounded_equal(word(100, *abc), word(100, (1, 5, 9), (1, 5, 9), *abc), 10, 4)
+        assert [str(m) for m in v.path] == ["ins@0:a(1,5,9)"]
+        assert built == Counter()
+        bounded_equal(word(100, *abc), word(100, (1, 5, 9), (1, 5, 9), *abc), 1, 5)
+        assert built == Counter({"_alphabet": 1})
+
+    @pytest.mark.parametrize("n, first", [(13, 256), (72, 0xD800)])
+    def test_letters_wider_than_a_byte(self, n, first):
+        # from `first` on, a letter takes two bytes at n=13, and at n=72
+        # ranks 55,296-57,343 are surrogate code points
+        gens = all_generators(n)[first:]
+        g = gens[0]
+        h = next(x for x in gens if far_commutes(g, x))
+        for x in (g, h):
+            code_point = ord(group_core._encode(GWord(n, (x,))))
+            assert code_point >= first and (n == 13 or code_point <= 0xDFFF)
+        cases = [
+            (GWord(n, (g, h)), GWord(n, (h, g)), 2, ["swap@0"]),
+            (GWord(n, (g, g, h)), GWord(n, (h,)), 3, ["del@0"]),
+            (GWord(n, (h, g)), GWord(n, (h, h, h, g)), 4, [f"ins@0:{h}"]),
+        ]
+        for w1, w2, max_len, path in cases:
+            v = bounded_equal(w1, w2, 10, max_len)
+            assert [str(m) for m in v.path] == path
+            replay = w1
+            for m in v.path:
+                replay = apply_move(replay, m)
+            assert replay == w2
 
 
 class TestApplyMove:
