@@ -261,6 +261,7 @@ def cmd_selftest(args) -> int:
         is_realisable,
         letter_status,
         run_word,
+        tetra_letters,
     )
     from .reconstruction import NONTRIVIAL_BY_LINKING, kernel_witness
 
@@ -276,26 +277,34 @@ def cmd_selftest(args) -> int:
     def check_sliced_kernel() -> bool:
         # censuses read every status through one kernel that computes a
         # letter at all states at once; their rows against letter_status at
-        # each state alone.  8 seeded states at n=6 read every letter, and at
-        # n=4 each letter has one outside strand, so the square census shows
-        # every gap table entry unmasked by the AND of the others
-        def tag(s, g):
-            central = letter_status(s, g).central
-            return f"{g}:g{central}" if central else f"{g}:bad"
+        # each state alone, walked along each side of the row's case.  8
+        # seeded states at n=6 read every letter, and at n=4 each letter has
+        # one outside strand, so the square census shows every gap table
+        # entry unmasked by the AND of the others
+        def walk(s, letters):
+            tags = []
+            for g in letters:
+                central = letter_status(s, g).central
+                tags.append(f"{g}:g{central}" if central else f"{g}:bad")
+                s = flip(s, g)
+            return ",".join(tags)
 
         for report in (
             relation_census(6, "commute", samples=8, seed=1997),
             relation_census(4, "square"),
+            relation_census(4, "tetra"),
         ):
             for row in report.rows:
                 s = OrientationState(report.n, row.state)
-                letters = [parse_word(name, report.n).letters[0] for name in row.case.split("|")]
-                # a then b, and b then a; a square case is a then a
-                a, b = letters if len(letters) == 2 else letters * 2
-                expected = f"{tag(s, a)},{tag(flip(s, a), b)}"
-                if report.lemma == "commute":
-                    expected += f"|{tag(s, b)},{tag(flip(s, b), a)}"
-                if row.statuses != expected:
+                if report.lemma == "tetra":
+                    lhs = tetra_letters(4, tuple(map(int, row.case)))
+                    sides = (lhs, lhs[::-1])
+                else:
+                    letters = [parse_word(name, report.n).letters[0] for name in row.case.split("|")]
+                    # a then b, and b then a; a square case is a then a
+                    a, b = letters if len(letters) == 2 else letters * 2
+                    sides = ((a, b), (b, a)) if report.lemma == "commute" else ((a, b),)
+                if row.statuses != "|".join(walk(s, side) for side in sides):
                     return False
         return True
 

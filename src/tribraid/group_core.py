@@ -37,8 +37,15 @@ class GenTriple:
     elems: tuple[int, int, int]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
+        n, elems = self.n, self.elems
+        # a sorted tuple of three ints in 1..n: exactly the input the checks
+        # below accept and keep as given, so it skips their sort and copy
+        if type(elems) is tuple and len(elems) == 3 and type(n) is int and n > 3:
+            i, j, k = elems
+            if type(i) is type(j) is type(k) is int and 0 < i < j < k <= n:
+                return
+        if type(n) is not int or n < 4:
+            raise InvalidN(f"strand count must be >= 4, got {n!r}")
         try:
             elems = tuple(sorted(self.elems))
         except TypeError:  # not a sequence, or indices that do not compare
@@ -151,12 +158,15 @@ def parse_indices(token: str, n: int) -> tuple[int, int, int]:
 
 def parse_word(text: str, n: int) -> GWord:
     """Parse whitespace-separated generator tokens into a word; indices may
-    appear in any order."""
+    appear in any order.  A bad n is refused before any token is read, so
+    the empty word is no exception."""
+    if type(n) is not int or n < 4:
+        raise WordParseError(f"strand count must be >= 4, got {n!r}")
     letters = []
     for token in text.split():
         try:
             letters.append(GenTriple(n, parse_indices(token, n)))
-        except (BadTriple, InvalidN) as exc:
+        except BadTriple as exc:
             raise WordParseError(str(exc)) from exc
     return GWord(n, tuple(letters))
 

@@ -24,6 +24,9 @@ A census reads a letter at many states at once, sliced by triple
 so one whole-int operation acts on every state, and `_sliced_centrals` looks
 up the gap tables for all of them with `bytes.translate`.  This is
 bit-slicing (Biham, "A fast new DES implementation in software", 1997).
+Flips commute, so a census reads a letter once per *set* of letters flipped
+before it, not once per window that reaches that set, and it computes a
+suspect row's detail once, for the row it renders.
 """
 
 from __future__ import annotations
@@ -469,36 +472,41 @@ class _CensusRows(Sequence):
         self._states = states
         self._cases = cases
 
-    def _row(self, s: int, case: _Case) -> CensusRow:
-        codes = case.codes_at(s)
+    def _row(self, s: int, case: _Case, codes: bytes, detail: str) -> CensusRow:
         statuses = case.template.format(*(tags[c] for tags, c in zip(case.tags, codes)))
-        detail = case.detail(codes)
         return CensusRow(self._states[s], case.name, statuses, not detail, detail)
+
+    def _read(self, s: int, case: _Case) -> CensusRow:
+        codes = case.codes_at(s)
+        return self._row(s, case, codes, case.detail(codes))
 
     def __len__(self) -> int:
         return len(self._states) * len(self._cases)
 
     def __getitem__(self, index: int) -> CensusRow:
         s, c = divmod(range(len(self))[index], len(self._cases))
-        return self._row(s, self._cases[c])
+        return self._read(s, self._cases[c])
 
     def __iter__(self):
         for s in range(len(self._states)):
             for case in self._cases:
-                yield self._row(s, case)
+                yield self._read(s, case)
 
     def violations(self) -> tuple[CensusRow, ...]:
-        """The rows that fail, in row order, read only at suspect states."""
+        """The rows that fail, in row order, read only at suspect states;
+        a suspect row's detail is computed once and kept by its row."""
         size = len(self._states)
         suspect = [
             (case, case.suspects.to_bytes(size, "little")) for case in self._cases if case.suspects
         ]
-        return tuple(
-            self._row(s, case)
-            for s in range(size)
-            for case, flags in suspect
-            if flags[s] and case.detail(case.codes_at(s))
-        )
+        rows = []
+        for s in range(size):
+            for case, flags in suspect:
+                if flags[s]:
+                    codes = case.codes_at(s)
+                    if detail := case.detail(codes):
+                        rows.append(self._row(s, case, codes, detail))
+        return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,28 +566,29 @@ def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ..
     return tuple(GenTriple(n, tuple(sorted(u - {x}))) for x in tup)
 
 
-def _middle_under_order(g: GenTriple, order: tuple[int, ...]) -> int:
+def _middle_code(g: GenTriple, order: tuple[int, ...]) -> int:
+    """The centrals bitset that makes g's middle strand under `order` its
+    central."""
     rank = {v: i for i, v in enumerate(order)}
-    return sorted(g.elems, key=rank.__getitem__)[1]
+    return 1 << g.elems.index(sorted(g.elems, key=rank.__getitem__)[1])
 
 
 @cache
-def _tetra_windows() -> tuple[tuple[str, tuple, tuple, frozenset], ...]:
-    """Per ordering of 1..4: its case name, its two sides, and the centrals
-    of all eight letters (left side, then right) under every total order."""
+def _tetra_windows() -> tuple[frozenset[bytes], tuple[tuple[str, tuple, tuple, tuple], ...]]:
+    """The codes of the four letters of n=4, in triple order, that some
+    total order of 1..4 realises; and per ordering of 1..4, its case name,
+    its two sides and where each of the four letters is on its left side."""
+    gens = all_generators(4)  # the letter omitting strand x is gens[4 - x]
     orders = list(permutations((1, 2, 3, 4)))
+    realised = frozenset(bytes(_middle_code(g, order) for g in gens) for order in orders)
     windows = []
     for tup in orders:
-        lhs = tetra_letters(4, tup)
-        rhs = lhs[::-1]
-        middles = frozenset(
-            tuple(_middle_under_order(g, order) for g in lhs + rhs) for order in orders
-        )
-        windows.append(("".join(map(str, tup)), lhs, rhs, middles))
-    return tuple(windows)
+        lhs = tuple(gens[4 - x] for x in tup)
+        windows.append(("".join(map(str, tup)), lhs, lhs[::-1], tuple(map(lhs.index, gens))))
+    return realised, tuple(windows)
 
 
-def _tetra_detail(lhs, rhs, middles, codes: bytes) -> str:
+def _tetra_detail(lhs, rhs, where, realised, codes: bytes) -> str:
     cl, cr = codes[:4], codes[4:]
     n_l, n_r = 4 - cl.count(0), 4 - cr.count(0)
     if n_l not in (0, 1, 4):
@@ -591,10 +600,11 @@ def _tetra_detail(lhs, rhs, middles, codes: bytes) -> str:
         g_r = next(g for g, c in zip(rhs, cr) if c)
         if g_l != g_r:
             return f"lone good letters differ: {g_l} vs {g_r}"
-    if n_l == 4:
-        centrals = tuple(g.elems[c >> 1] for g, c in zip(lhs + rhs, codes))
-        if centrals not in middles:
-            return "no total order realises all eight letters"
+    # the right side holds the left's letters reversed, so all eight are
+    # realised when each letter has one central on both sides and one total
+    # order makes the four centrals middles
+    if n_l == 4 and (cl != cr[::-1] or bytes(map(cl.__getitem__, where)) not in realised):
+        return "no total order realises all eight letters"
     return ""
 
 
@@ -603,25 +613,41 @@ def _tetra_census() -> CensusReport:
     states = range(1 << comb(4, 3))
     size = len(states)
     cols = _columns(states, comb(4, 3))
-    tags = {g: _tags(g) for g in all_generators(4)}
+    gens = all_generators(4)  # letter b flips triple b
+    tags = {g: _tags(g) for g in gens}
+    # flips commute, so a letter's prefix state is fixed by the set of the
+    # letters before it, a bitmask over triples: every window reads its
+    # letters at the 15 sets of at most three, each letter once per set
+    # that leaves it out
+    flipped = [cols]
+    for done in range(1, 15):
+        b = done.bit_length() - 1
+        flipped.append(_flipped(flipped[done ^ 1 << b], b, size))
+    reads = {
+        (done, b): _sliced_centrals(base, flipped[done], size, 4, *g.elems)
+        for done in range(15)
+        for b, g in enumerate(gens)
+        if not done >> b & 1
+    }
     # a window's verdict needs all eight codes, so every row is suspect
     every = int.from_bytes(b"\1" * size, "little")
     cases = []
-    for name, lhs, rhs, middles in _tetra_windows():
+    realised, windows = _tetra_windows()
+    for name, lhs, rhs, where in windows:
         codes = []
         for word in (lhs, rhs):
-            # each letter read at its prefix state
-            cur = cols
+            done = 0
             for g in word:
-                codes.append(_sliced_centrals(base, cur, size, 4, *g.elems))
-                cur = _flipped(cur, _bit(base, g), size)
+                b = _bit(base, g)
+                codes.append(reads[done, b])
+                done |= 1 << b
         cases.append(
             _Case(
                 name,
                 _interleaved(size, codes),
                 tuple(tags[g] for g in lhs + rhs),
                 "{},{},{},{}|{},{},{},{}",
-                partial(_tetra_detail, lhs, rhs, middles),
+                partial(_tetra_detail, lhs, rhs, where, realised),
                 every,
             )
         )

@@ -2,7 +2,8 @@
 
 import random
 
-from tribraid import GWord, GenTriple, all_generators, flip, initial_state, letter_status
+from tribraid import GWord, GenTriple, all_generators
+from tribraid.index_state import _central
 
 
 def word(n, *triples):
@@ -16,14 +17,19 @@ def random_word(rng: random.Random, n: int, max_len: int) -> GWord:
 
 def good_walk(rng: random.Random, n: int, length: int) -> GWord:
     """A realisable word: each step draws generators until one is good at
-    the running state, and appends it."""
+    the running state, and appends it.  The walk carries the pair rows of
+    the running state, as `classify_word` does, so a draw is read in O(1)."""
     gens = all_generators(n)
-    s = initial_state(n)
+    full = (2 << n) - 2
+    rows = {}  # (x, y) -> the row of pair x<y: bit p is the bit of {x,y,p}
     letters = []
     for _ in range(length):
-        g = rng.choice(gens)
-        while not letter_status(s, g).good:
+        while True:
             g = rng.choice(gens)
+            i, j, k = g.elems
+            ij, ik, jk = rows.get((i, j), 0), rows.get((i, k), 0), rows.get((j, k), 0)
+            if _central(ij, ik, jk, full, i, j, k):
+                break
         letters.append(g)
-        s = flip(s, g)
+        rows[i, j], rows[i, k], rows[j, k] = ij ^ 1 << k, ik ^ 1 << j, jk ^ 1 << i
     return GWord(n, tuple(letters))

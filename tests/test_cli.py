@@ -379,6 +379,22 @@ def test_word_parse_error_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "-"],
+        ["project", "--stable", "-"],
+        ["reconstruct", "--axis", "1", "-"],
+        ["parity", "-"],
+        ["equal", "", ""],
+    ],
+)
+def test_a_bad_n_exits_2_even_for_the_empty_word(capsys, monkeypatch, argv):
+    for stdin in ("\n", "a123"):
+        code, out, err = run(capsys, [*argv, "--n", "3"], stdin, monkeypatch)
+        assert (code, out, err) == (2, "", "error: strand count must be >= 4, got 3\n")
+
+
 def test_usage_error_exits_2(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, [])[0] == 2

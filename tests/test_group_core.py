@@ -73,6 +73,34 @@ class TestGenTriple:
         with pytest.raises(error):
             build(*args)
 
+    class Strand(int):
+        pass
+
+    @pytest.mark.parametrize(
+        "elems, message",
+        [
+            ((0, 1, 2), "indices (0, 1, 2) out of range 1..4"),
+            ((1, 2, 5), "indices (1, 2, 5) out of range 1..4"),
+            ((True, 2, 3), "need three int indices, got (True, 2, 3)"),
+            ((1, 1, 2), "need three distinct indices, got (1, 1, 2)"),
+            ((Strand(1), 2, 3), "need three int indices, got (1, 2, 3)"),
+            ((1, 2, Strand(3)), "need three int indices, got (1, 2, 3)"),
+        ],
+    )
+    def test_near_sorted_triples_keep_their_errors(self, elems, message):
+        # only a sorted tuple of three ints in 1..n skips the general checks
+        with pytest.raises(BadTriple, match=re.escape(message)):
+            GenTriple(4, elems)
+
+    def test_only_a_sorted_tuple_is_kept_as_given(self):
+        elems = (1, 2, 3)
+        assert GenTriple(4, elems).elems is elems
+        for given in ((3, 1, 2), [1, 2, 3]):
+            g = GenTriple(4, given)
+            assert type(g.elems) is tuple and g.elems == (1, 2, 3)
+        with pytest.raises(InvalidN, match="got 3$"):
+            GenTriple(3, elems)
+
 
 class TestParsing:
     def test_round_trip_compact(self):
@@ -110,6 +138,36 @@ class TestParsing:
             parse_word("b123", 4)
         with pytest.raises(WordParseError):
             parse_word("a125", 4)
+
+    def test_repeated_tokens_spelled_differently_are_equal_letters(self):
+        w = parse_word("a321 a123 a(3,2,1) a123", 4)
+        assert w.letters == (GenTriple(4, (1, 2, 3)),) * 4
+        assert format_word(w) == "a123 a123 a123 a123"
+
+    @pytest.mark.parametrize(
+        "text, bad, message",
+        [
+            ("a123 a12x a124 a12x", "a12x", "cannot parse generator token 'a12x' (n=4)"),
+            ("a125 a123 a125", "a125", "indices (1, 2, 5) out of range 1..4"),
+            ("a123 a(1,1,2) a(1,1,2)", "a(1,1,2)", "need three distinct indices, got (1, 1, 2)"),
+            ("a1234 a1234", "a1234", "'a1234' has 4 indices; words use 3-index generators"),
+        ],
+    )
+    def test_a_repeated_bad_token_raises_at_its_first_occurrence(
+        self, monkeypatch, text, bad, message
+    ):
+        tokens = []
+        read = group_core.parse_indices
+        monkeypatch.setattr(group_core, "parse_indices", lambda t, n: tokens.append(t) or read(t, n))
+        with pytest.raises(WordParseError, match=f"^{re.escape(message)}$"):
+            parse_word(text, 4)
+        assert tokens[-1] == bad and tokens.count(bad) == 1
+
+    @pytest.mark.parametrize("n", [3, 0, -1, 4.0, True, "4"])
+    def test_bad_n_is_a_parse_error_whatever_the_word(self, n):
+        for text in ("", "  ", "a123", "zzz"):
+            with pytest.raises(WordParseError, match=re.escape(f"strand count must be >= 4, got {n!r}")):
+                parse_word(text, n)
 
     def test_word_rejects_mixed_n(self):
         with pytest.raises(DimensionMismatch):
