@@ -72,13 +72,19 @@ def _code(elems: tuple[int, ...]) -> int:
     return 1 << i | 1 << j | 1 << k
 
 
-def _rank(n: int, i: int, j: int, k: int) -> int:
-    """The index of i < j < k among all generators in lexicographic order.
-    C(n,3) - C(n-i+1,3) triples have a smaller first index and
-    C(n-i,2) - C(n-j+1,2) have first index i and a smaller second; by
-    Pascal's rule, C(n-i+1,3) - C(n-i,2) = C(n-i,3)."""
-    a, b = n - i, n - j + 1
-    return (n * (n - 1) * (n - 2) - a * (a - 1) * (a - 2)) // 6 - b * (b - 1) // 2 + k - j - 1
+def generator_ranks(n: int) -> tuple[list[int], list[int]]:
+    """The two O(n) rows of the generator order: generator i<j<k of
+    `all_generators(n)`, and triple i<j<k of a state's mask, has index
+    `first[i] - second[j] + k`, where first[t] = C(n,3) - C(n-t,3) and
+    second[t] = C(n-t+1,2) + t + 1.  C(n,3) - C(n-i+1,3) triples have a
+    smaller first index and C(n-i,2) - C(n-j+1,2) have first index i and a
+    smaller second; by Pascal's rule, C(n-i+1,3) - C(n-i,2) = C(n-i,3)."""
+    total = n * (n - 1) * (n - 2) // 6
+    first, second = [], []
+    for m in range(n, -1, -1):  # m = n - t
+        first.append(total - m * (m - 1) * (m - 2) // 6)
+        second.append(m * (m + 1) // 2 + n - m + 1)
+    return first, second
 
 
 @functools.cache
@@ -202,18 +208,19 @@ def _tetra(a: int, b: int, c: int, d: int) -> bool:
     return (a | b | c | d).bit_count() == 4 and len({a, b, c, d}) == 4
 
 
-@functools.cache
 def _alphabet(n: int) -> tuple[list[int], list[str]]:
     """For a search that may insert: every generator's code, indexed by its
-    letter's code point, and every letter doubled, in generator order."""
-    codes = [_code(c) for c in combinations(range(1, n + 1), 3)]
-    return codes, [chr(r) * 2 for r in range(len(codes))]
+    letter's code point, and every letter doubled, in generator order.
+    Built per search, and freed when the search returns."""
+    codes = [1 << i | 1 << j | 1 << k for i, j, k in combinations(range(1, n + 1), 3)]
+    return codes, [c + c for c in map(chr, range(len(codes)))]
 
 
 def _encode(w: GWord) -> str:
     """The search's form of a word: one code point per letter, the
     generator's index in lexicographic order."""
-    return "".join(chr(_rank(w.n, *g.elems)) for g in w.letters)
+    first, second = generator_ranks(w.n)
+    return "".join(chr(first[i] - second[j] + k) for i, j, k in (g.elems for g in w.letters))
 
 
 def _neighbours(word: str, codes, doubled: list[str], max_len: int):

@@ -9,7 +9,10 @@ drives the good/bad split of letters, the bad-letter projection, and the
 exhaustive census checks over all states.
 
 A state is an int bitmask over the sorted triples in lexicographic order
-(the order of `all_triples`): bit b is set when triple b carries -1.  Code
+(the order of `all_triples`, and of `all_generators`, so letter b flips
+bit b): bit b is set when triple b carries -1.  Triple i<j<k is bit
+`first[i] - second[j] + k` for the two O(n) rows of `generator_ranks(n)`,
+which each reader takes once per call; no table outlives the call.  Code
 that reads a state many times reads a byte table instead, one byte per
 triple (`_bits`), because every read of an int's bit copies the whole int.
 
@@ -40,34 +43,13 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import BadTriple, DimensionMismatch, InvalidBudget, InvalidN, UnsupportedN
-from .group_core import GWord, GenTriple, all_generators, far_commutes
+from .group_core import GWord, GenTriple, all_generators, far_commutes, generator_ranks
 
 Triple = tuple[int, int, int]
 
 
 def all_triples(n: int) -> list[Triple]:
     return list(combinations(range(1, n + 1), 3))
-
-
-@cache
-def _bit_base(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row offsets of the triple order: a<b<c is bit `base[a][b] + c`.
-
-    O(n^2) entries, where a table of every triple would hold C(n,3).
-    """
-    base = [[0] * (n + 1) for _ in range(n + 1)]
-    rank = 0
-    for a in range(1, n - 1):
-        for b in range(a + 1, n):
-            base[a][b] = rank - b - 1
-            rank += n - b
-    return tuple(map(tuple, base))
-
-
-def _bit(base, g: GenTriple) -> int:
-    """The index of g's triple: its bit in a mask, its byte in a table."""
-    i, j, k = g.elems
-    return base[i][j] + k
 
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -112,11 +94,13 @@ class OrientationState:
         return bytes(_bits(self.minus, comb(self.n, 3)))
 
     def value(self, triple: Triple) -> int:
-        """Sign stored on a *sorted* triple."""
-        if len(triple) != 3 or not 1 <= triple[0] < triple[1] < triple[2] <= self.n:
+        """Sign stored on a *sorted* triple, whose strands are checked as a
+        generator's are."""
+        a, b, c = GenTriple(self.n, triple).elems
+        if (a, b, c) != tuple(triple):
             raise BadTriple(f"{tuple(triple)} is not a sorted triple of 1..{self.n}")
-        a, b, c = triple
-        return -1 if self._table[_bit_base(self.n)[a][b] + c] else 1
+        first, second = generator_ranks(self.n)
+        return -1 if self._table[first[a] - second[b] + c] else 1
 
 
 def initial_state(n: int) -> OrientationState:
@@ -129,39 +113,30 @@ def initial_state(n: int) -> OrientationState:
     return OrientationState(n, 0)
 
 
-def _sign(base, bits, i: int, j: int, k: int) -> int:
-    """Sign of the ordered triple (i,j,k) of distinct strands at the state
-    whose byte table is `bits`."""
-    odd = (i > j) ^ (i > k) ^ (j > k)
-    a, b, c = sorted((i, j, k))
-    return -1 if bits[base[a][b] + c] ^ odd else 1
-
-
 def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
-    """Sign of the ordered triple (i,j,k): antisymmetric in its arguments."""
-    if i == j or i == k or j == k:
-        raise BadTriple(f"triple ({i},{j},{k}) has repeated indices")
-    for idx in (i, j, k):
-        if not 1 <= idx <= s.n:
-            raise BadTriple(f"index {idx} out of range 1..{s.n}")
-    return _sign(_bit_base(s.n), s._table, i, j, k)
+    """Sign of the ordered triple (i,j,k) of distinct strands, checked as a
+    generator's are: antisymmetric in its arguments."""
+    elems = GenTriple(s.n, (i, j, k)).elems
+    odd = (i > j) ^ (i > k) ^ (j > k)
+    return -s.value(elems) if odd else s.value(elems)
 
 
 def flip(s: OrientationState, g: GenTriple) -> OrientationState:
     """Negate exactly the entry of g's triple; an involution."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    return OrientationState(s.n, s.minus ^ 1 << _bit(_bit_base(s.n), g))
+    return run_word(s, GWord(s.n, (g,)))
 
 
 def run_word(s: OrientationState, w: GWord) -> OrientationState:
     """Left-to-right composition of flips."""
     if w.n != s.n:
         raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
-    base = _bit_base(s.n)
+    first, second = generator_ranks(s.n)
     cur = s.minus
     for g in w.letters:
-        cur ^= 1 << _bit(base, g)
+        i, j, k = g.elems
+        cur ^= 1 << (first[i] - second[j] + k)
     return OrientationState(s.n, cur)
 
 
@@ -177,12 +152,12 @@ def _gap_table(gap: int) -> tuple[int, ...]:
     """
     p = gap + 1
     i, j, k = (e for e in (1, 2, 3, 4) if e != p)
-    triples = [tuple(sorted(pair + (p,))) for pair in ((i, j), (i, k), (j, k))]
+    first, second = generator_ranks(4)
+    triples = [sorted(pair + (p,)) for pair in ((i, j), (i, k), (j, k))]
+    bits = [first[a] - second[b] + c for a, b, c in triples]
     table = []
     for key in range(8):
-        s = OrientationState(
-            4, sum(1 << all_triples(4).index(t) for b, t in enumerate(triples) if key >> b & 1)
-        )
+        s = OrientationState(4, sum(1 << t for b, t in enumerate(bits) if key >> b & 1))
         entry = 0
         for bit, (c, x, y) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
             if signed_index(s, x, c, p) == signed_index(s, x, y, p) == signed_index(s, c, y, p):
@@ -196,17 +171,20 @@ def _gap_table(gap: int) -> tuple[int, ...]:
 _GAP_TABLES = tuple(_gap_table(gap) for gap in range(4))
 
 
-def _row(base, table, n: int, x: int, y: int) -> int:
+def _row(ranks, table, n: int, x: int, y: int) -> int:
     """The pair row of x<y at the state whose byte table is `table`: bit p
-    is the bit of the sorted triple {x,y,p}.  O(n); classifying reads it
-    once per pair it touches, and only from a start other than all-plus."""
-    bx = base[x]
+    is the bit of the sorted triple {x,y,p}, found by the rows `ranks` of
+    `generator_ranks(n)`.  O(n); classifying reads it once per pair it
+    touches, and only from a start other than all-plus."""
+    first, second = ranks
     row = 0
+    r = second[x] - y
     for p in range(1, x):
-        row |= table[base[p][x] + y] << p
+        row |= table[first[p] - r] << p
+    r = first[x] + y
     for p in range(x + 1, y):
-        row |= table[bx[p] + y] << p
-    r = bx[y]
+        row |= table[r - second[p]] << p
+    r = first[x] - second[y]
     for p in range(y + 1, n + 1):
         row |= table[r + p] << p
     return row
@@ -278,9 +256,9 @@ def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
     state's byte table."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    n, base, table = s.n, _bit_base(s.n), s._table
+    n, ranks, table = s.n, generator_ranks(s.n), s._table
+    ij, ik, jk = (_row(ranks, table, n, x, y) for x, y in combinations(g.elems, 2))
     i, j, k = g.elems
-    ij, ik, jk = _row(base, table, n, i, j), _row(base, table, n, i, k), _row(base, table, n, j, k)
     return _status(_central(ij, ik, jk, (2 << n) - 2, i, j, k))
 
 
@@ -316,12 +294,12 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
     if s.n != w.n:
         raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
     n = w.n
-    base = _bit_base(n)
+    ranks = first, second = generator_ranks(n)
     full = (2 << n) - 2
     m = n + 1  # the row of x<y is keyed x * m + y
     if s.minus:
         pairs = {pair for g in w.letters for pair in combinations(g.elems, 2)}
-        rows = {x * m + y: _row(base, s._table, n, x, y) for x, y in pairs}
+        rows = {x * m + y: _row(ranks, s._table, n, x, y) for x, y in pairs}
     else:  # every row of the all-plus start is 0
         rows = {}
     get = rows.get
@@ -333,7 +311,7 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
         ij, ik, jk = get(a, 0), get(b, 0), get(c, 0)
         statuses.append(_status(_central(ij, ik, jk, full, i, j, k)))
         rows[a], rows[b], rows[c] = ij ^ 1 << k, ik ^ 1 << j, jk ^ 1 << i
-        t = base[i][j] + k
+        t = first[i] - second[j] + k
         odd[t >> 3] ^= 1 << (t & 7)
     final = s.minus ^ int.from_bytes(odd, "little")
     return ClassifiedWord(w, tuple(statuses), OrientationState(n, final))
@@ -404,33 +382,36 @@ def _flipped(cols: list[int], b: int, size: int) -> list[int]:
     return out
 
 
-def _gap_keys(base, cols: list[int], n: int, i: int, j: int, k: int):
+def _gap_keys(ranks, cols: list[int], n: int, i: int, j: int, k: int):
     """Per outside strand p of letter i<j<k: its gap's translate table and
     its column of gap keys, `{i,j,p} | {i,k,p} << 1 | {j,k,p} << 2` over the
-    triples' columns.  No byte carries into the next, since every column
-    byte is 0 or 1."""
+    triples' columns, found by the rows `ranks` of `generator_ranks(n)`.
+    No byte carries into the next, since every column byte is 0 or 1."""
     below, ij, jk, above = _GAP_BYTES
-    bi, bj = base[i], base[j]
+    first, second = ranks
+    fi, fj, si = first[i], first[j], second[i]
+    pjk = k - second[j]  # p<j: {p,j,k} is bit first[p] + pjk
     for p in range(1, i):
-        r = base[p][i]
-        yield below, cols[r + j] | cols[r + k] << 1 | cols[base[p][j] + k] << 2
+        r = first[p] - si
+        yield below, cols[r + j] | cols[r + k] << 1 | cols[first[p] + pjk] << 2
     for p in range(i + 1, j):
-        r = bi[p]
-        yield ij, cols[r + j] | cols[r + k] << 1 | cols[base[p][j] + k] << 2
-    rij = bi[j]
+        r = fi - second[p]
+        yield ij, cols[r + j] | cols[r + k] << 1 | cols[first[p] + pjk] << 2
+    rij = fi - second[j]
     for p in range(j + 1, k):
-        yield jk, cols[rij + p] | cols[bi[p] + k] << 1 | cols[bj[p] + k] << 2
-    rik, rjk = bi[k], bj[k]
+        r = k - second[p]
+        yield jk, cols[rij + p] | cols[fi + r] << 1 | cols[fj + r] << 2
+    rik, rjk = fi - second[k], fj - second[k]
     for p in range(k + 1, n + 1):
         yield above, cols[rij + p] | cols[rik + p] << 1 | cols[rjk + p] << 2
 
 
-def _sliced_centrals(base, cols: list[int], size: int, n: int, i: int, j: int, k: int) -> int:
+def _sliced_centrals(ranks, cols: list[int], size: int, n: int, i: int, j: int, k: int) -> int:
     """The centrals bitset of letter i<j<k at all `size` states of `cols`
     (from `_columns`) at once: byte s of the result is its centrals bitset at
     state s, the AND over the outside strands of their gap table entries."""
     acc = -1
-    for table, keys in _gap_keys(base, cols, n, i, j, k):
+    for table, keys in _gap_keys(ranks, cols, n, i, j, k):
         acc &= int.from_bytes(keys.to_bytes(size, "little").translate(table), "little")
         if not acc:
             break
@@ -609,11 +590,12 @@ def _tetra_detail(lhs, rhs, where, realised, codes: bytes) -> str:
 
 
 def _tetra_census() -> CensusReport:
-    base = _bit_base(4)
+    ranks = generator_ranks(4)
     states = range(1 << comb(4, 3))
     size = len(states)
     cols = _columns(states, comb(4, 3))
     gens = all_generators(4)  # letter b flips triple b
+    bit = {g: b for b, g in enumerate(gens)}
     tags = {g: _tags(g) for g in gens}
     # flips commute, so a letter's prefix state is fixed by the set of the
     # letters before it, a bitmask over triples: every window reads its
@@ -624,7 +606,7 @@ def _tetra_census() -> CensusReport:
         b = done.bit_length() - 1
         flipped.append(_flipped(flipped[done ^ 1 << b], b, size))
     reads = {
-        (done, b): _sliced_centrals(base, flipped[done], size, 4, *g.elems)
+        (done, b): _sliced_centrals(ranks, flipped[done], size, 4, *g.elems)
         for done in range(15)
         for b, g in enumerate(gens)
         if not done >> b & 1
@@ -638,7 +620,7 @@ def _tetra_census() -> CensusReport:
         for word in (lhs, rhs):
             done = 0
             for g in word:
-                b = _bit(base, g)
+                b = bit[g]
                 codes.append(reads[done, b])
                 done |= 1 << b
         cases.append(
@@ -660,14 +642,14 @@ def _square_detail(codes: bytes) -> str:
 
 
 def _square_census() -> CensusReport:
-    base = _bit_base(4)
+    ranks = generator_ranks(4)
     states = range(1 << comb(4, 3))
     size = len(states)
     cols = _columns(states, comb(4, 3))
     cases = []
-    for g in all_generators(4):
-        first = _sliced_centrals(base, cols, size, 4, *g.elems)
-        second = _sliced_centrals(base, _flipped(cols, _bit(base, g), size), size, 4, *g.elems)
+    for b, g in enumerate(all_generators(4)):  # letter b flips triple b
+        first = _sliced_centrals(ranks, cols, size, 4, *g.elems)
+        second = _sliced_centrals(ranks, _flipped(cols, b, size), size, 4, *g.elems)
         tags = _tags(g)
         cases.append(
             _Case(
@@ -689,7 +671,7 @@ def _commute_detail(codes: bytes) -> str:
 
 
 def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
-    base = _bit_base(n)
+    ranks = generator_ranks(n)
     width = comb(n, 3)
     if n == 5:
         states = range(1 << width)
@@ -704,7 +686,7 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
     # letters by triple index; every letter far-commutes with another, so
     # all are read here
     gens = all_generators(n)
-    here = [_sliced_centrals(base, cols, size, n, *g.elems) for g in gens]
+    here = [_sliced_centrals(ranks, cols, size, n, *g.elems) for g in gens]
     flips = [_flipped(cols, b, size) for b in range(width)]
     names = [str(g) for g in gens]
     tags = [_tags(g) for g in gens]
@@ -715,8 +697,8 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
             continue
         # a then b, and b then a, each letter read at its prefix state
         fa, rb = here[a], here[b]
-        fb = _sliced_centrals(base, flips[a], size, n, *gb.elems)
-        ra = _sliced_centrals(base, flips[b], size, n, *ga.elems)
+        fb = _sliced_centrals(ranks, flips[a], size, n, *gb.elems)
+        ra = _sliced_centrals(ranks, flips[b], size, n, *ga.elems)
         cases.append(
             _Case(
                 f"{names[a]}|{names[b]}",

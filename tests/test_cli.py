@@ -3,8 +3,10 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,10 @@ import pytest
 
 import tribraid
 from tribraid import (
+    GenTriple,
+    GWord,
+    bounded_equal,
+    classify_word,
     compile_program,
     format_word,
     program_from_json,
@@ -558,6 +564,57 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_per_process_caches_are_the_known_four():
+    # a cache lives as long as the process: a per-n table kept in one grows
+    # with every n a caller reads, so it must be listed here on purpose
+    package = Path(tribraid.__file__).resolve().parent
+
+    def is_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in ("cache", "lru_cache")
+
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(is_cache, node.decorator_list)):
+                    found.add(node.name)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if is_cache(node.value.func):
+                    found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert found == {"_generators", "_status", "_tetra_windows", "build_parser"}
+
+
+def _classify_at_500():
+    n = 500
+    rng = random.Random(5)
+    letters = (GenTriple(n, tuple(rng.sample(range(1, n + 1), 3))) for _ in range(200))
+    classify_word(GWord(n, tuple(letters)))
+
+
+def _search_with_an_insertion():
+    n = 100
+    abc = [GenTriple(n, t) for t in ((1, 2, 3), (4, 5, 6), (7, 8, 9))]
+    twice = [GenTriple(n, (1, 5, 9))] * 2
+    bounded_equal(GWord(n, abc), GWord(n, twice + abc), 1, 5)
+
+
+@pytest.mark.parametrize("call", [_classify_at_500, _search_with_an_insertion])
+def test_calls_keep_no_table_once_they_return(call):
+    # a table over the C(n,3) triples is 7.4 MiB at n=500 for classifying
+    # and 21 MiB at n=100 for a search's alphabet; once the call returns,
+    # nothing of that size may stay allocated
+    tracemalloc.start()
+    try:
+        call()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_only_the_trusted_configuration_bypasses_a_constructor():

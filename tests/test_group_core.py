@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter, deque
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,12 +22,14 @@ from tribraid import (
     SearchStats,
     WordParseError,
     all_generators,
+    all_triples,
     applicable_moves,
     apply_move,
     bounded_equal,
     far_commutes,
     format_word,
     generator_parity,
+    generator_ranks,
     parse_indices,
     parse_word,
 )
@@ -275,8 +278,20 @@ class TestMoveEnumeration:
 class TestSearchAlphabet:
     def test_rank_is_the_generator_order(self):
         for n in range(4, 41):
-            ranks = [group_core._rank(n, *g.elems) for g in all_generators(n)]
-            assert ranks == list(range(len(ranks)))
+            first, second = generator_ranks(n)
+            ranks = [first[i] - second[j] + k for i, j, k in (g.elems for g in all_generators(n))]
+            assert ranks == list(range(comb(n, 3)))
+            assert [first[i] - second[j] + k for i, j, k in all_triples(n)] == ranks
+        # at n=500, without listing its C(500,3) triples: in lexicographic
+        # order each pair (i, j) runs k = j+1..n on consecutive ranks, from
+        # one past the last rank of the pair before it
+        n = 500
+        first, second = generator_ranks(n)
+        rank = -1
+        for i, j in combinations(range(1, n), 2):
+            assert first[i] - second[j] + j + 1 == rank + 1
+            rank = first[i] - second[j] + n
+        assert rank == comb(n, 3) - 1
 
     def test_no_generator_table_without_insertions(self, monkeypatch):
         # counts the per-n tables built at n=100, where each has 161,700

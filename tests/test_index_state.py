@@ -28,6 +28,7 @@ from tribraid import (
     enumerate_states,
     far_commutes,
     flip,
+    generator_ranks,
     initial_state,
     is_realisable,
     letter_status,
@@ -41,7 +42,6 @@ from tribraid import (
 from tribraid import index_state
 from tribraid.index_state import (
     _GAP_TABLES,
-    _bit_base,
     _columns,
     _flipped,
     _sliced_centrals,
@@ -79,6 +79,23 @@ class TestSignedIndex:
             signed_index(s, 1, 1, 2)
         with pytest.raises(BadTriple):
             signed_index(s, 1, 2, 5)
+
+    @pytest.mark.parametrize(
+        "read, args",
+        [
+            ("value", ((1, 2, 3.0),)),
+            ("value", (5,)),
+            ("value", ((True, 2, 3),)),
+            ("signed_index", (1, 2, 3.0)),
+            ("signed_index", ("1", 2, 3)),
+            ("signed_index", (True, 2, 3)),
+        ],
+    )
+    def test_only_int_strands(self, read, args):
+        # as for GenTriple, a bool, a float or a str is not a strand
+        s = initial_state(4)
+        with pytest.raises(BadTriple):
+            s.value(*args) if read == "value" else signed_index(s, *args)
 
 
 class TestFlip:
@@ -302,7 +319,6 @@ class TestClassifyWord:
             n,
             tuple(GenTriple(n, tuple(rng.sample(range(1, n + 1), 3))) for _ in range(length)),
         )
-        classify_word(GWord(n, w.letters[:1]))  # build the cached bit table
         tracemalloc.start()
         try:
             classify_word(w)
@@ -421,11 +437,11 @@ class TestCensuses:
         plain = _columns(range(2**10), 10)
         flipped = all_triples(5).index((3, 4, 5))
 
-        def altered(base, cols, size, n, i, j, k):
+        def altered(ranks, cols, size, n, i, j, k):
             moved = [t for t, (c, p) in enumerate(zip(cols, plain)) if c != p]
             if (i, j, k) == (1, 2, 3) and moved == [flipped]:
                 return 0
-            return kernel(base, cols, size, n, i, j, k)
+            return kernel(ranks, cols, size, n, i, j, k)
 
         monkeypatch.setattr(index_state, "_sliced_centrals", altered)
         report = relation_census(5, "commute")
@@ -549,7 +565,7 @@ class TestSlicedKernel:
     def test_bytes_are_single_state_codes(self):
         rng = random.Random(1997)
         for n in range(4, 10):
-            base, width = _bit_base(n), comb(n, 3)
+            ranks, width = generator_ranks(n), comb(n, 3)
             for masks in self.state_sets(rng, n):
                 size = len(masks)
                 cols = _columns(masks, width)
@@ -557,7 +573,7 @@ class TestSlicedKernel:
                 reads = ((cols, masks), (_flipped(cols, b, size), [m ^ 1 << b for m in masks]))
                 for columns, states in reads:
                     for g in all_generators(n):
-                        sliced = _sliced_centrals(base, columns, size, n, *g.elems)
+                        sliced = _sliced_centrals(ranks, columns, size, n, *g.elems)
                         assert sliced.to_bytes(size, "little") == bytes(
                             self.code(letter_status(OrientationState(n, m), g), g)
                             for m in states
