@@ -63,14 +63,14 @@ MAX_WORD_N = 500
 # 1.8-2.0 s and 326 MiB at n = 150, where a letter takes 4 bytes.
 MAX_EQUAL_N = 100
 # A commute census with states reads every far-commuting pair, whatever its
-# sample count: one sample at n = 14 (60,060 pairs) takes 0.8-1.0 s and
+# sample count: one sample at n = 14 (60,060 pairs) takes 0.6-0.9 s and
 # 36 MiB as a command, and 1.2-1.6 s and 63 MiB at n = 16 in one process.
 # With no samples it reads nothing: 0.17 s and 18 MiB as a command at n = 14.
 MAX_CENSUS_N = 14
 # It keeps a few bytes per pair and state, renders rows only when they are
 # read and writes them a block at a time: 9 samples at n = 14 (540,540
-# rows) take 1.1 s and 38 MiB as a command, and 3.3 s and 42 MiB with
-# --full, so the ceiling bounds the columns kept and the time taken.
+# rows) take 0.7-1.3 s and 38 MiB as a command, and 2.7-4.1 s and 42 MiB
+# with --full, so the ceiling bounds the columns kept and the time taken.
 MAX_CENSUS_ROWS = 600_000
 
 
@@ -279,8 +279,9 @@ def cmd_selftest(args) -> int:
         # letter at all states at once; their rows against letter_status at
         # each state alone, walked along each side of the row's case.  8
         # seeded states at n=6 read every letter, and at n=4 each letter has
-        # one outside strand, so the square census shows every gap table
-        # entry unmasked by the AND of the others
+        # one outside strand, in region O, G1 or G2 of `_central`'s XOR
+        # rule, so the square census shows every (x, y) value against every
+        # target, unmasked by the misses of other strands
         def walk(s, letters):
             tags = []
             for g in letters:

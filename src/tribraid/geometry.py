@@ -132,8 +132,8 @@ class Configuration:
     points: tuple[RationalPoint, ...]
 
     def __post_init__(self):
-        if self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n}")
+        if type(self.n) is not int or self.n < 4:
+            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) != self.n:
             raise DimensionMismatch(f"{len(self.points)} points for n={self.n}")
@@ -148,8 +148,10 @@ class Configuration:
                 raise GenericityError(f"strands {a + 1},{a + b + 2},{a + c + 2} are collinear")
 
     def point(self, strand: int) -> RationalPoint:
-        if not 1 <= strand <= self.n:
-            raise BadTriple(f"strand {strand} out of range 1..{self.n}")
+        """The point of `strand`; every geometry reader's range check, which
+        refuses a strand that is not an int or is a bool."""
+        if type(strand) is not int or not 1 <= strand <= self.n:
+            raise BadTriple(f"strand {strand!r} out of range 1..{self.n}")
         return self.points[strand - 1]
 
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
@@ -299,8 +301,8 @@ def regular_rational_configuration(n: int) -> Configuration:
     distinct strands are distinct, the half-angle map is injective and
     never reaches (-1, 0), which only j = n/2 takes, so no two coincide.
     """
-    if n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n}")
+    if type(n) is not int or n < 4:
+        raise InvalidN(f"strand count must be >= 4, got {n!r}")
     pts = []
     for j in range(1, n + 1):
         b = j if 2 * j <= n else j - n
@@ -492,11 +494,9 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     holds no other strand; z_j +- v/m is on a line through j and k only at
     a skipped shear; (b) covers the remaining lines.
     """
-    if n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n}")
+    cfg = regular_rational_configuration(n)  # checks n
     if i == j:
         raise BadTriple("generator needs two distinct strands")
-    cfg = regular_rational_configuration(n)
     pi = cfg.point(i)
     cfg.point(j)  # range check
     grid, den = _grid(cfg.points)

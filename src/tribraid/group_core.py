@@ -139,8 +139,9 @@ class GWord:
         return format_word(self)
 
 
-_GENERAL_TOKEN = re.compile(r"^a\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)$")
-_COMPACT_TOKEN = re.compile(r"^a(\d+)$")
+# ASCII digits only: `\d` also matches other scripts' digits, which `int` reads
+_GENERAL_TOKEN = re.compile(r"^a\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)$")
+_COMPACT_TOKEN = re.compile(r"^a([0-9]+)$")
 
 
 def parse_indices(token: str, n: int) -> tuple[int, int, int]:
@@ -152,7 +153,10 @@ def parse_indices(token: str, n: int) -> tuple[int, int, int]:
     """
     m = _GENERAL_TOKEN.match(token)
     if m:
-        idx = tuple(int(part) for part in m.group(1).split(","))
+        try:
+            idx = tuple(int(part) for part in m.group(1).split(","))
+        except ValueError:  # Python reads no int of over 4,300 digits
+            raise WordParseError(f"an index of {token[:16]!r}... has too many digits") from None
     elif n <= 9 and _COMPACT_TOKEN.match(token):
         idx = tuple(int(ch) for ch in token[1:])
     else:

@@ -24,9 +24,9 @@ the word touches; `letter_status` reads its three from the byte table.
 
 A census reads a letter at many states at once, sliced by triple
 (`_columns`): triple b's column is an int whose byte s is bit b of state s,
-so one whole-int operation acts on every state, and `_sliced_centrals` looks
-up the gap tables for all of them with `bytes.translate`.  This is
-bit-slicing (Biham, "A fast new DES implementation in software", 1997).
+so one whole-int operation acts on every state, and `_sliced_centrals`
+applies `_central`'s XOR rule to the columns, one lane per central.  This
+is bit-slicing (Biham, "A fast new DES implementation in software", 1997).
 Flips commute, so a census reads a letter once per *set* of letters flipped
 before it, not once per window that reaches that set, and it computes a
 suspect row's detail once, for the row it renders.
@@ -140,37 +140,6 @@ def run_word(s: OrientationState, w: GWord) -> OrientationState:
     return OrientationState(s.n, cur)
 
 
-def _gap_table(gap: int) -> tuple[int, ...]:
-    """The centrals one outside strand p admits, read from the definition.
-
-    p lies in gap `gap` of the letter i<j<k (that many of i, j, k are below
-    p).  Entry `key` is for the state where {i,j,p}, {i,k,p} and {j,k,p}
-    carry -1 as bits 0, 1 and 2 of `key` say; it is a bitset over the
-    centrals (bit 0: i, bit 1: j, bit 2: k).  Only these three triples and
-    the order of i, j, k, p enter the central conditions, so the tables at
-    n=4 hold for every n.
-    """
-    p = gap + 1
-    i, j, k = (e for e in (1, 2, 3, 4) if e != p)
-    first, second = generator_ranks(4)
-    triples = [sorted(pair + (p,)) for pair in ((i, j), (i, k), (j, k))]
-    bits = [first[a] - second[b] + c for a, b, c in triples]
-    table = []
-    for key in range(8):
-        s = OrientationState(4, sum(1 << t for b, t in enumerate(bits) if key >> b & 1))
-        entry = 0
-        for bit, (c, x, y) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
-            if signed_index(s, x, c, p) == signed_index(s, x, y, p) == signed_index(s, c, y, p):
-                entry |= 1 << bit
-        table.append(entry)
-    return tuple(table)
-
-
-# every entry admits at most one central (tests check this), so the AND of
-# entries over the outside strands does too
-_GAP_TABLES = tuple(_gap_table(gap) for gap in range(4))
-
-
 def _row(ranks, table, n: int, x: int, y: int) -> int:
     """The pair row of x<y at the state whose byte table is `table`: bit p
     is the bit of the sorted triple {x,y,p}, found by the rows `ranks` of
@@ -194,16 +163,28 @@ def _central(ij: int, ik: int, jk: int, full: int, i: int, j: int, k: int) -> in
     """The central of letter i<j<k, 0 when it has none, from its pair rows
     `ij`, `ik` and `jk`; `full` has the bits of strands 1..n.
 
-    Outside strand p reads the key (bit p of ij, ik, jk), and every
-    (gap, central) entry of `_GAP_TABLES` admits exactly one pair of keys
-    {κ, 7-κ} (tests derive this), so p admits a central exactly when the two
-    XORs x_p = ij_p ^ ik_p and y_p = ik_p ^ jk_p take the values fixed by
-    the central and by p's gap.  With U the outside strands, G1 those
-    strictly between i and j, G2 those strictly between j and k and
-    O = U ^ G1 ^ G2 the rest, the AND over p reads: i is central iff
-    X == O|G1 and Y == G1, j iff X == G2 and Y == G1, k iff X == G2 and
-    Y == O|G2, where X and Y are the XORs over U.  At most one holds, since
-    U is not empty."""
+    The rule: outside strand p admits central c exactly when the XORs
+    x_p = ij_p ^ ik_p and y_p = ik_p ^ jk_p equal c's targets for the
+    region of p, where O holds the strands below i or above k, G1 those
+    strictly between i and j, and G2 those strictly between j and k:
+
+        central   O       G1      G2
+        i         (1,0)   (1,1)   (0,0)
+        j         (0,0)   (0,1)   (1,0)
+        k         (0,1)   (0,0)   (1,1)
+
+    Proof: an ordered triple's sign is (-1)^(its sorted triple's bit + the
+    parity of the sort), so each of the two equalities among a central's
+    three signs sets one XOR of ij_p, ik_p, jk_p to a parity of order
+    tests: i (flanked by j and k) needs x_p = 1 + [p<j] + [p<k] and
+    y_p = [p<i] + [p<j], j needs [p<j] + [p<k] and [p<i] + [p<j], and k
+    needs [p<j] + [p<k] and 1 + [p<i] + [p<j], mod 2.  Reversed flanks
+    negate all three signs, so they admit the same.  The three targets of
+    a region differ, so p admits at most one central, and n >= 4 leaves at
+    least one outside strand.  With U the outside strands and X, Y the
+    XORs over U, the AND over p reads: i is central iff X == O|G1 and
+    Y == G1, j iff X == G2 and Y == G1, k iff X == G2 and Y == O|G2.
+    Censuses apply the rule to columns of states (`_sliced_centrals`)."""
     u = full ^ (1 << i | 1 << j | 1 << k)
     x = (ij ^ ik) & u
     y = (ik ^ jk) & u
@@ -225,10 +206,9 @@ class LetterStatus:
     there is one.
 
     Admissibility is unchanged by reversing the flanking order, so the
-    central is well defined.  For any single outside strand the three
-    central conditions are mutually exclusive (every gap table entry has at
-    most one bit), and n >= 4 leaves at least one outside strand, so at
-    most one strand is admissible.
+    central is well defined, and at most one strand is admissible: the
+    three central conditions are mutually exclusive for each outside
+    strand, and n >= 4 leaves at least one (`_central` proves both).
     """
 
     central: int
@@ -348,10 +328,12 @@ def stable_projection(w: GWord) -> tuple[GWord, int]:
 # State enumeration and lemma censuses
 
 
-def enumerate_states(n: int):
-    """All 2^C(n,3) orientation states, in the order of their masks."""
-    for mask in range(1 << comb(n, 3)):
-        yield OrientationState(n, mask)
+def enumerate_states(n: int) -> Iterator[OrientationState]:
+    """All 2^C(n,3) orientation states, in the order of their masks; n is
+    checked at the call, as `OrientationState` checks it."""
+    if type(n) is not int or n < 4:
+        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    return (OrientationState(n, mask) for mask in range(1 << comb(n, 3)))
 
 
 class CensusRow(NamedTuple):
@@ -360,11 +342,6 @@ class CensusRow(NamedTuple):
     statuses: str
     ok: bool
     detail: str = ""
-
-
-# the gap tables as `bytes.translate` tables, which map a column of gap keys
-# (one per byte) to the column of their entries
-_GAP_BYTES = tuple(bytes(table) + bytes(256 - len(table)) for table in _GAP_TABLES)
 
 
 def _columns(masks: Sequence[int], width: int) -> list[int]:
@@ -382,40 +359,53 @@ def _flipped(cols: list[int], b: int, size: int) -> list[int]:
     return out
 
 
-def _gap_keys(ranks, cols: list[int], n: int, i: int, j: int, k: int):
-    """Per outside strand p of letter i<j<k: its gap's translate table and
-    its column of gap keys, `{i,j,p} | {i,k,p} << 1 | {j,k,p} << 2` over the
-    triples' columns, found by the rows `ranks` of `generator_ranks(n)`.
-    No byte carries into the next, since every column byte is 0 or 1."""
-    below, ij, jk, above = _GAP_BYTES
+def _misses(ranks, cols: list[int], ones: int, n: int, i: int, j: int, k: int):
+    """Per outside strand p of letter i<j<k, the states where p rules out
+    each central: bit c of byte s (0: i, 1: j, 2: k) is set where p's XOR
+    columns x_p and y_p (`_central`), read through the rows `ranks` of
+    `generator_ranks(n)`, differ at state s from c's targets for p's region.
+    A column of 0/1 bytes times 7 fills the three lanes, and the targets
+    are `ones` times their lane bits."""
     first, second = ranks
     fi, fj, si = first[i], first[j], second[i]
     pjk = k - second[j]  # p<j: {p,j,k} is bit first[p] + pjk
+    tx, ty = ones, 4 * ones  # O: i needs (1,0), j (0,0), k (0,1)
     for p in range(1, i):
         r = first[p] - si
-        yield below, cols[r + j] | cols[r + k] << 1 | cols[first[p] + pjk] << 2
+        ik = cols[r + k]
+        yield (cols[r + j] ^ ik) * 7 ^ tx | (ik ^ cols[first[p] + pjk]) * 7 ^ ty
+    tx, ty = ones, 3 * ones  # G1: i needs (1,1), j (0,1), k (0,0)
     for p in range(i + 1, j):
         r = fi - second[p]
-        yield ij, cols[r + j] | cols[r + k] << 1 | cols[first[p] + pjk] << 2
+        ik = cols[r + k]
+        yield (cols[r + j] ^ ik) * 7 ^ tx | (ik ^ cols[first[p] + pjk]) * 7 ^ ty
     rij = fi - second[j]
+    tx, ty = 6 * ones, 4 * ones  # G2: i needs (0,0), j (1,0), k (1,1)
     for p in range(j + 1, k):
         r = k - second[p]
-        yield jk, cols[rij + p] | cols[fi + r] << 1 | cols[fj + r] << 2
+        ik = cols[fi + r]
+        yield (cols[rij + p] ^ ik) * 7 ^ tx | (ik ^ cols[fj + r]) * 7 ^ ty
     rik, rjk = fi - second[k], fj - second[k]
+    tx, ty = ones, 4 * ones  # O
     for p in range(k + 1, n + 1):
-        yield above, cols[rij + p] | cols[rik + p] << 1 | cols[rjk + p] << 2
+        ik = cols[rik + p]
+        yield (cols[rij + p] ^ ik) * 7 ^ tx | (ik ^ cols[rjk + p]) * 7 ^ ty
 
 
 def _sliced_centrals(ranks, cols: list[int], size: int, n: int, i: int, j: int, k: int) -> int:
     """The centrals bitset of letter i<j<k at all `size` states of `cols`
-    (from `_columns`) at once: byte s of the result is its centrals bitset at
-    state s, the AND over the outside strands of their gap table entries."""
-    acc = -1
-    for table, keys in _gap_keys(ranks, cols, n, i, j, k):
-        acc &= int.from_bytes(keys.to_bytes(size, "little").translate(table), "little")
-        if not acc:
-            break
-    return acc
+    (from `_columns`) at once: byte s of the result is its bitset at state s
+    (bit 0: i, bit 1: j, bit 2: k), by `_central`'s rule.  Lane c of `miss`
+    is central c's miss column, the OR of every outside strand's misses
+    (`_misses`); the read stops once every lane of every state is set."""
+    ones = int.from_bytes(b"\1" * size, "little")
+    sevens = 7 * ones
+    miss = 0
+    for column in _misses(ranks, cols, ones, n, i, j, k):
+        miss |= column
+        if miss == sevens:
+            return 0
+    return sevens ^ miss
 
 
 class _Case(NamedTuple):
@@ -730,8 +720,11 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     ``square``: both copies of a doubled letter share status.
     ``commute``: far-commuting letters keep their statuses under the swap
     (exhaustive at n=5, `samples` seeded states for n >= 6; a negative
-    count raises `InvalidBudget`).
+    count raises `InvalidBudget`).  An n that is not an int, or is a bool,
+    raises `InvalidN`.
     """
+    if type(n) is not int:
+        raise InvalidN(f"strand count must be an int, got {n!r}")
     if lemma in ("tetra", "square"):
         if n != 4:
             raise UnsupportedN(f"{lemma} census is exhaustive for n=4 only")

@@ -142,6 +142,20 @@ def test_equal_negative_budget_exits_2(capsys):
         assert code == 2 and out == "" and "budgets must be >= 0" in err
 
 
+def test_unreadable_indices_exit_2(capsys):
+    # an index of over 4,300 digits, and a digit outside 0-9, are parse
+    # errors, not a traceback
+    long = f"a({'9' * 5000},1,2)"
+    for argv in (
+        ["classify", "--n", "4", long],
+        ["equal", "--n", "4", long, "a123"],
+        ["classify", "--n", "4", "a(\u0661,2,3)"],
+        ["equal", "--n", "4", "a123", "a\u066123"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and len(err) < 100, argv
+
+
 def test_parity_output(capsys):
     code, out, _ = run(capsys, ["parity", "--n", "4", "a123 a124 a123"])
     assert code == 0 and out.strip() == "a124"
@@ -463,20 +477,30 @@ def test_selftest_catches_a_drifted_row_kernel(capsys, monkeypatch):
     assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
 
 
-@pytest.mark.parametrize("gap, key, value", [(0, 1, 0), (3, 6, 2), (1, 3, 4), (2, 4, 5)])
-def test_selftest_catches_a_changed_gap_table_entry(capsys, monkeypatch, gap, key, value):
-    # one entry of the census kernel's translate tables; a two-bit entry
-    # (5) makes the census rendering raise, which fails the check too
-    tables = list(tribraid.index_state._GAP_BYTES)
-    table = bytearray(tables[gap])
-    assert table[key] != value
-    table[key] = value
-    tables[gap] = bytes(table)
-    monkeypatch.setattr(tribraid.index_state, "_GAP_BYTES", tuple(tables))
+def test_selftest_catches_a_drifted_census_kernel(capsys, monkeypatch):
+    # the census kernel with j's G1 and G2 targets swapped: j's lane now
+    # needs (1,0) between i and j and (0,1) between j and k, and the i and
+    # k lanes are the exact kernel's.  The tetra
+    # census then has count-3 windows, so the census check fails too; the
+    # checks after it still run and pass
+    exact = tribraid.index_state._sliced_centrals
+
+    def drifted(ranks, cols, size, n, i, j, k):
+        first, second = ranks
+        ones = int.from_bytes(b"\1" * size, "little")
+        miss = 0
+        for p in set(range(1, n + 1)) - {i, j, k}:
+            ij, ik, jk = (sorted(pair + (p,)) for pair in ((i, j), (i, k), (j, k)))
+            ij, ik, jk = (cols[first[a] - second[b] + c] for a, b, c in (ij, ik, jk))
+            tx, ty = (1, 0) if i < p < j else (0, 1) if j < p < k else (0, 0)
+            miss |= ij ^ ik ^ tx * ones | ik ^ jk ^ ty * ones
+        return exact(ranks, cols, size, n, i, j, k) & 5 * ones | (ones ^ miss) << 1
+
+    monkeypatch.setattr(tribraid.index_state, "_sliced_centrals", drifted)
     code, out, _ = run(capsys, ["selftest"])
     lines = out.splitlines()
     assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
-    # the census check may fail too; the checks after it still run and pass
+    assert lines[1] == "FAIL relation censuses"
     assert len(lines) == 11 and all(line.startswith("PASS") for line in lines[2:])
 
 

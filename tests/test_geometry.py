@@ -310,6 +310,44 @@ class TestConfiguration:
         with pytest.raises(BadTriple):
             cfg.point(5)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            # a bool is an int to Python, but not a strand or a strand count
+            (lambda cfg: cfg.point(True), BadTriple),
+            (lambda cfg: cfg.point(2.0), BadTriple),
+            (lambda cfg: cfg.point("2"), BadTriple),
+            (lambda cfg: compile_program(MoveProgram(cfg, [LinearMove(True, P(0, 2))])), BadTriple),
+            (lambda cfg: geometric_linking(MoveProgram(cfg), 2, True), BadTriple),
+            (lambda cfg: pure_braid_generator_program(4, 1.0, 2), BadTriple),
+            (lambda cfg: Configuration("4", cfg.points), InvalidN),
+            (lambda cfg: Configuration(4.0, cfg.points), InvalidN),
+            (lambda cfg: Configuration(True, cfg.points), InvalidN),
+            (lambda cfg: regular_rational_configuration("4"), InvalidN),
+            (lambda cfg: regular_rational_configuration(4.0), InvalidN),
+            (lambda cfg: random_closed_program("5"), InvalidN),
+            (lambda cfg: pure_braid_generator_program("4", 1, 2), InvalidN),
+        ],
+        ids=[
+            "point-bool",
+            "point-float",
+            "point-str",
+            "move-bool",
+            "linking-bool",
+            "gadget-float",
+            "config-str",
+            "config-float",
+            "config-bool",
+            "regular-str",
+            "regular-float",
+            "random-str",
+            "gadget-str",
+        ],
+    )
+    def test_wrong_types_raise_typed_errors(self, call, error):
+        with pytest.raises(error):
+            call(regular_rational_configuration(4))
+
 
 class TestIntegerKernelOracle:
     """The integer kernels against the pure-Fraction oracle above: the same

@@ -136,6 +136,25 @@ class TestParsing:
             with pytest.raises(WordParseError, match=message):
                 parse_word(f"a123 {token}", 8)
 
+    def test_indices_are_ascii_digits(self):
+        # `int` reads any script's digits; a token reads only 0-9
+        for token in ("a(\u0661,2,3)", "a\u066123", "a(1,\uff12,3)", "a1\u09e83"):
+            with pytest.raises(WordParseError, match="cannot parse generator token"):
+                parse_indices(token, 4)
+            with pytest.raises(WordParseError):
+                parse_word(token, 4)
+
+    def test_an_index_too_long_to_read_is_a_parse_error(self):
+        # Python refuses to read an int of over 4,300 digits
+        for token in (f"a({'9' * 5000},1,2)", f"a(1,2,{'0' * 4400}3)"):
+            with pytest.raises(WordParseError, match="has too many digits"):
+                parse_indices(token, 4)
+            with pytest.raises(WordParseError, match="has too many digits"):
+                parse_word(f"a123 {token}", 4)
+        # within the limit, a long index is read and is out of range
+        with pytest.raises(WordParseError, match="out of range"):
+            parse_word(f"a({'9' * 4000},1,2)", 4)
+
     def test_bad_tokens(self):
         with pytest.raises(WordParseError):
             parse_word("b123", 4)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from helpers import good_walk, random_word, word
+from helpers import GAP_TABLES, good_walk, random_word, word
 from tribraid import (
     BadTriple,
     CensusRow,
@@ -41,7 +41,6 @@ from tribraid import (
 )
 from tribraid import index_state
 from tribraid.index_state import (
-    _GAP_TABLES,
     _columns,
     _flipped,
     _sliced_centrals,
@@ -260,17 +259,19 @@ class TestBitmaskOracle:
             assert seen == {True, False}
 
     def test_gap_tables_give_the_row_rule(self):
-        # each (gap, central) entry admits one complementary key pair
-        # {κ, 7-κ}, so outside strand p reads only x_p = κ0 ^ κ1 and
-        # y_p = κ1 ^ κ2; these are bit p of the targets `_central` compares
-        # X and Y with, by the region p lies in (gap 0 or 3: O, 1: G1, 2: G2)
+        # the tables read the definition (tests/helpers.py); each (gap,
+        # central) entry admits one complementary key pair {κ, 7-κ}, so
+        # outside strand p reads only x_p = κ0 ^ κ1 and y_p = κ1 ^ κ2, and
+        # these are the targets of `_central`'s rule, which the census
+        # kernel applies too, by the region p lies in (gap 0 or 3: O, 1: G1,
+        # 2: G2)
         regions = ("O", "G1", "G2", "O")
         targets = {  # central bit: (X, Y) as unions of regions
             0: ({"O", "G1"}, {"G1"}),
             1: ({"G2"}, {"G1"}),
             2: ({"G2"}, {"O", "G2"}),
         }
-        for gap, table in enumerate(_GAP_TABLES):
+        for gap, table in enumerate(GAP_TABLES):
             for bit, (x_target, y_target) in targets.items():
                 keys = [key for key in range(8) if table[key] >> bit & 1]
                 assert len(keys) == 2 and sum(keys) == 7
@@ -279,10 +280,10 @@ class TestBitmaskOracle:
                 assert (kappa >> 1 ^ kappa >> 2) & 1 == (regions[gap] in y_target)
 
     def test_gap_tables_admit_at_most_one_central(self):
-        # the status is the AND of these entries over the outside strands,
-        # so a letter never admits two centrals
-        assert len(_GAP_TABLES) == 4
-        for table in _GAP_TABLES:
+        # by the definition, the status is the AND of these entries over
+        # the outside strands, so a letter never admits two centrals
+        assert len(GAP_TABLES) == 4
+        for table in GAP_TABLES:
             assert len(table) == 8
             for entry in table:
                 assert 0 <= entry < 8 and entry & (entry - 1) == 0
@@ -483,6 +484,13 @@ class TestCensuses:
         next(lines)
         assert rendered == 1
 
+    @pytest.mark.parametrize(
+        "n, lemma", [(5.0, "commute"), ("5", "commute"), (4.0, "tetra"), (True, "square")]
+    )
+    def test_census_n_must_be_an_int(self, n, lemma):
+        with pytest.raises(InvalidN):
+            relation_census(n, lemma)
+
     def test_unsupported_ranges(self):
         with pytest.raises(UnsupportedN):
             relation_census(5, "tetra")
@@ -504,6 +512,13 @@ class TestCensuses:
                 "commute",
                 {"samples": 64, "seed": 0},
                 "aaeda77a9673539c9ec39d2894a905198878a5fdaddeb76336a9115ea11e2518",
+            ),
+            # most letters are bad at all 8 states, so most reads stop early
+            (
+                10,
+                "commute",
+                {"samples": 8, "seed": 0},
+                "a44e1207ec13ad1dd2042e49a60b80f786ffdf751035dd0738682e3d4017d826",
             ),
         ],
     )
@@ -563,21 +578,46 @@ class TestSlicedKernel:
         return 1 << g.elems.index(status.central) if status.good else 0
 
     def test_bytes_are_single_state_codes(self):
+        # every state at n=4 and n=5, then seeded sets up to n=9; each set
+        # also with one triple flipped
         rng = random.Random(1997)
-        for n in range(4, 10):
+        sets = [(n, range(1 << comb(n, 3))) for n in (4, 5)]
+        sets += [(n, masks) for n in range(4, 10) for masks in self.state_sets(rng, n)]
+        for n, masks in sets:
             ranks, width = generator_ranks(n), comb(n, 3)
-            for masks in self.state_sets(rng, n):
-                size = len(masks)
-                cols = _columns(masks, width)
-                b = rng.randrange(width)
-                reads = ((cols, masks), (_flipped(cols, b, size), [m ^ 1 << b for m in masks]))
-                for columns, states in reads:
-                    for g in all_generators(n):
-                        sliced = _sliced_centrals(ranks, columns, size, n, *g.elems)
-                        assert sliced.to_bytes(size, "little") == bytes(
-                            self.code(letter_status(OrientationState(n, m), g), g)
-                            for m in states
-                        )
+            size = len(masks)
+            cols = _columns(masks, width)
+            b = rng.randrange(width)
+            reads = ((cols, masks), (_flipped(cols, b, size), [m ^ 1 << b for m in masks]))
+            for columns, states in reads:
+                for g in all_generators(n):
+                    sliced = _sliced_centrals(ranks, columns, size, n, *g.elems)
+                    codes = sliced.to_bytes(size, "little")
+                    assert set(codes) <= {0, 1, 2, 4}
+                    assert codes == bytes(
+                        self.code(letter_status(OrientationState(n, m), g), g) for m in states
+                    )
+
+    def test_stops_once_every_central_is_ruled_out(self, monkeypatch):
+        # outside strand 4 of a123 rules out all three centrals where only
+        # {1,3,4} of its triples carries -1, (x, y) = (1, 1) in region O;
+        # the all-plus state leaves j, so strands 5 and 6 are read too
+        n, width = 6, comb(6, 3)
+        ranks = generator_ranks(n)
+        misses = index_state._misses
+        read = []
+
+        def counted(*args):
+            for column in misses(*args):
+                read.append(column)
+                yield column
+
+        monkeypatch.setattr(index_state, "_misses", counted)
+        ruled_out = 1 << all_triples(n).index((1, 3, 4))
+        for masks, strands, codes in (([ruled_out] * 3, 1, bytes(3)), ([ruled_out, 0], 3, b"\0\2")):
+            read.clear()
+            sliced = _sliced_centrals(ranks, _columns(masks, width), len(masks), n, 1, 2, 3)
+            assert len(read) == strands and sliced.to_bytes(len(masks), "little") == codes
 
 
 class TestStateEnumeration:
@@ -620,6 +660,11 @@ class TestStateEnumeration:
     def test_count(self):
         assert sum(1 for _ in enumerate_states(4)) == 16
         assert sum(1 for _ in enumerate_states(5)) == 1024
+
+    @pytest.mark.parametrize("n", [4.0, "4", True, 3])
+    def test_enumeration_checks_n_at_the_call(self, n):
+        with pytest.raises(InvalidN):
+            enumerate_states(n)
 
 
 class TestActionWellDefined:
