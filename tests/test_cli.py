@@ -26,6 +26,9 @@ from tribraid import (
     relation_census,
 )
 from tribraid.cli import main
+from tribraid.index_state import _columns
+
+from helpers import GAP_TABLES
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -475,6 +478,52 @@ def test_selftest_catches_a_drifted_row_kernel(capsys, monkeypatch):
     code, out, _ = run(capsys, ["selftest"])
     lines = out.splitlines()
     assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
+
+
+def table_kernel(tables):
+    """A census kernel with `_sliced_centrals`' signature that reads each
+    outside strand's entry from `tables` (four gap tables, as `GAP_TABLES`)
+    by `bytes.translate` and ANDs the entries."""
+    padded = [bytes(table) + bytes(256 - len(table)) for table in tables]
+
+    def kernel(ranks, cols, size, n, i, j, k):
+        first, second = ranks
+        acc = 7 * int.from_bytes(b"\1" * size, "little")
+        for p in set(range(1, n + 1)) - {i, j, k}:
+            triples = (sorted(pair + (p,)) for pair in ((i, j), (i, k), (j, k)))
+            keys = sum(cols[first[a] - second[b] + c] << bit for bit, (a, b, c) in enumerate(triples))
+            table = padded[sum(e < p for e in (i, j, k))]
+            acc &= int.from_bytes(keys.to_bytes(size, "little").translate(table), "little")
+        return acc
+
+    return kernel
+
+
+def test_table_kernel_is_the_census_kernel():
+    # the unchanged gap tables give the census kernel's bytes, so the test
+    # below changes one entry and nothing else
+    ranks = tribraid.generator_ranks(5)
+    cols = _columns(range(2**10), 10)
+    kernel = table_kernel(GAP_TABLES)
+    for i, j, k in ((1, 2, 3), (1, 3, 5), (2, 4, 5), (3, 4, 5)):
+        args = (ranks, cols, 2**10, 5, i, j, k)
+        assert kernel(*args) == tribraid.index_state._sliced_centrals(*args)
+
+
+@pytest.mark.parametrize("gap, key, value", [(0, 1, 0), (3, 6, 2), (1, 3, 4), (2, 4, 5)])
+def test_selftest_catches_a_changed_gap_table_entry(capsys, monkeypatch, gap, key, value):
+    # the census kernel read from the gap tables with one entry changed; a
+    # two-bit entry (5) makes the census rendering raise, which fails the
+    # check too
+    tables = [list(table) for table in GAP_TABLES]
+    assert tables[gap][key] != value
+    tables[gap][key] = value
+    monkeypatch.setattr(tribraid.index_state, "_sliced_centrals", table_kernel(tables))
+    code, out, _ = run(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
+    # the census check may fail too; the checks after it still run and pass
+    assert len(lines) == 11 and all(line.startswith("PASS") for line in lines[2:])
 
 
 def test_selftest_catches_a_drifted_census_kernel(capsys, monkeypatch):
