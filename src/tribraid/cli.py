@@ -58,9 +58,13 @@ from .reconstruction import (
 # table has (n-1)^2 cells: 0.30 s and 26 MiB at n = 250, 0.92-0.94 s and
 # 54 MiB at n = 500 for a realisable 200-letter word.
 MAX_WORD_N = 500
-# One `equal` expansion stores (length + 1) * C(n,3) words: a two-letter
-# search reaches the letter limit in 1.3 s and 227 MiB at n = 100, and in
-# 1.8-2.0 s and 326 MiB at n = 150, where a letter takes 4 bytes.
+# An `equal` expansion keeps its (length + 1) * C(n,3) square insertions as
+# one block, not as words: a two-letter search with --max-len 12 counts
+# 1,323,401 words to the letter limit in 0.11-0.16 s and 17.6 MiB as a
+# command at n = 100, and 1,500,002 in 0.10-0.14 s and 17.3 MiB in one
+# process at n = 150.  Words stored one by one cost the most: a random
+# 10-letter word against its reverse with --max-len 10 stores 600,001 in
+# 7-11 s and 106 MiB at n = 100 (see MAX_STORED_LETTERS).
 MAX_EQUAL_N = 100
 # A commute census with states reads every far-commuting pair, whatever its
 # sample count: one sample at n = 14 (60,060 pairs) takes 0.6-0.9 s and
@@ -412,16 +416,23 @@ def cmd_selftest(args) -> int:
         return errors == [("GenericityError", "moving strand meets another strand")] * 2
 
     def check_bounded_equality() -> bool:
+        # a tetrahedron window reversed, and a square that w1's first
+        # expansion meets inside its block of square insertions
         tetra = parse_word("a123 a124 a134 a234", 4)
-        reversed_tetra = GWord(4, tetra.letters[::-1])
-        verdict = bounded_equal(tetra, reversed_tetra, depth=1000, max_len=8)
-        if not verdict.is_equal or len(verdict.path) != 1:
-            return False
-        word = tetra
-        for move in verdict.path:
-            word = apply_move(word, move)
-        parity_pair = (parse_word("a123", 4), parse_word("a124", 4))
-        return word == reversed_tetra and bounded_equal(*parity_pair, 10, 6).is_distinct
+        abc = parse_word("a123 a456 a789", 9)
+        pairs = [
+            (tetra, GWord(4, tetra.letters[::-1]), 1000, 8, ["tetra@0"]),
+            (abc, parse_word("a159 a159 a123 a456 a789", 9), 1, 5, ["ins@0:a159"]),
+        ]
+        for w1, w2, depth, max_len, path in pairs:
+            verdict = bounded_equal(w1, w2, depth, max_len)
+            if not verdict.is_equal or [str(move) for move in verdict.path] != path:
+                return False
+            for move in verdict.path:
+                w1 = apply_move(w1, move)
+            if w1 != w2:
+                return False
+        return bounded_equal(parse_word("a123", 4), parse_word("a124", 4), 10, 6).is_distinct
 
     checks = [
         ("sliced census kernel against letter_status", check_sliced_kernel),

@@ -22,7 +22,8 @@ class InvalidMove(TribraidError):
 
 
 class UnsupportedN(TribraidError):
-    """Exhaustive census requested outside its feasible range."""
+    """A census requested outside what it covers: an n outside the feasible
+    range of its lemma, or a lemma that has no census."""
 
 
 class WordParseError(TribraidError):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import Counter, deque
+from bisect import bisect_right
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -49,14 +50,14 @@ class GenTriple:
         try:
             elems = tuple(sorted(self.elems))
         except TypeError:  # not a sequence, or indices that do not compare
-            raise BadTriple(f"need three int indices, got {self.elems!r}") from None
+            raise BadTriple(f"need three int indices, got {_clip(repr(self.elems))}") from None
         if len(elems) != 3 or len(set(elems)) != 3:
-            raise BadTriple(f"need three distinct indices, got {tuple(self.elems)}")
+            raise BadTriple(f"need three distinct indices, got {_clip(str(tuple(self.elems)))}")
         i, j, k = elems
         if not type(i) is type(j) is type(k) is int:  # a bool or a float is not a strand
-            raise BadTriple(f"need three int indices, got {tuple(self.elems)}")
+            raise BadTriple(f"need three int indices, got {_clip(str(tuple(self.elems)))}")
         if i < 1 or k > self.n:
-            raise BadTriple(f"indices {elems} out of range 1..{self.n}")
+            raise BadTriple(f"indices {_clip(str(elems))} out of range 1..{self.n}")
         if self.elems != elems:  # a sorted tuple is kept, not copied
             object.__setattr__(self, "elems", elems)
 
@@ -64,6 +65,11 @@ class GenTriple:
         if self.n <= 9:
             return "a" + "".join(str(i) for i in self.elems)
         return "a(" + ",".join(str(i) for i in self.elems) + ")"
+
+
+def _clip(text: str) -> str:
+    """Input echoed in an error message, cut to its first 40 characters."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _code(elems: tuple[int, ...]) -> int:
@@ -160,9 +166,11 @@ def parse_indices(token: str, n: int) -> tuple[int, int, int]:
     elif n <= 9 and _COMPACT_TOKEN.match(token):
         idx = tuple(int(ch) for ch in token[1:])
     else:
-        raise WordParseError(f"cannot parse generator token {token!r} (n={n})")
+        raise WordParseError(f"cannot parse generator token {_clip(repr(token))} (n={n})")
     if len(idx) != 3:
-        raise WordParseError(f"{token!r} has {len(idx)} indices; words use 3-index generators")
+        raise WordParseError(
+            f"{_clip(repr(token))} has {len(idx)} indices; words use 3-index generators"
+        )
     return idx  # type: ignore[return-value]
 
 
@@ -212,44 +220,59 @@ def _tetra(a: int, b: int, c: int, d: int) -> bool:
     return (a | b | c | d).bit_count() == 4 and len({a, b, c, d}) == 4
 
 
-def _alphabet(n: int) -> tuple[list[int], list[str]]:
-    """For a search that may insert: every generator's code, indexed by its
-    letter's code point, and every letter doubled, in generator order.
-    Built per search, and freed when the search returns."""
-    codes = [1 << i | 1 << j | 1 << k for i, j, k in combinations(range(1, n + 1), 3)]
-    return codes, [c + c for c in map(chr, range(len(codes)))]
-
-
-def _encode(w: GWord) -> str:
+def _encode(w: GWord, rows: tuple[list[int], list[int]]) -> str:
     """The search's form of a word: one code point per letter, the
-    generator's index in lexicographic order."""
-    first, second = generator_ranks(w.n)
+    generator's index in lexicographic order, from the `generator_ranks`
+    rows of w.n."""
+    first, second = rows
     return "".join(chr(first[i] - second[j] + k) for i, j, k in (g.elems for g in w.letters))
 
 
-def _neighbours(word: str, codes, doubled: list[str], max_len: int):
-    """Every word one relation move from `word`: square deletions, swaps
-    and tetrahedron windows by position, then, when the result fits in
-    `max_len`, square insertions by position and then by generator, the
-    order of `applicable_moves`.  `codes[ord(letter)]` is a letter's code
-    and `doubled` lists every letter doubled.  Lazy, since a search that
-    finds its goal stops partway through an expansion."""
+def _letter(rows: tuple[list[int], list[int]], rank: int) -> tuple[int, int, int]:
+    """The generator i<j<k whose index is `rank`, read back from the rows of
+    `generator_ranks`: i is the first index with first[i] > rank, and
+    k = second[j] - (first[i] - rank) for the least j that puts k at most
+    n, since each j covers the ranks first[i] - second[j] + (j+1..n)."""
+    first, second = rows
+    n = len(first) - 1
+    i = bisect_right(first, rank)
+    below = first[i] - rank
+    j = next(j for j in range(i + 1, n) if second[j] - below <= n)
+    return i, j, second[j] - below
+
+
+def _neighbours(word: str, masks: list[int]):
+    """Every word one square deletion, swap or tetrahedron reversal from
+    `word`, by position: the order of `applicable_moves` before its
+    insertions.  `masks` holds the codes of the word's letters.  Lazy,
+    since a search that finds its goal stops partway through an expansion."""
     length = len(word)
     for p in range(length - 1):
         if word[p] == word[p + 1]:
             yield word[:p] + word[p + 2 :]
-    masks = [codes[x] for x in map(ord, word)]
     for p in range(length - 1):
         if _far(masks[p], masks[p + 1]):
             yield word[:p] + word[p + 1] + word[p] + word[p + 2 :]
     for p in range(length - 3):
         if _tetra(*masks[p : p + 4]):
             yield word[:p] + word[p : p + 4][::-1] + word[p + 4 :]
-    if length + 2 <= max_len:
-        for p in range(length + 1):
-            head, tail = word[:p], word[p:]
-            for pair in doubled:
-                yield head + pair + tail
+
+
+def _block(word: str, width: int, skip: set[int], codes: dict[int, int], rows):
+    """The square insertions into `word`, by position and then by generator
+    as `applicable_moves` lists them, apart from the positions in `skip`:
+    position t = p * width + c is word[:p] + chr(c) * 2 + word[p:], and
+    `width` is C(n,3).  The code of each yielded word's inserted letter is
+    put in `codes`, read from the rank `rows`."""
+    t = 0
+    for p in range(len(word) + 1):
+        head, tail = word[:p], word[p:]
+        for c in range(width):
+            if t not in skip:
+                if c not in codes:
+                    codes[c] = _code(_letter(rows, c))
+                yield head + chr(c) * 2 + tail
+            t += 1
 
 
 def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> list[RelationMove]:
@@ -331,16 +354,18 @@ def generator_parity(w: GWord) -> ParityVector:
 
 
 # A bounded search stops once the words it stores, on both sides, hold more
-# letters than this, whatever its depth and length budgets allow.  A stored
-# word is a str of one code point per letter, 1 byte each up to n=12, 2 up to
-# n=74 and 4 above, after a header of 49-76 bytes, and its dict entry and
-# queue slot take about 40 bytes more, so short words cost the most per
-# letter: at n=20, "a(1,2,3) a(1,2,4)" against its reverse with max_len 6
-# stops after 1,002,317 words of at most 6 letters at a 140 MiB peak (as a
-# process), and a random 200-letter word at n=6 (`random.Random(1)`) against
-# its reverse (depth 300, max_len 200) after 30,010 words at 24 MiB.  The
-# largest searches in the tests and the `equality` benchmark corpus store
-# 3,642 and 30,734 letters, apart from one n=72 test that stores 221,228.
+# letters than this, whatever its depth and length budgets allow.  The words
+# of an insertion block are counted but not kept, so memory goes to the words
+# stored one by one: a str of one code point per letter, 1 byte each up to
+# n=12, 2 up to n=74 and 4 above, after a header of 49-76 bytes, plus a dict
+# entry and queue slot of about 40 bytes, so short words cost the most per
+# letter.  As processes, a random word (`random.Random(1)`) at n=100 against
+# its reverse, with max_len its length and no room to insert, stops after
+# 600,001 words at a 106 MiB peak in 7-11 s with 10 letters, and after
+# 30,001 words at 42 MiB with 200.  Where blocks hold most words the count
+# is reached with little kept: at n=20, "a(1,2,3) a(1,2,4)" against its
+# reverse with max_len 6 stops after 1,002,317 words at 17.5 MiB.  The
+# `equality` benchmark corpus stores at most 30,734 letters per search.
 MAX_STORED_LETTERS = 6_000_000
 
 
@@ -349,7 +374,9 @@ class SearchStats:
     """What a bounded equality search did.
 
     The search runs from both words, and every count is summed over both
-    sides; ``peak_frontier`` is the largest sum of the two frontiers.
+    sides; ``stored`` counts the words of insertion blocks, which are
+    counted but not kept, and ``peak_frontier`` is the largest sum of the
+    two frontiers, the unread words of queued blocks included.
     ``stop`` names what ended it: ``found`` (the two sides met), ``depth``
     (the expansion budget ran out), ``exhausted`` (one side's frontier
     emptied: every word within the length budget reachable from that
@@ -421,58 +448,205 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     lengthen a word beyond it only while undoing deletions from a longer
     w2.  At most `depth` words are expanded, counted over both sides, and
     the search stops once the words both sides store hold more than
-    MAX_STORED_LETTERS letters.  The verdict never claims inequality
-    without a parity witness, because no complete decision procedure is
-    known.  Deterministic for fixed inputs and limits.
+    MAX_STORED_LETTERS letters.  An expansion with room for an insertion
+    keeps its square insertions as one block (see `_Side`), not as words:
+    the search works out which of them are new, where the sides meet and
+    where the letter cap is crossed, so its verdict, path and stats are
+    those of storing the words one by one in enumeration order.  The
+    verdict never claims inequality without a parity witness, because no
+    complete decision procedure is known.  Deterministic for fixed inputs
+    and limits.
     """
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
     if depth < 0 or max_len < 0:
         raise InvalidBudget(f"search budgets must be >= 0, got depth={depth}, max_len={max_len}")
-    start, goal = _encode(w1), _encode(w2)
-    odd = _odd_letters(start)
-    if odd != _odd_letters(goal):
+    n = w1.n
+    rows = generator_ranks(n)
+    start, goal = _encode(w1, rows), _encode(w2, rows)
+    if _odd_letters(start) != _odd_letters(goal):
         return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))
     if start == goal:
         return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
-    if max_len < len(odd) + 2:
-        # every word holds each odd letter, so none has room for an
-        # insertion, and the letters of w1 and w2 are all there are
-        codes = {ord(c): _code(g.elems) for c, g in zip(start + goal, w1.letters + w2.letters)}
-        doubled: list[str] = []
-    else:
-        codes, doubled = _alphabet(w1.n)
-    # per side, each stored word maps to the word it was first reached from
-    fore: dict[str, str | None] = {start: None}
-    back: dict[str, str | None] = {goal: None}
-    fore_queue, back_queue = deque([start]), deque([goal])
+    width = n * (n - 1) * (n - 2) // 6
+    # the codes of the letters read so far, by code point
+    codes = {ord(c): _code(g.elems) for c, g in zip(start + goal, w1.letters + w2.letters)}
+    fore, back = _Side(start, width), _Side(goal, width)
+    lengths: set[int] = set()  # the lengths of the words with blocks, on either side
     expanded, peak, letters = 0, 2, len(start) + len(goal)
 
-    def stats(stop: str) -> SearchStats:
-        frontier = max(peak, len(fore_queue) + len(back_queue))
-        return SearchStats(expanded, len(fore) + len(back), frontier, stop)
+    def stop(reason: str, queued: int = 0, meet: str | None = None) -> EqualityVerdict:
+        # `queued` words of a block were queued before the one that stopped it
+        stored = len(fore.parents) + fore.block_words + len(back.parents) + back.block_words
+        stats = SearchStats(expanded, stored, max(peak, fore.size + back.size + queued), reason)
+        if meet is None:
+            return EqualityVerdict.unknown(stats)
+        chain = fore.chain(meet)[::-1] + back.chain(meet)[1:]
+        path = tuple(_move(n, rows, *step) for step in zip(chain, chain[1:]))
+        return EqualityVerdict.equal(path, stats)
 
-    while fore_queue and back_queue and expanded < depth:
-        if len(fore_queue) <= len(back_queue):
-            parents, other, queue = fore, back, fore_queue
-        else:
-            parents, other, queue = back, fore, back_queue
-        word = queue.popleft()
+    while fore.size and back.size and expanded < depth:
+        side, other = (fore, back) if fore.size <= back.size else (back, fore)
+        word = side.pop()
         expanded += 1
-        for nxt in _neighbours(word, codes, doubled, max_len):
-            if nxt in parents:
+        for nxt in _neighbours(word, [codes[x] for x in map(ord, word)]):
+            if nxt in side.parents:
                 continue
-            parents[nxt] = word
+            # a word can be a block word only if a block is 2 letters shorter
+            squares = _squares(nxt) if len(nxt) - 2 in lengths else None
+            if squares and side.in_block(squares):
+                continue
+            side.store(nxt, word, squares)
             letters += len(nxt)
-            if nxt in other:
-                chain = _chain(fore, nxt)[::-1] + _chain(back, nxt)[1:]
-                path = tuple(_move(w1.n, codes, *step) for step in zip(chain, chain[1:]))
-                return EqualityVerdict.equal(path, stats("found"))
+            if nxt in other.parents or squares and other.in_block(squares):
+                return stop("found", meet=nxt)
             if letters > MAX_STORED_LETTERS:
-                return EqualityVerdict.unknown(stats("limit"))
-            queue.append(nxt)
-        peak = max(peak, len(fore_queue) + len(back_queue))
-    return EqualityVerdict.unknown(stats("depth" if fore_queue and back_queue else "exhausted"))
+                return stop("limit")
+            side.queue.append(nxt)
+            side.size += 1
+        size = len(word) + 2
+        if size <= max_len:
+            # the block stores its words in position order, skipping repeated
+            # positions and the words this side holds; the first word the
+            # other side holds is where the two sides meet
+            if len(word) not in lengths:
+                lengths.add(len(word))
+                fore.read_squares(size)
+                back.read_squares(size)
+            squares = _squares(word)
+            skip = {p * width + ord(word[p - 1]) for p in range(1, size - 1)}
+            skip |= side.positions(word, squares)
+            meets = other.positions(word, squares)
+            new = (size - 1) * width - len(skip)
+            last = (MAX_STORED_LETTERS - letters) // size  # the new word that crosses the cap
+            side.add_block(word, squares, _block(word, width, skip, codes, rows))
+            if meets:
+                t = min(meets)
+                k = t - sum(s < t for s in skip)
+                if k <= last:
+                    side.block_words += k + 1
+                    p, c = divmod(t, width)
+                    return stop("found", k, word[:p] + chr(c) * 2 + word[p:])
+            if last < new:
+                side.block_words += last + 1
+                return stop("limit", last)
+            side.size += new
+            side.block_words += new
+            letters += new * size
+        peak = max(peak, fore.size + back.size)
+    return stop("depth" if fore.size and back.size else "exhausted")
+
+
+# every position where a square starts: a run of three letters holds two
+_SQUARE = re.compile(r"(?=(.)\1)", re.DOTALL)
+
+
+def _squares(word: str) -> list[tuple[int, str]]:
+    """(q, `word` with its square at q deleted) for every square of `word`."""
+    squares = []
+    found = _SQUARE.search(word)
+    while found is not None:
+        q = found.start()
+        squares.append((q, word[:q] + word[q + 2 :]))
+        found = _SQUARE.search(word, q + 1)
+    return squares
+
+
+class _Side:
+    """One end of a bounded search.
+
+    A word is stored here when it is a key of `parents`, which maps it to
+    the word it was first reached from, or when deleting one of its squares
+    gives a key of `blocks`: a word expanded with room for an insertion,
+    whose square insertions (see `_block`) are all stored from then on.  A
+    block word's parent is the earliest block that holds it.  A word in two
+    blocks holds two squares apart, so the two block words share the
+    deletion d of both: `shared[d]` lists the squares (r, letter) of the
+    block words that delete to d at r, and `inserted[d]` the positions in
+    d's block of the words of `parents` that delete to d; the squares of a
+    word are read only once some block is 2 letters shorter.  `size` counts
+    the queued words, the unread ones of queued blocks included."""
+
+    __slots__ = ("width", "parents", "blocks", "shared", "inserted", "queue", "size", "block_words")
+
+    def __init__(self, word: str, width: int):
+        self.width = width
+        self.parents: dict[str, str | None] = {word: None}
+        self.blocks: dict[str, int] = {}  # the order in which blocks were made
+        self.shared: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
+        self.inserted: defaultdict[str, list[int]] = defaultdict(list)
+        self.queue: deque = deque([word])
+        self.size, self.block_words = 1, 0  # queued words, and block words stored
+
+    def in_block(self, squares) -> bool:
+        """Whether the word with these squares is a block word here."""
+        for _, d in squares:
+            if d in self.blocks:
+                return True
+        return False
+
+    def store(self, word: str, parent: str | None, squares) -> None:
+        self.parents[word] = parent
+        self.index(word, squares or ())
+
+    def index(self, word: str, squares) -> None:
+        for q, d in squares:
+            self.inserted[d].append(q * self.width + ord(word[q]))
+
+    def read_squares(self, length: int) -> None:
+        """Index the stored words of `length` letters, whose squares were
+        not read, since no block was 2 letters shorter."""
+        for word in self.parents:
+            if len(word) == length:
+                self.index(word, _squares(word))
+
+    def positions(self, word: str, squares) -> set[int]:
+        """The first positions of the words of `word`'s block held here;
+        `squares` are the squares of `word`."""
+        width = self.width
+        found = list(self.inserted.get(word, ()))
+        for q, d in squares:
+            for r, c in self.shared.get(d, ()):
+                # d with both squares, inserted at q and r of d
+                if r <= q:
+                    found.append(r * width + c)
+                if r >= q:
+                    found.append((r + 2) * width + c)
+        first = set()
+        for p, c in (divmod(t, width) for t in found):
+            while p and ord(word[p - 1]) == c:  # c inserted at p-1 gives the same word
+                p -= 1
+            first.add(p * width + c)
+        return first
+
+    def add_block(self, word: str, squares, queued) -> None:
+        self.blocks[word] = len(self.blocks)
+        for q, d in squares:
+            self.shared[d].append((q, ord(word[q])))
+        self.queue.append(queued)
+
+    def pop(self) -> str:
+        self.size -= 1
+        while True:
+            item = self.queue[0]
+            if type(item) is str:
+                return self.queue.popleft()
+            word = next(item, None)
+            if word is not None:
+                return word
+            self.queue.popleft()  # a block read to its end
+
+    def chain(self, word: str) -> list[str]:
+        """`word` and its stored predecessors, back to this side's word."""
+        chain = [word]
+        while True:
+            if word in self.parents:
+                word = self.parents[word]
+            else:
+                word = min((d for _, d in _squares(word) if d in self.blocks), key=self.blocks.get)
+            if word is None:
+                return chain
+            chain.append(word)
 
 
 def _odd_letters(word: str) -> set[str]:
@@ -480,20 +654,12 @@ def _odd_letters(word: str) -> set[str]:
     return {c for c, count in Counter(word).items() if count % 2}
 
 
-def _chain(parents, word: str) -> list[str]:
-    """`word` and its stored predecessors, back to the end it was reached from."""
-    chain = [word]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]])
-    return chain
-
-
 def _squared(longer: str, p: int, shorter: str) -> bool:
     """True when `longer` is `shorter` with a square inserted at p."""
     return longer[p] == longer[p + 1] and longer[:p] + longer[p + 2 :] == shorter
 
 
-def _move(n: int, codes, prev: str, word: str) -> RelationMove:
+def _move(n: int, rows, prev: str, word: str) -> RelationMove:
     """The first move, in enumeration order, that rewrites `prev` into
     `word`, one move away.  The search stores only each word's predecessor.
     On w1's side this is the move that first reached `word`; on w2's side
@@ -502,15 +668,14 @@ def _move(n: int, codes, prev: str, word: str) -> RelationMove:
     otherwise.  A swap changes two adjacent letters and a tetrahedron
     window four, so at most one of them fits, at the first letter that
     differs; deletions and insertions of a repeated letter may fit at
-    several positions, and an insertion at p can only be of word[p]."""
+    several positions, and an insertion at p can only be of word[p], whose
+    generator is read from the rank `rows`."""
     if len(word) < len(prev):
         p = next(p for p in range(len(prev) - 1) if _squared(prev, p, word))
         return RelationMove(MoveKind.SQUARE_DELETE, p)
     if len(word) > len(prev):
         p = next(p for p in range(len(prev) + 1) if _squared(word, p, prev))
-        code = codes[ord(word[p])]
-        letter = GenTriple(n, tuple(s for s in range(1, n + 1) if code >> s & 1))
-        return RelationMove(MoveKind.SQUARE_INSERT, p, letter)
+        return RelationMove(MoveKind.SQUARE_INSERT, p, GenTriple(n, _letter(rows, ord(word[p]))))
     p = next(p for p, (a, b) in enumerate(zip(prev, word)) if a != b)
     kind = MoveKind.FAR_COMMUTE if prev[p + 2 :] == word[p + 2 :] else MoveKind.TETRA_REVERSE
     return RelationMove(kind, p)

@@ -721,7 +721,7 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     ``commute``: far-commuting letters keep their statuses under the swap
     (exhaustive at n=5, `samples` seeded states for n >= 6; a negative
     count raises `InvalidBudget`).  An n that is not an int, or is a bool,
-    raises `InvalidN`.
+    raises `InvalidN`; another lemma raises `UnsupportedN`.
     """
     if type(n) is not int:
         raise InvalidN(f"strand count must be an int, got {n!r}")
@@ -735,4 +735,4 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
         if n > 5 and samples < 0:
             raise InvalidBudget(f"census samples must be >= 0, got {samples}")
         return _commute_census(n, samples, seed)
-    raise ValueError(f"unknown lemma census {lemma!r}")
+    raise UnsupportedN(f"unknown lemma census {lemma!r}")

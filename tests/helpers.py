@@ -1,15 +1,23 @@
 """Shared word/state builders for the test suite."""
 
 import random
+from collections import Counter, deque
 
 from tribraid import (
+    EqualityVerdict,
     GWord,
     GenTriple,
+    MoveKind,
     OrientationState,
+    RelationMove,
+    SearchStats,
     all_generators,
+    applicable_moves,
+    apply_move,
     generator_ranks,
     signed_index,
 )
+from tribraid import group_core
 from tribraid.index_state import _central
 
 
@@ -69,3 +77,88 @@ def gap_table(gap: int) -> tuple[int, ...]:
 
 
 GAP_TABLES = tuple(gap_table(gap) for gap in range(4))
+
+
+def reference_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVerdict:
+    """`bounded_equal` as a per-word search: every neighbour, square
+    insertions included, is built, hashed and stored one by one, and the
+    letter cap is read from `group_core.MAX_STORED_LETTERS` at the call.
+    The library's search must return the same verdict, path and stats."""
+    n = w1.n
+    first, second = generator_ranks(n)
+    start, goal = (
+        "".join(chr(first[i] - second[j] + k) for i, j, k in (g.elems for g in w.letters))
+        for w in (w1, w2)
+    )
+    odd = {c for c, count in Counter(start).items() if count % 2}
+    if odd != {c for c, count in Counter(goal).items() if count % 2}:
+        return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))
+    if start == goal:
+        return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
+    gens = all_generators(n)
+    masks = [sum(1 << s for s in g.elems) for g in gens]
+    doubled = [chr(c) * 2 for c in range(len(gens))]
+
+    def neighbours(word):
+        length = len(word)
+        for p in range(length - 1):
+            if word[p] == word[p + 1]:
+                yield word[:p] + word[p + 2 :]
+        m = [masks[ord(x)] for x in word]
+        for p in range(length - 1):
+            shared = m[p] & m[p + 1]
+            if not shared & (shared - 1):
+                yield word[:p] + word[p + 1] + word[p] + word[p + 2 :]
+        for p in range(length - 3):
+            a, b, c, d = m[p : p + 4]
+            if len({a, b, c, d}) == 4 and (a | b | c | d).bit_count() == 4:
+                yield word[:p] + word[p : p + 4][::-1] + word[p + 4 :]
+        if length + 2 <= max_len:
+            for p in range(length + 1):
+                for pair in doubled:
+                    yield word[:p] + pair + word[p:]
+
+    def chain(parents, word):
+        out = [word]
+        while parents[out[-1]] is not None:
+            out.append(parents[out[-1]])
+        return out
+
+    def move(prev, word):
+        # the first public move, in enumeration order, that rewrites prev
+        # into word; insertions come by position and then by generator
+        if len(word) > len(prev):
+            p = next(p for p in range(len(word)) if prev[:p] + word[p] * 2 + prev[p:] == word)
+            return RelationMove(MoveKind.SQUARE_INSERT, p, gens[ord(word[p])])
+        before, after = (GWord(n, tuple(gens[ord(x)] for x in w)) for w in (prev, word))
+        return next(m for m in applicable_moves(before) if apply_move(before, m) == after)
+
+    fore, back = {start: None}, {goal: None}
+    fore_queue, back_queue = deque([start]), deque([goal])
+    expanded, peak, letters = 0, 2, len(start) + len(goal)
+
+    def stats(stop):
+        frontier = max(peak, len(fore_queue) + len(back_queue))
+        return SearchStats(expanded, len(fore) + len(back), frontier, stop)
+
+    while fore_queue and back_queue and expanded < depth:
+        if len(fore_queue) <= len(back_queue):
+            parents, other, queue = fore, back, fore_queue
+        else:
+            parents, other, queue = back, fore, back_queue
+        word = queue.popleft()
+        expanded += 1
+        for nxt in neighbours(word):
+            if nxt in parents:
+                continue
+            parents[nxt] = word
+            letters += len(nxt)
+            if nxt in other:
+                path = chain(fore, nxt)[::-1] + chain(back, nxt)[1:]
+                moves = tuple(move(*step) for step in zip(path, path[1:]))
+                return EqualityVerdict.equal(moves, stats("found"))
+            if letters > group_core.MAX_STORED_LETTERS:
+                return EqualityVerdict.unknown(stats("limit"))
+            queue.append(nxt)
+        peak = max(peak, len(fore_queue) + len(back_queue))
+    return EqualityVerdict.unknown(stats("depth" if fore_queue and back_queue else "exhausted"))

@@ -159,6 +159,15 @@ def test_unreadable_indices_exit_2(capsys):
         assert code == 2 and out == "" and err.startswith("error: ") and len(err) < 100, argv
 
 
+def test_parse_errors_echo_a_bounded_prefix(capsys):
+    # a 4,000-digit index reads as an int, and a 4,000-digit token is no
+    # generator; each message echoes 40 characters of it and "..."
+    for text in (f"a({'9' * 4000},1,2)", f"b{'9' * 4000}"):
+        code, out, err = run(capsys, ["classify", "--n", "4", text])
+        assert code == 2 and out == "" and err.startswith("error: ") and "9..." in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def test_parity_output(capsys):
     code, out, _ = run(capsys, ["parity", "--n", "4", "a123 a124 a123"])
     assert code == 0 and out.strip() == "a124"
@@ -678,9 +687,10 @@ def _search_with_an_insertion():
 
 @pytest.mark.parametrize("call", [_classify_at_500, _search_with_an_insertion])
 def test_calls_keep_no_table_once_they_return(call):
-    # a table over the C(n,3) triples is 7.4 MiB at n=500 for classifying
-    # and 21 MiB at n=100 for a search's alphabet; once the call returns,
-    # nothing of that size may stay allocated
+    # a table over the C(n,3) triples is 7.4 MiB at n=500 for classifying,
+    # and a search with room for an insertion has 161,700 generators at
+    # n=100 to insert; once the call returns, nothing of that size may
+    # stay allocated
     tracemalloc.start()
     try:
         call()

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import Counter, deque
 from itertools import combinations
 from math import comb
@@ -259,9 +260,17 @@ def move_corpus():
 
 
 def search_neighbours(w, max_len):
-    """The words the search reaches from w in one move, as GWords."""
+    """The words the search reaches from w in one move, as GWords: the
+    deletions, swaps and tetrahedron windows it builds, then every position
+    of the insertion block it keeps, repeated words included."""
     gens = all_generators(w.n)
-    found = group_core._neighbours(group_core._encode(w), *group_core._alphabet(w.n), max_len)
+    rows = generator_ranks(w.n)
+    code, codes = group_core._encode(w, rows), {}
+    masks = [group_core._code(g.elems) for g in w.letters]
+    found = list(group_core._neighbours(code, masks))
+    if len(w) + 2 <= max_len:
+        found += group_core._block(code, len(gens), set(), codes, rows)
+        assert codes == {c: group_core._code(g.elems) for c, g in enumerate(gens)}
     return [GWord(w.n, tuple(gens[ord(c)] for c in nxt)) for nxt in found]
 
 
@@ -286,12 +295,13 @@ class TestMoveEnumeration:
         g, h, f = (1, 2, 3), (1, 4, 5), (2, 3, 6)
         runs = [word(6, g, g, g), word(6, h, g, g, g, h), word(6, g, h), word(6, g, h, f, g)]
         for w in [*move_corpus(), *runs]:
-            prev, codes = group_core._encode(w), group_core._alphabet(w.n)[0]
+            rows = generator_ranks(w.n)
+            prev = group_core._encode(w, rows)
             first = {}
             for m in applicable_moves(w, True, len(w) + 2):
                 first.setdefault(apply_move(w, m), m)
             for x, m in first.items():
-                assert group_core._move(w.n, codes, prev, group_core._encode(x)) == m
+                assert group_core._move(w.n, rows, prev, group_core._encode(x, rows)) == m
 
 
 class TestSearchAlphabet:
@@ -312,35 +322,47 @@ class TestSearchAlphabet:
             rank = first[i] - second[j] + n
         assert rank == comb(n, 3) - 1
 
-    def test_no_generator_table_without_insertions(self, monkeypatch):
-        # counts the per-n tables built at n=100, where each has 161,700
-        # entries; only a search with room for an insertion needs one
+    def test_no_generator_table_in_any_search(self, monkeypatch):
+        # a table over the generators has 161,700 entries at n=100; a search
+        # builds none, and keeps an expansion's square insertions as one
+        # block, so even one that reaches the letter cap stays small: these
+        # searches peak at 13-19 KiB under tracemalloc, hence the 64 KiB bound
         built = Counter()
 
-        def counted(name, table):
-            def build(n):
-                built[name] += 1
-                return table(n)
+        def counted(n):
+            built[n] += 1
+            return generators(n)
 
-            return build
-
-        for name in ("_generators", "_alphabet"):
-            monkeypatch.setattr(group_core, name, counted(name, getattr(group_core, name)))
+        generators = group_core._generators
+        monkeypatch.setattr(group_core, "_generators", counted)
         g, h = (1, 2, 3), (1, 2, 4)
         tetra = word(100, g, h, (1, 3, 4), (2, 3, 4))
-        assert bounded_equal(word(100, g), word(100, h), 10, 6).stats.stop == "parity"
-        assert bounded_equal(tetra, tetra, 10, 6).stats.stop == "identical"
-        v = bounded_equal(tetra, GWord(100, tetra.letters[::-1]), 10, 5)
-        assert v.stats.stop == "found"
-        assert bounded_equal(word(100, g, h), word(100, h, g), 10, 3).stats.stop == "exhausted"
-        # w1's two swaps make its frontier the larger, and w2's side then
-        # deletes a square, which the path replays as an insertion
-        abc = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-        v = bounded_equal(word(100, *abc), word(100, (1, 5, 9), (1, 5, 9), *abc), 10, 4)
-        assert [str(m) for m in v.path] == ["ins@0:a(1,5,9)"]
+        abc = word(100, (1, 2, 3), (4, 5, 6), (7, 8, 9))
+        sq_abc = word(100, (1, 5, 9), (1, 5, 9), *(g.elems for g in abc))
+        cases = [
+            (word(100, g), word(100, h), 10, 6, "parity", []),
+            (tetra, tetra, 10, 6, "identical", []),
+            (tetra, GWord(100, tetra.letters[::-1]), 10, 5, "found", ["tetra@0"]),
+            (word(100, g, h), word(100, h, g), 10, 3, "exhausted", []),
+            # w1's two swaps make its frontier the larger, and w2's side then
+            # deletes a square, which the path replays as an insertion
+            (abc, sq_abc, 10, 4, "found", ["ins@0:a(1,5,9)"]),
+            # the same square met inside w1's first insertion block
+            (abc, sq_abc, 1, 5, "found", ["ins@0:a(1,5,9)"]),
+            # three blocks, 1,323,397 words, take the letters past the cap
+            (word(100, g, h), word(100, h, g), 1000, 12, "limit", []),
+        ]
+        for w1, w2, depth, max_len, stop, path in cases:
+            tracemalloc.start()
+            try:
+                v = bounded_equal(w1, w2, depth, max_len)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (v.stats.stop, [str(m) for m in v.path or ()]) == (stop, path)
+            assert peak < 64 * 1024, (stop, peak)
+        assert v.stats.stored == 1_323_401
         assert built == Counter()
-        bounded_equal(word(100, *abc), word(100, (1, 5, 9), (1, 5, 9), *abc), 1, 5)
-        assert built == Counter({"_alphabet": 1})
 
     @pytest.mark.parametrize("n, first", [(13, 256), (72, 0xD800)])
     def test_letters_wider_than_a_byte(self, n, first):
@@ -350,7 +372,7 @@ class TestSearchAlphabet:
         g = gens[0]
         h = next(x for x in gens if far_commutes(g, x))
         for x in (g, h):
-            code_point = ord(group_core._encode(GWord(n, (x,))))
+            code_point = ord(group_core._encode(GWord(n, (x,)), generator_ranks(n)))
             assert code_point >= first and (n == 13 or code_point <= 0xDFFF)
         cases = [
             (GWord(n, (g, h)), GWord(n, (h, g)), 2, ["swap@0"]),

@@ -498,8 +498,10 @@ class TestCensuses:
             relation_census(5, "square")
         with pytest.raises(UnsupportedN):
             relation_census(4, "commute")
-        with pytest.raises(ValueError):
-            relation_census(4, "nonsense")
+        # an unknown lemma is a typed error too, not a bare ValueError
+        for n in (4, 5):
+            with pytest.raises(UnsupportedN, match="unknown lemma census 'nonsense'"):
+                relation_census(n, "nonsense")
 
     @pytest.mark.parametrize(
         "n, lemma, kwargs, digest",
