@@ -340,11 +340,21 @@ def segment_events(c: Configuration, s: int, target: RationalPoint) -> list[Coll
     two distinct lines through the mover, or the mover on it), so their
     letters far-commute and either order reads the same braid.  Every
     event's `move_index` is 0: only a program's walk numbers its moves.
+    The roots and centrals come from the integer kernel `_move_roots` on
+    one grid of the points and `target`; only the events are built here.
     """
-    c.point(s)  # range check
-    grid, _ = _grid(c.points + (target,))
-    end = grid.pop()
+    grid, end = _move_on_grid(c, s, target)
     return _move_events(grid, s, end, 0)
+
+
+def _move_on_grid(
+    c: Configuration, s: int, target: RationalPoint
+) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The points of c and `target` on one integer grid, as (grid, end),
+    after the range check of s."""
+    c.point(s)
+    grid, _ = _grid(c.points + (target,))
+    return grid, grid.pop()
 
 
 def _earlier(r, u) -> int:
@@ -356,13 +366,17 @@ def _earlier(r, u) -> int:
 _BY_TIME = cmp_to_key(_earlier)
 
 
-def _move_events(
-    grid: list[tuple[int, int]], s: int, end: tuple[int, int], move_index: int
-) -> list[CollinearityEvent]:
-    """`segment_events` on one integer grid: strand s moves from grid[s-1]
-    to the integer point `end`.  `grid` is trusted generic and left as it
+def _move_roots(
+    grid: list[tuple[int, int]], s: int, end: tuple[int, int]
+) -> list[tuple[int, int, int, int, int]]:
+    """The integer kernel of `segment_events`: strand s moves from grid[s-1]
+    to the integer point `end`, and each event is (num, den, a, b, central)
+    at time num/den in lowest terms with den > 0, for the static pair a < b,
+    sorted by (time, triple).  It builds no `Fraction` and no letter, so a
+    caller that asks only whether a move is generic pays for the roots
+    alone.  A degenerate end raises `_check_mover`'s error and a mover that
+    meets a strand `_central`'s.  `grid` is trusted generic and left as it
     is."""
-    n = len(grid)
     px, py = grid[s - 1]
     dx, dy = end[0] - px, end[1] - py
     # each static strand relative to the mover's start, with its cross with d
@@ -387,13 +401,31 @@ def _move_events(
     roots.sort(key=_BY_TIME)
     # the central from positions at t = num/den relative to p0, times den
     return [
-        CollinearityEvent(
-            move_index,
-            Fraction(num, den),
-            GenTriple(n, (s, a, b)),
+        (
+            num,
+            den,
+            a,
+            b,
             _central(s, a, b, num * dx, num * dy, ax * den, ay * den, bx * den, by * den),
         )
         for num, den, a, ax, ay, b, bx, by in roots
+    ]
+
+
+def _move_events(
+    grid: list[tuple[int, int]], s: int, end: tuple[int, int], move_index: int
+) -> list[CollinearityEvent]:
+    """`segment_events` on one integer grid: the events of `_move_roots`,
+    each letter's indices given sorted (s placed among a < b)."""
+    n = len(grid)
+    return [
+        CollinearityEvent(
+            move_index,
+            Fraction(num, den),
+            GenTriple(n, (s, a, b) if s < a else (a, s, b) if s < b else (a, b, s)),
+            central,
+        )
+        for num, den, a, b, central in _move_roots(grid, s, end)
     ]
 
 
@@ -628,8 +660,10 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
         )
 
     def clear(c: Configuration, s: int, target: RationalPoint) -> bool:
+        # whether `segment_events` would raise, without building its events
+        grid, end = _move_on_grid(c, s, target)
         try:
-            segment_events(c, s, target)
+            _move_roots(grid, s, end)
         except GenericityError:
             return False
         return True

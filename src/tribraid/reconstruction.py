@@ -194,9 +194,12 @@ class AnnularInvariants:
         lines.append(f"permutation: {_cycle_notation(dict(self.perm))}")
         lines.append("linking:")
         lines.append("     " + "".join(f"{s:>6}" for s in self.strands))
+        # each pair's cell text once, under both orders of the pair
+        cells = {(i, i): "     ." for i in self.strands}
+        for (i, j), value in self.linking:
+            cells[i, j] = cells[j, i] = f"{str(value):>6}"
         for i in self.strands:
-            cells = (self._by_pair[min(i, j), max(i, j)] if i != j else "." for j in self.strands)
-            lines.append(f"{i:>5}" + "".join(f"{str(value):>6}" for value in cells))
+            lines.append(f"{i:>5}" + "".join(cells[i, j] for j in self.strands))
         return "\n".join(lines)
 
 
@@ -215,17 +218,23 @@ def _cycle_notation(mapping: dict[int, int]) -> str:
 
 
 def annular_invariants(c: CylWord) -> AnnularInvariants:
-    """Net permutation and per-pair half-signed swap sums of a swap word."""
+    """Net permutation and per-pair half-signed swap sums of a swap word.
+
+    Each pair gets its own exact `Fraction`, sum/2: an even sum takes the
+    integer constructor, `Fraction(sum >> 1)`, which skips the gcd that
+    `Fraction(sum, 2)` runs, and an odd one is the half-integer sum/2.  Most
+    sums are even (a gadget's word swaps one pair, and 0 is even)."""
     start = initial_cyclic_order(c.n, c.axis)
     perm = tuple(sorted(zip(start, c.final_order)))
     strands = tuple(sorted(start))
     sums: Counter[tuple[int, int]] = Counter()
     for lt in c.letters:
         sums[min(lt.inner, lt.outer), max(lt.inner, lt.outer)] += lt.sign
-    linking = tuple(
-        (pair, Fraction(sums.get(pair, 0), 2)) for pair in combinations(strands, 2)
-    )
-    return AnnularInvariants(c.axis, strands, perm, linking)
+    linking = []
+    for pair in combinations(strands, 2):
+        v = sums.get(pair, 0)
+        linking.append((pair, Fraction(v, 2) if v & 1 else Fraction(v >> 1)))
+    return AnnularInvariants(c.axis, strands, perm, tuple(linking))
 
 
 def invariants_equal_mod_full_twist(a: AnnularInvariants, b: AnnularInvariants):

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import gc
+import hashlib
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,8 @@ import tribraid
 from tribraid import (
     GenTriple,
     GWord,
+    MoveKind,
+    applicable_moves,
     bounded_equal,
     classify_word,
     compile_program,
@@ -215,6 +220,24 @@ def test_reconstruct_word_and_invariants(capsys):
         "    3  -1/2     .     0",
         "    4     0     0     .",
     ]
+
+
+def test_readme_pipeline_pinned(capsys, monkeypatch):
+    # `gen --braid i,j` -> `compile -` -> `reconstruct --invariants -` for
+    # every ordered pair at n=6 and n=8, around the first other strand: one
+    # SHA-256 over the three outputs of each pipeline, in pair order
+    h = hashlib.sha256()
+    for n in (6, 8):
+        for i, j in permutations(range(1, n + 1), 2):
+            axis = min(k for k in range(1, n + 1) if k not in (i, j))
+            _, program, _ = run(capsys, ["gen", "--braid", f"{i},{j}", "--n", str(n)])
+            _, letters, _ = run(capsys, ["compile", "-"], program, monkeypatch)
+            argv = ["reconstruct", "--n", str(n), "--axis", str(axis), "--invariants", "-"]
+            code, table, _ = run(capsys, argv, letters, monkeypatch)
+            assert code == 0
+            for out in (program, letters, table):
+                h.update(out.encode())
+    assert h.hexdigest() == "561bd0fc9bc261928843923da809ebf3c22c36f6717934202a071f2e723a8d85"
 
 
 def test_reconstruct_not_realisable_exits_1(capsys):
@@ -685,12 +708,27 @@ def _search_with_an_insertion():
     bounded_equal(GWord(n, abc), GWord(n, twice + abc), 1, 5)
 
 
-@pytest.mark.parametrize("call", [_classify_at_500, _search_with_an_insertion])
+def _insertions_listed_at_40():
+    # (3+1) * C(40,3) = 39,520 square insertions, whose 9,880 generators
+    # are built for the call; the list of moves is dropped on return.  The
+    # full collection empties CPython's tuple free list, which keeps 2,000
+    # of the generators' freed index tuples (125 KiB) and is no table
+    n = 40
+    abc = GWord(n, tuple(GenTriple(n, t) for t in ((1, 2, 3), (4, 5, 6), (7, 8, 9))))
+    moves = applicable_moves(abc, allow_insert=True, max_len=5)
+    assert sum(m.kind is MoveKind.SQUARE_INSERT for m in moves) == 39_520
+    del moves
+    gc.collect()
+
+
+@pytest.mark.parametrize(
+    "call", [_classify_at_500, _search_with_an_insertion, _insertions_listed_at_40]
+)
 def test_calls_keep_no_table_once_they_return(call):
     # a table over the C(n,3) triples is 7.4 MiB at n=500 for classifying,
-    # and a search with room for an insertion has 161,700 generators at
-    # n=100 to insert; once the call returns, nothing of that size may
-    # stay allocated
+    # a search with room for an insertion has 161,700 generators at n=100
+    # to insert, and listing insertions 9,880 at n=40; once the call
+    # returns, nothing of that size may stay allocated
     tracemalloc.start()
     try:
         call()

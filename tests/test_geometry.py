@@ -6,14 +6,17 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
 from tribraid import (
     BadTriple,
+    CollinearityEvent,
     Configuration,
     FullTwistMove,
     GWord,
+    GenTriple,
     GenericityError,
     InvalidMove,
     InvalidN,
@@ -497,6 +500,50 @@ class TestOneWalk:
         compile_program(fresh)
         boundary_configurations(fresh)
         assert calls == Counter(events=len(fresh.moves), grid=1)
+
+
+class TestGenericityProbe:
+    """`random_closed_program` asks only whether a move is generic, and reads
+    the answer off the root kernel `_move_roots`, on the grid that
+    `segment_events` builds, without building any event."""
+
+    def test_root_kernel_accepts_exactly_what_segment_events_accepts(self):
+        seen = Counter()
+        for n in range(5, 11):
+            rng = random.Random(n)
+            for cfg in boundary_configurations(random_closed_program(n, seed=n)):
+                for _ in range(20):
+                    s = rng.randint(1, n)
+                    a, b = rng.sample([k for k in range(1, n + 1) if k != s], 2)
+                    zs, za, zb = cfg.point(s), cfg.point(a), cfg.point(b)
+                    drawn = P(
+                        F(rng.randint(-2400, 2400), 1200), F(rng.randint(-2400, 2400), 1200)
+                    )
+                    # a target from the generator's draw grid, an end on the
+                    # line ab, a path through strand a, and a target on it
+                    for target in (drawn, za + (zb - za) * 2, zs + (za - zs) * 2, za):
+                        got = _outcome(segment_events, cfg, s, target)
+                        grid, _ = geometry._grid(cfg.points + (target,))
+                        end = grid.pop()
+                        roots = _outcome(geometry._move_roots, grid, s, end)
+                        if got[0] != "ok":
+                            assert roots == got
+                            seen[re.sub(r"[0-9]+", "#", got[1])] += 1
+                            continue
+                        assert roots[0] == "ok"
+                        assert all(den > 0 and gcd(num, den) == 1 for num, den, *_ in roots[1])
+                        assert got[1] == [
+                            CollinearityEvent(0, F(num, den), GenTriple(n, (s, x, y)), central)
+                            for num, den, x, y, central in roots[1]
+                        ]
+                        seen["events" if got[1] else "no events"] += 1
+        assert min(seen.values()) >= 10 and set(seen) == {
+            "events",
+            "no events",
+            "strands # and # coincide",
+            "strands #,#,# are collinear",
+            "moving strand meets another strand",
+        }
 
 
 class TestEventPins:

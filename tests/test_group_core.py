@@ -43,7 +43,10 @@ class TestGenTriple:
         assert GenTriple(4, (3, 2, 1)).elems == (1, 2, 3)
 
     def test_str_compact_and_general(self):
+        # one digit per index up to n=9, parenthesised from n=10 on
         assert str(GenTriple(4, (3, 1, 2))) == "a123"
+        assert str(GenTriple(9, (9, 8, 7))) == "a789"
+        assert str(GenTriple(10, (10, 9, 8))) == "a(8,9,10)"
         assert str(GenTriple(12, (11, 2, 1))) == "a(1,2,11)"
 
     def test_rejects_bad_indices(self):
@@ -115,6 +118,14 @@ class TestParsing:
     def test_round_trip_general(self):
         w = parse_word("a(11,2,1) a(3,4,10)", 12)
         assert format_word(w) == "a(1,2,11) a(3,4,10)"
+
+    def test_round_trip_seeded_words(self):
+        # on both sides of the compact boundary at n=9/10
+        rng = random.Random(9)
+        for n in (4, 9, 10, 32):
+            for _ in range(20):
+                w = random_word(rng, n, 12)
+                assert parse_word(format_word(w), n) == w
 
     def test_compact_rejected_for_large_n(self):
         with pytest.raises(WordParseError):

@@ -172,6 +172,59 @@ class TestAnnularInvariants:
         text = inv.to_text()
         assert "permutation: ()" in text and "linking:" in text
 
+    def test_half_integer_linking(self):
+        # realisable words that are not closed swap some pairs an odd number
+        # of times: each entry is its own exact Fraction, sum/2, and an
+        # integer exactly when the signed sum is even
+        odd = 0
+        for n in (6, 10):
+            for seed in range(10):
+                w = good_walk(random.Random(seed), n, 30)
+                for axis in range(1, n + 1):
+                    cyl = reconstruct_axis(w, axis)
+                    sums = Counter()
+                    for lt in cyl.letters:
+                        sums[min(lt.inner, lt.outer), max(lt.inner, lt.outer)] += lt.sign
+                    inv = annular_invariants(cyl)
+                    for pair, value in inv.linking:
+                        v = sums[pair]
+                        assert type(value) is Fraction and value == Fraction(v, 2)
+                        assert (value.denominator == 1) == (v % 2 == 0)
+                        odd += v % 2
+                    assert len({id(value) for _, value in inv.linking}) == len(inv.linking)
+        assert odd > 100
+
+    def test_text_of_negative_and_half_integer_entries(self):
+        L = CylLetter
+        inv = annular_invariants(CylWord(5, 5, (L(1, 2, 1),) * 3 + (L(3, 4, -1),)))
+        assert inv.to_text().splitlines() == [
+            "axis 5, strands 1 2 3 4",
+            "permutation: (1 2)(3 4)",
+            "linking:",
+            "          1     2     3     4",
+            "    1     .   3/2     0     0",
+            "    2   3/2     .     0     0",
+            "    3     0     0     .  -1/2",
+            "    4     0     0  -1/2     .",
+        ]
+        letters = (L(9, 10, -1),) * 3 + (L(2, 3, 1),) + (L(5, 4, -1),) * 2
+        inv = annular_invariants(CylWord(10, 1, letters))
+        assert inv.to_text().splitlines() == [
+            "axis 1, strands 2 3 4 5 6 7 8 9 10",
+            "permutation: (2 3)(9 10)",
+            "linking:",
+            "          2     3     4     5     6     7     8     9    10",
+            "    2     .   1/2     0     0     0     0     0     0     0",
+            "    3   1/2     .     0     0     0     0     0     0     0",
+            "    4     0     0     .    -1     0     0     0     0     0",
+            "    5     0     0    -1     .     0     0     0     0     0",
+            "    6     0     0     0     0     .     0     0     0     0",
+            "    7     0     0     0     0     0     .     0     0     0",
+            "    8     0     0     0     0     0     0     .     0     0",
+            "    9     0     0     0     0     0     0     0     .  -3/2",
+            "   10     0     0     0     0     0     0     0  -3/2     .",
+        ]
+
 
 class TestModFullTwist:
     def _shift(self, inv, m):
