@@ -260,10 +260,8 @@ def cmd_selftest(args) -> int:
     from .group_core import all_generators, apply_move
     from .index_state import (
         OrientationState,
-        flip,
         initial_state,
         is_realisable,
-        letter_status,
         run_word,
         tetra_letters,
     )
@@ -280,19 +278,17 @@ def cmd_selftest(args) -> int:
 
     def check_sliced_kernel() -> bool:
         # censuses read every status through one kernel that computes a
-        # letter at all states at once; their rows against letter_status at
-        # each state alone, walked along each side of the row's case.  8
-        # seeded states at n=6 read every letter, and at n=4 each letter has
-        # one outside strand, in region O, G1 or G2 of `_central`'s XOR
-        # rule, so the square census shows every (x, y) value against every
-        # target, unmasked by the misses of other strands
+        # letter at all states at once; their rows against `classify_word`
+        # (which `letter_status` reads through) on each side of the row's
+        # case from its state alone.  8 seeded states at n=6 read every
+        # letter, and at n=4 each letter has one outside strand, in region O,
+        # G1 or G2 of `_central`'s XOR rule, so the square census shows every
+        # (x, y) value against every target, unmasked by the misses of other
+        # strands
         def walk(s, letters):
-            tags = []
-            for g in letters:
-                central = letter_status(s, g).central
-                tags.append(f"{g}:g{central}" if central else f"{g}:bad")
-                s = flip(s, g)
-            return ",".join(tags)
+            cw = classify_word(GWord(s.n, tuple(letters)), s)
+            tags = (f"g{st.central}" if st.good else "bad" for st in cw.statuses)
+            return ",".join(f"{g}:{tag}" for g, tag in zip(letters, tags))
 
         for report in (
             relation_census(6, "commute", samples=8, seed=1997),

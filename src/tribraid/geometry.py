@@ -485,15 +485,14 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
     linear difference path, plus one turn per full twist (a rigid rotation
     winds every nonzero difference exactly once per turn).  Integer-valued
     for closed programs; counterclockwise is positive.  Reads only the
-    boundary configurations of the compiler's walk, kept for the many pairs
+    boundary grids and twist of the compiler's walk, kept for the many pairs
     callers ask about: an invalid program raises as it does when compiled.
     """
     if i == j:
         raise BadTriple("linking needs two distinct strands")
     p.initial.point(i)  # range checks
     p.initial.point(j)
-    grids = p._walk[3]
-    wn = sum(mv.turns for mv in p.moves if isinstance(mv, FullTwistMove))
+    _, wn, _, grids, _ = p._walk
     ux, uy = grids[0][i - 1][0] - grids[0][j - 1][0], grids[0][i - 1][1] - grids[0][j - 1][1]
     for k in range(1, len(grids)):
         vx, vy = grids[k][i - 1][0] - grids[k][j - 1][0], grids[k][i - 1][1] - grids[k][j - 1][1]
@@ -631,7 +630,10 @@ def concat_programs(a: MoveProgram, b: MoveProgram) -> MoveProgram:
 
 def program_power(p: MoveProgram, k: int) -> MoveProgram:
     """k-fold repetition of a closed program (inverse for negative k); one not
-    marked closed, or not ending where it starts, raises `NotClosed`."""
+    marked closed, or not ending where it starts, raises `NotClosed`, and a
+    k that is not an int (or is a bool) raises `InvalidMove`."""
+    if type(k) is not int:
+        raise InvalidMove(f"program power needs an integer exponent, got {k!r}")
     if not p.closed or boundary_configurations(p)[-1] != p.initial:
         raise NotClosed("powers are defined for closed programs")
     base = p if k >= 0 else inverse_program(p)
@@ -784,6 +786,8 @@ def program_from_json(obj) -> MoveProgram:
         cfg = Configuration(n, points)
     except (InvalidN, DimensionMismatch, GenericityError) as exc:
         raise ProgramParseError(f"bad initial configuration: {exc}") from exc
+    if not isinstance(moves_raw, list):
+        raise ProgramParseError(f"'moves' must be a list, got {type(moves_raw).__name__}")
     moves: list[Move] = []
     for mv in moves_raw:
         if not isinstance(mv, dict) or "type" not in mv:

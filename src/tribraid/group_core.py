@@ -9,7 +9,6 @@ Words are immutable; relation moves produce rewritten copies.
 
 from __future__ import annotations
 
-import functools
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict, deque
@@ -83,7 +82,10 @@ def generator_ranks(n: int) -> tuple[list[int], list[int]]:
     `first[i] - second[j] + k`, where first[t] = C(n,3) - C(n-t,3) and
     second[t] = C(n-t+1,2) + t + 1.  C(n,3) - C(n-i+1,3) triples have a
     smaller first index and C(n-i,2) - C(n-j+1,2) have first index i and a
-    smaller second; by Pascal's rule, C(n-i+1,3) - C(n-i,2) = C(n-i,3)."""
+    smaller second; by Pascal's rule, C(n-i+1,3) - C(n-i,2) = C(n-i,3).
+    An n that is not an int >= 4 raises `InvalidN`, as `GWord` does."""
+    if type(n) is not int or n < 4:
+        raise InvalidN(f"strand count must be >= 4, got {n!r}")
     total = n * (n - 1) * (n - 2) // 6
     first, second = [], []
     for m in range(n, -1, -1):  # m = n - t
@@ -92,15 +94,12 @@ def generator_ranks(n: int) -> tuple[list[int], list[int]]:
     return first, second
 
 
-@functools.cache
-def _generators(n: int) -> tuple[GenTriple, ...]:
-    """Every generator, in lexicographic index order."""
-    return tuple(GenTriple(n, c) for c in combinations(range(1, n + 1), 3))
-
-
 def all_generators(n: int) -> list[GenTriple]:
-    """All C(n,3) generators, in lexicographic index order."""
-    return list(_generators(n))
+    """All C(n,3) generators, in lexicographic index order, built for each
+    call; an n that is not an int >= 4 raises `InvalidN`."""
+    if type(n) is not int or n < 4:
+        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    return [GenTriple(n, c) for c in combinations(range(1, n + 1), 3)]
 
 
 def _far(a: int, b: int) -> bool:
@@ -296,7 +295,7 @@ def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> 
         if _tetra(*masks[p : p + 4])
     ]
     if allow_insert and len(masks) + 2 <= max_len:
-        gens = [GenTriple(w.n, t) for t in combinations(range(1, w.n + 1), 3)]
+        gens = all_generators(w.n)
         moves += [
             RelationMove(MoveKind.SQUARE_INSERT, p, g)
             for p in range(len(masks) + 1)
@@ -462,8 +461,10 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     """
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
-    if depth < 0 or max_len < 0:
-        raise InvalidBudget(f"search budgets must be >= 0, got depth={depth}, max_len={max_len}")
+    if type(depth) is not int or type(max_len) is not int or depth < 0 or max_len < 0:
+        raise InvalidBudget(
+            f"search budgets must be >= 0, got depth={depth!r}, max_len={max_len!r}"
+        )
     n = w1.n
     rows = generator_ranks(n)
     start, goal = _encode(w1, rows), _encode(w2, rows)

@@ -12,15 +12,15 @@ A state is an int bitmask over the sorted triples in lexicographic order
 (the order of `all_triples`, and of `all_generators`, so letter b flips
 bit b): bit b is set when triple b carries -1.  Triple i<j<k is bit
 `first[i] - second[j] + k` for the two O(n) rows of `generator_ranks(n)`,
-which each reader takes once per call; no table outlives the call.  Code
-that reads a state many times reads a byte table instead, one byte per
+which each reader takes once per call.  A state holds only n and its mask;
+a call that reads it many times builds its own byte table, one byte per
 triple (`_bits`), because every read of an int's bit copies the whole int.
 
 A letter is read from three pair rows: the row of x<y is an int whose bit p
 is the bit of triple {x,y,p}.  Its status is a few whole-int operations on
 the rows of its pairs ij, ik and jk (`_central`), whatever n is, and the
 letter flips one bit in each of them.  `classify_word` keeps only the rows
-the word touches; `letter_status` reads its three from the byte table.
+the word touches; `letter_status` is the one-letter `classify_word`.
 
 A census reads a letter at many states at once, sliced by triple
 (`_columns`): triple b's column is an int whose byte s is bit b of state s,
@@ -86,13 +86,6 @@ class OrientationState:
             shown = self.minus if width <= 256 else f"of {width} bits"
             raise BadTriple(f"state id {shown} out of range for n={self.n}")
 
-    @cached_property
-    def _table(self) -> bytes:
-        """The byte table, built at the first read of a letter or a triple
-        and kept, since callers often read many letters at one state (a
-        walk draws letters until one is good)."""
-        return bytes(_bits(self.minus, comb(self.n, 3)))
-
     def value(self, triple: Triple) -> int:
         """Sign stored on a *sorted* triple, whose strands are checked as a
         generator's are."""
@@ -100,7 +93,7 @@ class OrientationState:
         if (a, b, c) != tuple(triple):
             raise BadTriple(f"{tuple(triple)} is not a sorted triple of 1..{self.n}")
         first, second = generator_ranks(self.n)
-        return -1 if self._table[first[a] - second[b] + c] else 1
+        return -1 if self.minus >> (first[a] - second[b] + c) & 1 else 1
 
 
 def initial_state(n: int) -> OrientationState:
@@ -232,14 +225,10 @@ _status = cache(LetterStatus)
 
 
 def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
-    """Classify one letter at a state: its three pair rows, read from the
-    state's byte table."""
+    """Classify one letter at a state: the one-letter `classify_word`."""
     if g.n != s.n:
         raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    n, ranks, table = s.n, generator_ranks(s.n), s._table
-    ij, ik, jk = (_row(ranks, table, n, x, y) for x, y in combinations(g.elems, 2))
-    i, j, k = g.elems
-    return _status(_central(ij, ik, jk, (2 << n) - 2, i, j, k))
+    return classify_word(GWord(s.n, (g,)), s).statuses[0]
 
 
 @dataclass(frozen=True)
@@ -268,7 +257,8 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
 
     `start` defaults to the initial state; any state may be given, to read
     a relation window in isolation.  Each letter reads its three pair rows
-    (`_central`) and flips one bit in each.
+    (`_central`) and flips one bit in each; the rows of a start other than
+    all-plus come from its byte table (`_bits`), built for the call.
     """
     s = initial_state(w.n) if start is None else start
     if s.n != w.n:
@@ -278,8 +268,9 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
     full = (2 << n) - 2
     m = n + 1  # the row of x<y is keyed x * m + y
     if s.minus:
+        table = _bits(s.minus, comb(n, 3))
         pairs = {pair for g in w.letters for pair in combinations(g.elems, 2)}
-        rows = {x * m + y: _row(ranks, s._table, n, x, y) for x, y in pairs}
+        rows = {x * m + y: _row(ranks, table, n, x, y) for x, y in pairs}
     else:  # every row of the all-plus start is 0
         rows = {}
     get = rows.get
@@ -311,15 +302,15 @@ def stable_projection(w: GWord) -> tuple[GWord, int]:
     """Iterate the projection to its fixed point.
 
     Returns the fixed point and the number of passes, including the final
-    confirming pass.  Each non-final pass deletes at least one letter, so
-    the count is at most len(w)+1; the result has no bad letters.
+    pass, the first to keep the length: a pass only deletes letters.  The
+    count is at most len(w)+1; the result has no bad letters.
     """
     passes = 0
     cur = w
     while True:
         passes += 1
         nxt = project_once(cur)
-        if nxt == cur:
+        if len(nxt) == len(cur):
             return cur, passes
         cur = nxt
 
@@ -719,9 +710,9 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     and count-4 cases admit one total order realising every letter.
     ``square``: both copies of a doubled letter share status.
     ``commute``: far-commuting letters keep their statuses under the swap
-    (exhaustive at n=5, `samples` seeded states for n >= 6; a negative
-    count raises `InvalidBudget`).  An n that is not an int, or is a bool,
-    raises `InvalidN`; another lemma raises `UnsupportedN`.
+    (exhaustive at n=5, `samples` seeded states for n >= 6; a count that
+    is not an int >= 0 raises `InvalidBudget`).  An n that is not an int,
+    or is a bool, raises `InvalidN`; another lemma raises `UnsupportedN`.
     """
     if type(n) is not int:
         raise InvalidN(f"strand count must be an int, got {n!r}")
@@ -732,7 +723,7 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     if lemma == "commute":
         if n < 5:
             raise UnsupportedN("no far-commuting pairs below n=5")
-        if n > 5 and samples < 0:
-            raise InvalidBudget(f"census samples must be >= 0, got {samples}")
+        if n > 5 and (type(samples) is not int or samples < 0):
+            raise InvalidBudget(f"census samples must be >= 0, got {samples!r}")
         return _commute_census(n, samples, seed)
     raise UnsupportedN(f"unknown lemma census {lemma!r}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, InvalidN, NotRealisable
-from .group_core import GWord, generator_parity
+from .group_core import GWord
 from .index_state import ClassifiedWord, classify_word
 
 
@@ -305,8 +305,10 @@ def _deviating_pair(start, order, sums: Counter) -> tuple[int, int] | None:
 def kernel_witness(w: GWord) -> KernelVerdict:
     """Best-effort nontriviality check for a realisable word.
 
-    Parity is checked first; otherwise one pass over the word reconstructs
-    it around every axis (covering every strand pair), and the axes are
+    Parity is checked first, off the classified word: from the all-plus
+    start, the final state's mask has the bits of the letters that occur an
+    odd number of times.  Otherwise one pass over the word reconstructs it
+    around every axis (covering every strand pair), and the axes are
     compared in order with the empty word's invariants modulo full twists.
     A consistent outcome makes no triviality claim: these invariants are
     blind beyond parity, winding and the ray permutation.
@@ -322,7 +324,7 @@ def kernel_witness(w: GWord) -> KernelVerdict:
     cw = classify_word(w)
     if not cw.realisable:
         raise NotRealisable("kernel witness requires a realisable word")
-    if not generator_parity(w).is_zero:
+    if cw.final_state.minus:
         return KernelVerdict(NONTRIVIAL_BY_PARITY)
     axes = range(1, w.n + 1)
     orders = {axis: list(initial_cyclic_order(w.n, axis)) for axis in axes}

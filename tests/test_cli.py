@@ -20,11 +20,14 @@ from tribraid import (
     GenTriple,
     GWord,
     MoveKind,
+    OrientationState,
+    all_generators,
     applicable_moves,
     bounded_equal,
     classify_word,
     compile_program,
     format_word,
+    letter_status,
     program_from_json,
     program_to_json,
     pure_braid_generator_program,
@@ -329,6 +332,20 @@ def test_program_with_an_infinite_number_exits_2(capsys, tmp_path):
         for argv in (["compile", str(path)], ["gen", "--embed", str(path)]):
             code, out, err = run(capsys, argv)
             assert code == 2 and out == "" and err.startswith("error: "), (bad, argv)
+
+
+def test_program_moves_that_are_not_a_list_exit_2(capsys, tmp_path):
+    # a number or null is not iterable, and an object would be read as no
+    # moves: each is refused with one line, not a traceback
+    good = program_to_json(pure_braid_generator_program(4, 1, 3))
+    path = tmp_path / "bad.json"
+    for moves in (5, None, {}, {"type": "twist", "turns": 1}, "line"):
+        path.write_text(json.dumps(dict(good, moves=moves)))
+        for argv in (["compile", str(path)], ["gen", "--embed", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), (moves, argv)
+            assert err.startswith("error: ") and err.count("\n") == 1, (moves, argv)
+            assert "'moves' must be a list" in err
 
 
 def test_program_numbers_are_read_from_their_decimal_text(capsys, tmp_path):
@@ -671,9 +688,11 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert found == []
 
 
-def test_per_process_caches_are_the_known_four():
+def test_per_process_caches_are_the_known_three():
     # a cache lives as long as the process: a per-n table kept in one grows
-    # with every n a caller reads, so it must be listed here on purpose
+    # with every n a caller reads, so it must be listed here on purpose.
+    # These three keep a few objects each: one status per central, the n=4
+    # tetra windows and the parser
     package = Path(tribraid.__file__).resolve().parent
 
     def is_cache(node):
@@ -691,7 +710,7 @@ def test_per_process_caches_are_the_known_four():
             elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if is_cache(node.value.func):
                     found.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert found == {"_generators", "_status", "_tetra_windows", "build_parser"}
+    assert found == {"_status", "_tetra_windows", "build_parser"}
 
 
 def _classify_at_500():
@@ -710,32 +729,59 @@ def _search_with_an_insertion():
 
 def _insertions_listed_at_40():
     # (3+1) * C(40,3) = 39,520 square insertions, whose 9,880 generators
-    # are built for the call; the list of moves is dropped on return.  The
-    # full collection empties CPython's tuple free list, which keeps 2,000
-    # of the generators' freed index tuples (125 KiB) and is no table
+    # are built for the call; the list of moves is dropped on return
     n = 40
     abc = GWord(n, tuple(GenTriple(n, t) for t in ((1, 2, 3), (4, 5, 6), (7, 8, 9))))
     moves = applicable_moves(abc, allow_insert=True, max_len=5)
     assert sum(m.kind is MoveKind.SQUARE_INSERT for m in moves) == 39_520
-    del moves
-    gc.collect()
+
+
+def _generators_listed_at_100():
+    assert len(all_generators(100)) == 161_700
+
+
+# a state that outlives every call below, as a caller's state does
+_HELD_300 = OrientationState(300, 0b1011)
+
+
+def _letter_read_at_a_held_state():
+    letter_status(_HELD_300, GenTriple(300, (1, 2, 5)))
 
 
 @pytest.mark.parametrize(
-    "call", [_classify_at_500, _search_with_an_insertion, _insertions_listed_at_40]
+    "call",
+    [
+        _classify_at_500,
+        _search_with_an_insertion,
+        _insertions_listed_at_40,
+        _generators_listed_at_100,
+        _letter_read_at_a_held_state,
+    ],
 )
 def test_calls_keep_no_table_once_they_return(call):
-    # a table over the C(n,3) triples is 7.4 MiB at n=500 for classifying,
-    # a search with room for an insertion has 161,700 generators at n=100
-    # to insert, and listing insertions 9,880 at n=40; once the call
-    # returns, nothing of that size may stay allocated
+    # a table over the C(n,3) triples is 7.4 MiB at n=500 for classifying
+    # and 4.25 MiB at n=300 for one letter, a search with room for an
+    # insertion has 161,700 generators at n=100 to insert, and listing
+    # insertions 9,880 at n=40; once the call returns, nothing of that size
+    # may stay allocated.  The full collection empties CPython's free
+    # lists, which keep up to 2,000 freed tuples (125 KiB) and are no table
     tracemalloc.start()
     try:
         call()
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert kept < 64 * 1024
+
+
+def test_a_state_holds_only_its_mask():
+    # a read caches nothing on the state, however often it is repeated
+    s = OrientationState(6, 0b1011)
+    s.value((1, 2, 4))
+    letter_status(s, GenTriple(6, (1, 2, 5)))
+    classify_word(GWord(6, (GenTriple(6, (2, 3, 4)),)), start=s)
+    assert vars(s) == {"n": 6, "minus": 0b1011}
 
 
 def test_only_the_trusted_configuration_bypasses_a_constructor():

@@ -795,6 +795,12 @@ class TestGeneratorProgram:
                 with pytest.raises(NotClosed):
                     program_power(prog, k)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "2", True, False, None])
+    def test_power_needs_an_int_exponent(self, k):
+        # a bool is not a count: True would run as k=1
+        with pytest.raises(InvalidMove):
+            program_power(pure_braid_generator_program(4, 1, 3), k)
+
     def test_every_pair_round_trips(self):
         for n in range(4, 8):
             for i, j in permutations(range(1, n + 1), 2):

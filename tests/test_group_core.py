@@ -80,6 +80,14 @@ class TestGenTriple:
         with pytest.raises(error):
             build(*args)
 
+    @pytest.mark.parametrize("n", [4.0, "4", True, 3, 2, -1])
+    def test_generator_lists_need_a_group(self, n):
+        # below n=4 there is no 3-subset generator group to list or index
+        with pytest.raises(InvalidN):
+            all_generators(n)
+        with pytest.raises(InvalidN):
+            generator_ranks(n)
+
     class Strand(int):
         pass
 
@@ -344,8 +352,8 @@ class TestSearchAlphabet:
             built[n] += 1
             return generators(n)
 
-        generators = group_core._generators
-        monkeypatch.setattr(group_core, "_generators", counted)
+        generators = group_core.all_generators
+        monkeypatch.setattr(group_core, "all_generators", counted)
         g, h = (1, 2, 3), (1, 2, 4)
         tetra = word(100, g, h, (1, 3, 4), (2, 3, 4))
         abc = word(100, (1, 2, 3), (4, 5, 6), (7, 8, 9))
@@ -591,6 +599,16 @@ class TestBoundedEqual:
             bounded_equal(w, w, depth=-1, max_len=4)
         with pytest.raises(InvalidBudget):
             bounded_equal(w, w, depth=10, max_len=-1)
+
+    @pytest.mark.parametrize(
+        "depth, max_len",
+        [("3", 5), (3, "5"), (3.0, 5), (3, 5.5), (True, 5)],
+        ids=["str-depth", "str-max_len", "float-depth", "float-max_len", "bool-depth"],
+    )
+    def test_budgets_that_are_not_ints_rejected(self, depth, max_len):
+        w1, w2 = word(4, (1, 2, 3)), word(4, (1, 2, 4))
+        with pytest.raises(InvalidBudget):
+            bounded_equal(w1, w2, depth, max_len)
 
 
 class TestSearchStats:

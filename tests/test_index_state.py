@@ -401,6 +401,11 @@ class TestCensuses:
         report = relation_census(6, "commute", samples=0)
         assert report.cases == 0 and tuple(report.rows) == ()
 
+    @pytest.mark.parametrize("samples", [1.5, 2.0, "2", True, None])
+    def test_samples_that_are_not_ints_are_refused(self, samples):
+        with pytest.raises(InvalidBudget):
+            relation_census(6, "commute", samples=samples)
+
     @pytest.mark.parametrize(
         "n, lemma, samples, calls",
         [
