@@ -14,7 +14,14 @@ import sys
 from decimal import Decimal
 from itertools import islice
 
-from .errors import AboveCeiling, InvalidBudget, ProgramParseError, TribraidError, WordParseError
+from .errors import (
+    AboveCeiling,
+    InvalidBudget,
+    ProgramParseError,
+    TribraidError,
+    WordParseError,
+    clip,
+)
 from .geometry import (
     compile_program,
     embed_at_infinity,
@@ -202,8 +209,8 @@ def cmd_census(args) -> int:
         rows = commute_census_rows(n, args.samples)
         if rows > MAX_CENSUS_ROWS:
             raise AboveCeiling(
-                f"--samples {args.samples} at n={n} gives {rows:,} rows, above the census "
-                f"ceiling of {MAX_CENSUS_ROWS:,}"
+                f"--samples {clip(args.samples)} at n={n} gives {clip(rows, ',')} rows, "
+                f"above the census ceiling of {MAX_CENSUS_ROWS:,}"
             )
     report = relation_census(n, args.lemma, samples=args.samples, seed=args.seed)
     # a block of lines per write, so that --full holds few rendered rows;
@@ -233,7 +240,7 @@ def cmd_gen(args) -> int:
         try:
             i, j = (int(part) for part in args.braid.split(","))
         except ValueError as exc:
-            raise ProgramParseError(f"--braid expects 'i,j', got {args.braid!r}") from exc
+            raise ProgramParseError(f"--braid expects 'i,j', got {clip(args.braid)}") from exc
         prog = pure_braid_generator_program(n, i, j)
     elif args.full_twist is not None:
         prog = full_twist_program(_gen_n(args, "--full-twist"), args.full_twist)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, the strand-count check and
+how a message echoes a caller's value."""
 
 
 class TribraidError(Exception):
@@ -67,3 +68,22 @@ class InvalidBudget(TribraidError):
 
 class AboveCeiling(TribraidError):
     """A command-line size argument is above its documented ceiling."""
+
+
+def clip(value: object, spec: str = "") -> str:
+    """`value` as a message echoes it: its repr, or its format under `spec`,
+    cut to 40 characters; an int too long for Python to print shows its bit
+    length."""
+    try:
+        text = format(value, spec) if spec else repr(value)
+    except ValueError:  # Python prints no int of over 4,300 digits
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def check_n(n: object, error: type[TribraidError] = InvalidN) -> None:
+    """Refuse a strand count that is not an int >= 4 (a bool is not one)."""
+    if type(n) is not int or n < 4:
+        raise error(f"strand count must be >= 4, got {clip(n)}")

@@ -32,6 +32,8 @@ from .errors import (
     InvalidN,
     NotClosed,
     ProgramParseError,
+    check_n,
+    clip,
 )
 from .group_core import GWord, GenTriple
 from .index_state import OrientationState, all_triples
@@ -132,11 +134,10 @@ class Configuration:
     points: tuple[RationalPoint, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
+        check_n(self.n)
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) != self.n:
-            raise DimensionMismatch(f"{len(self.points)} points for n={self.n}")
+            raise DimensionMismatch(f"{len(self.points)} points for n={clip(self.n)}")
         grid, _ = _grid(self.points)
         for a, b in combinations(range(self.n), 2):
             if grid[a] == grid[b]:
@@ -151,7 +152,7 @@ class Configuration:
         """The point of `strand`; every geometry reader's range check, which
         refuses a strand that is not an int or is a bool."""
         if type(strand) is not int or not 1 <= strand <= self.n:
-            raise BadTriple(f"strand {strand!r} out of range 1..{self.n}")
+            raise BadTriple(f"strand {clip(strand)} out of range 1..{self.n}")
         return self.points[strand - 1]
 
     def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
@@ -206,7 +207,9 @@ class FullTwistMove:
 
     def __post_init__(self):
         if type(self.turns) is not int or self.turns == 0:
-            raise InvalidMove(f"full twist needs a nonzero integer turn count, got {self.turns!r}")
+            raise InvalidMove(
+                f"full twist needs a nonzero integer turn count, got {clip(self.turns)}"
+            )
 
 
 # not typing.Union: its process-wide cache would keep these classes, and
@@ -258,7 +261,7 @@ class MoveProgram:
                 grid[mv.strand - 1] = end
                 cur = cur._with_point(mv.strand, mv.target)  # checked by _move_events
             else:
-                raise InvalidMove(f"unknown move {mv!r}")
+                raise InvalidMove(f"unknown move {clip(mv)}")
             configs.append(cur)
             grids.append(tuple(grid))
         return tuple(events), twist, tuple(configs), tuple(grids), den
@@ -301,8 +304,7 @@ def regular_rational_configuration(n: int) -> Configuration:
     distinct strands are distinct, the half-angle map is injective and
     never reaches (-1, 0), which only j = n/2 takes, so no two coincide.
     """
-    if type(n) is not int or n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    check_n(n)
     pts = []
     for j in range(1, n + 1):
         b = j if 2 * j <= n else j - n
@@ -633,7 +635,7 @@ def program_power(p: MoveProgram, k: int) -> MoveProgram:
     marked closed, or not ending where it starts, raises `NotClosed`, and a
     k that is not an int (or is a bool) raises `InvalidMove`."""
     if type(k) is not int:
-        raise InvalidMove(f"program power needs an integer exponent, got {k!r}")
+        raise InvalidMove(f"program power needs an integer exponent, got {clip(k)}")
     if not p.closed or boundary_configurations(p)[-1] != p.initial:
         raise NotClosed("powers are defined for closed programs")
     base = p if k >= 0 else inverse_program(p)
@@ -735,11 +737,11 @@ def _rational(value) -> Fraction:
 
 def _point_from_json(obj) -> RationalPoint:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ProgramParseError(f"point must be a 2-element list, got {obj!r}")
+        raise ProgramParseError(f"point must be a 2-element list, got {clip(obj)}")
     try:
         return RationalPoint(_rational(obj[0]), _rational(obj[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ProgramParseError(f"bad rational in point {obj!r}: {exc}") from exc
+        raise ProgramParseError(f"bad rational in point {clip(obj)}: {exc}") from exc
 
 
 def program_to_json(p: MoveProgram) -> dict:
@@ -763,7 +765,7 @@ def _integer(value) -> int:
     """`value` if it is a JSON integer, else TypeError: `int` would truncate
     1.5 and accept "4" and true."""
     if type(value) is not int:
-        raise TypeError(f"integer required, got {value!r}")
+        raise TypeError(f"integer required, got {clip(value)}")
     return value
 
 
@@ -778,7 +780,7 @@ def program_from_json(obj) -> MoveProgram:
         raise ProgramParseError(f"missing or malformed program field: {exc}") from exc
     closed = obj.get("closed", False)
     if type(closed) is not bool:
-        raise ProgramParseError(f"'closed' must be true or false, got {closed!r}")
+        raise ProgramParseError(f"'closed' must be true or false, got {clip(closed)}")
     if not isinstance(initial_raw, list):
         raise ProgramParseError("'initial' must be a list of points")
     points = tuple(_point_from_json(pt) for pt in initial_raw)
@@ -791,20 +793,20 @@ def program_from_json(obj) -> MoveProgram:
     moves: list[Move] = []
     for mv in moves_raw:
         if not isinstance(mv, dict) or "type" not in mv:
-            raise ProgramParseError(f"move must be an object with a type, got {mv!r}")
+            raise ProgramParseError(f"move must be an object with a type, got {clip(mv)}")
         if mv["type"] == "line":
             try:
                 strand = _integer(mv["strand"])
             except (KeyError, TypeError) as exc:
-                raise ProgramParseError(f"bad line move {mv!r}") from exc
+                raise ProgramParseError(f"bad line move {clip(mv)}") from exc
             if not 1 <= strand <= n:
-                raise ProgramParseError(f"strand {strand} out of range 1..{n}")
+                raise ProgramParseError(f"strand {clip(strand)} out of range 1..{clip(n)}")
             moves.append(LinearMove(strand, _point_from_json(mv.get("to"))))
         elif mv["type"] == "twist":
             try:
                 moves.append(FullTwistMove(_integer(mv["turns"])))
             except (KeyError, TypeError, InvalidMove) as exc:
-                raise ProgramParseError(f"bad twist move {mv!r}") from exc
+                raise ProgramParseError(f"bad twist move {clip(mv)}") from exc
         else:
-            raise ProgramParseError(f"unknown move type {mv['type']!r}")
+            raise ProgramParseError(f"unknown move type {clip(mv['type'])}")
     return MoveProgram(cfg, tuple(moves), closed=closed)

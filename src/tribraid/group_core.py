@@ -21,8 +21,9 @@ from .errors import (
     DimensionMismatch,
     InvalidBudget,
     InvalidMove,
-    InvalidN,
     WordParseError,
+    check_n,
+    clip,
 )
 
 
@@ -44,30 +45,24 @@ class GenTriple:
             i, j, k = elems
             if type(i) is type(j) is type(k) is int and 0 < i < j < k <= n:
                 return
-        if type(n) is not int or n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {n!r}")
+        check_n(n)
         try:
             elems = tuple(sorted(self.elems))
         except TypeError:  # not a sequence, or indices that do not compare
-            raise BadTriple(f"need three int indices, got {_clip(repr(self.elems))}") from None
+            raise BadTriple(f"need three int indices, got {clip(self.elems)}") from None
         if len(elems) != 3 or len(set(elems)) != 3:
-            raise BadTriple(f"need three distinct indices, got {_clip(str(tuple(self.elems)))}")
+            raise BadTriple(f"need three distinct indices, got {clip(tuple(self.elems))}")
         i, j, k = elems
         if not type(i) is type(j) is type(k) is int:  # a bool or a float is not a strand
-            raise BadTriple(f"need three int indices, got {_clip(str(tuple(self.elems)))}")
+            raise BadTriple(f"need three int indices, got {clip(tuple(self.elems))}")
         if i < 1 or k > self.n:
-            raise BadTriple(f"indices {_clip(str(elems))} out of range 1..{self.n}")
+            raise BadTriple(f"indices {clip(elems)} out of range 1..{clip(self.n)}")
         if self.elems != elems:  # a sorted tuple is kept, not copied
             object.__setattr__(self, "elems", elems)
 
     def __str__(self) -> str:
         i, j, k = self.elems
         return f"a{i}{j}{k}" if self.n <= 9 else f"a({i},{j},{k})"
-
-
-def _clip(text: str) -> str:
-    """Input echoed in an error message, cut to its first 40 characters."""
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _code(elems: tuple[int, ...]) -> int:
@@ -84,8 +79,7 @@ def generator_ranks(n: int) -> tuple[list[int], list[int]]:
     smaller first index and C(n-i,2) - C(n-j+1,2) have first index i and a
     smaller second; by Pascal's rule, C(n-i+1,3) - C(n-i,2) = C(n-i,3).
     An n that is not an int >= 4 raises `InvalidN`, as `GWord` does."""
-    if type(n) is not int or n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    check_n(n)
     total = n * (n - 1) * (n - 2) // 6
     first, second = [], []
     for m in range(n, -1, -1):  # m = n - t
@@ -97,8 +91,7 @@ def generator_ranks(n: int) -> tuple[list[int], list[int]]:
 def all_generators(n: int) -> list[GenTriple]:
     """All C(n,3) generators, in lexicographic index order, built for each
     call; an n that is not an int >= 4 raises `InvalidN`."""
-    if type(n) is not int or n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    check_n(n)
     return [GenTriple(n, c) for c in combinations(range(1, n + 1), 3)]
 
 
@@ -121,17 +114,18 @@ class GWord:
     letters: tuple[GenTriple, ...] = ()
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
+        check_n(self.n)
         try:
             object.__setattr__(self, "letters", tuple(self.letters))
         except TypeError:
-            raise BadTriple(f"letters must be a sequence of generators, got {self.letters!r}") from None
+            raise BadTriple(
+                f"letters must be a sequence of generators, got {clip(self.letters)}"
+            ) from None
         for g in self.letters:
             if type(g) is not GenTriple:
-                raise BadTriple(f"letter {g!r} is not a generator")
+                raise BadTriple(f"letter {clip(g)} is not a generator")
             if g.n != self.n:
-                raise DimensionMismatch(f"letter {g} has n={g.n}, word has n={self.n}")
+                raise DimensionMismatch(f"letter {g} has n={clip(g.n)}, word has n={clip(self.n)}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -160,14 +154,14 @@ def parse_indices(token: str, n: int) -> tuple[int, int, int]:
         try:
             idx = tuple(int(part) for part in m.group(1).split(","))
         except ValueError:  # Python reads no int of over 4,300 digits
-            raise WordParseError(f"an index of {token[:16]!r}... has too many digits") from None
+            raise WordParseError(f"an index of {clip(token)} has too many digits") from None
     elif n <= 9 and _COMPACT_TOKEN.match(token):
         idx = tuple(int(ch) for ch in token[1:])
     else:
-        raise WordParseError(f"cannot parse generator token {_clip(repr(token))} (n={n})")
+        raise WordParseError(f"cannot parse generator token {clip(token)} (n={clip(n)})")
     if len(idx) != 3:
         raise WordParseError(
-            f"{_clip(repr(token))} has {len(idx)} indices; words use 3-index generators"
+            f"{clip(token)} has {len(idx)} indices; words use 3-index generators"
         )
     return idx  # type: ignore[return-value]
 
@@ -176,8 +170,7 @@ def parse_word(text: str, n: int) -> GWord:
     """Parse whitespace-separated generator tokens into a word; indices may
     appear in any order.  A bad n is refused before any token is read, so
     the empty word is no exception."""
-    if type(n) is not int or n < 4:
-        raise WordParseError(f"strand count must be >= 4, got {n!r}")
+    check_n(n, WordParseError)
     letters = []
     for token in text.split():
         try:
@@ -317,7 +310,9 @@ def apply_move(w: GWord, m: RelationMove) -> GWord:
         if m.letter is None:
             raise InvalidMove("square insertion needs a generator")
         if m.letter.n != w.n:
-            raise InvalidMove(f"generator {m.letter} has n={m.letter.n}, word has n={w.n}")
+            raise InvalidMove(
+                f"generator {m.letter} has n={clip(m.letter.n)}, word has n={clip(w.n)}"
+            )
         if not 0 <= p <= len(letters):
             raise InvalidMove(f"insertion position {p} out of range")
         return GWord(w.n, letters[:p] + (m.letter, m.letter) + letters[p:])
@@ -330,7 +325,7 @@ def apply_move(w: GWord, m: RelationMove) -> GWord:
         if not (0 <= p <= len(letters) - 4 and _tetra(*(_code(g.elems) for g in window))):
             raise InvalidMove(f"no tetrahedron window at position {p}")
         return GWord(w.n, letters[:p] + window[::-1] + letters[p + 4 :])
-    raise InvalidMove(f"unknown move kind {m.kind!r}")
+    raise InvalidMove(f"unknown move kind {clip(m.kind)}")
 
 
 @dataclass(frozen=True)
@@ -460,10 +455,10 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     and limits.
     """
     if w1.n != w2.n:
-        raise DimensionMismatch(f"cannot compare words with n={w1.n} and n={w2.n}")
+        raise DimensionMismatch(f"cannot compare words with n={clip(w1.n)} and n={clip(w2.n)}")
     if type(depth) is not int or type(max_len) is not int or depth < 0 or max_len < 0:
         raise InvalidBudget(
-            f"search budgets must be >= 0, got depth={depth!r}, max_len={max_len!r}"
+            f"search budgets must be >= 0, got depth={clip(depth)}, max_len={clip(max_len)}"
         )
     n = w1.n
     rows = generator_ranks(n)

@@ -27,9 +27,13 @@ A census reads a letter at many states at once, sliced by triple
 so one whole-int operation acts on every state, and `_sliced_centrals`
 applies `_central`'s XOR rule to the columns, one lane per central.  This
 is bit-slicing (Biham, "A fast new DES implementation in software", 1997).
-Flips commute, so a census reads a letter once per *set* of letters flipped
-before it, not once per window that reaches that set, and it computes a
-suspect row's detail once, for the row it renders.
+Every census is a list of cases, each with one or two sides of letters,
+read by one engine (`_census`).  Flips commute, so a letter's prefix state
+is fixed by its *flip set*, the set of letters flipped before it: the
+engine reads each (flip set, letter) pair once and builds each flip set's
+columns once (`_flipped`).  Square makes 8 reads and 4 column sets, tetra
+32 and 14, commute C(n,3) + 2 * (far pairs) and C(n,3).  A census computes
+a suspect row's detail once, for the row it renders.
 """
 
 from __future__ import annotations
@@ -42,7 +46,15 @@ from itertools import combinations, permutations
 from math import comb
 from typing import NamedTuple
 
-from .errors import BadTriple, DimensionMismatch, InvalidBudget, InvalidN, UnsupportedN
+from .errors import (
+    BadTriple,
+    DimensionMismatch,
+    InvalidBudget,
+    InvalidN,
+    UnsupportedN,
+    check_n,
+    clip,
+)
 from .group_core import GWord, GenTriple, all_generators, far_commutes, generator_ranks
 
 Triple = tuple[int, int, int]
@@ -74,24 +86,20 @@ class OrientationState:
     minus: int
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 4:
-            raise InvalidN(f"strand count must be >= 4, got {self.n!r}")
+        check_n(self.n)
         if type(self.minus) is not int:
-            raise BadTriple(f"state id must be an int, got {self.minus!r}")
+            raise BadTriple(f"state id must be an int, got {clip(self.minus)}")
         # the bit length, not a compare with 1 << C(n,3): that bound alone
         # would be a 2.6 Mbit int at n = 250
-        width = self.minus.bit_length()
-        if self.minus < 0 or width > comb(self.n, 3):
-            # Python will not print an int of over 4,300 digits
-            shown = self.minus if width <= 256 else f"of {width} bits"
-            raise BadTriple(f"state id {shown} out of range for n={self.n}")
+        if self.minus < 0 or self.minus.bit_length() > comb(self.n, 3):
+            raise BadTriple(f"state id {clip(self.minus)} out of range for n={clip(self.n)}")
 
     def value(self, triple: Triple) -> int:
         """Sign stored on a *sorted* triple, whose strands are checked as a
         generator's are."""
         a, b, c = GenTriple(self.n, triple).elems
         if (a, b, c) != tuple(triple):
-            raise BadTriple(f"{tuple(triple)} is not a sorted triple of 1..{self.n}")
+            raise BadTriple(f"{clip(tuple(triple))} is not a sorted triple of 1..{clip(self.n)}")
         first, second = generator_ranks(self.n)
         return -1 if self.minus >> (first[a] - second[b] + c) & 1 else 1
 
@@ -114,17 +122,10 @@ def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
     return -s.value(elems) if odd else s.value(elems)
 
 
-def flip(s: OrientationState, g: GenTriple) -> OrientationState:
-    """Negate exactly the entry of g's triple; an involution."""
-    if g.n != s.n:
-        raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
-    return run_word(s, GWord(s.n, (g,)))
-
-
 def run_word(s: OrientationState, w: GWord) -> OrientationState:
     """Left-to-right composition of flips."""
     if w.n != s.n:
-        raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
+        raise DimensionMismatch(f"word n={clip(w.n)}, state n={clip(s.n)}")
     first, second = generator_ranks(s.n)
     cur = s.minus
     for g in w.letters:
@@ -208,7 +209,7 @@ class LetterStatus:
 
     def __post_init__(self):
         if type(self.central) is not int or self.central < 0:
-            raise BadTriple(f"central must be 0 or a strand id, got {self.central!r}")
+            raise BadTriple(f"central must be 0 or a strand id, got {clip(self.central)}")
 
     @property
     def good(self) -> bool:
@@ -227,7 +228,7 @@ _status = cache(LetterStatus)
 def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
     """Classify one letter at a state: the one-letter `classify_word`."""
     if g.n != s.n:
-        raise DimensionMismatch(f"generator n={g.n}, state n={s.n}")
+        raise DimensionMismatch(f"generator n={clip(g.n)}, state n={clip(s.n)}")
     return classify_word(GWord(s.n, (g,)), s).statuses[0]
 
 
@@ -262,7 +263,7 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
     """
     s = initial_state(w.n) if start is None else start
     if s.n != w.n:
-        raise DimensionMismatch(f"word n={w.n}, state n={s.n}")
+        raise DimensionMismatch(f"word n={clip(w.n)}, state n={clip(s.n)}")
     n = w.n
     ranks = first, second = generator_ranks(n)
     full = (2 << n) - 2
@@ -322,8 +323,7 @@ def stable_projection(w: GWord) -> tuple[GWord, int]:
 def enumerate_states(n: int) -> Iterator[OrientationState]:
     """All 2^C(n,3) orientation states, in the order of their masks; n is
     checked at the call, as `OrientationState` checks it."""
-    if type(n) is not int or n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    check_n(n)
     return (OrientationState(n, mask) for mask in range(1 << comb(n, 3)))
 
 
@@ -521,6 +521,46 @@ def _tags(g: GenTriple) -> tuple[str, ...]:
     return (f"{name}:bad", f"{name}:g{i}", f"{name}:g{j}", "", f"{name}:g{k}")
 
 
+def _census(n: int, lemma: str, states: Sequence[int], template: str, cases) -> CensusReport:
+    """The census of `cases` at `states`, each case a tuple (name, sides,
+    detail, suspects): every side is a tuple of letter indices (letter b is
+    `all_generators(n)[b]` and flips triple b), read left to right from each
+    state; `template` joins the renderings of all sides' letters, `detail`
+    is `_Case`'s, and `suspects(codes)` gives `_Case.suspects` from the
+    case's code columns, in side order.
+
+    Flips commute, so a letter's prefix state is fixed by its flip set, the
+    bitmask of the letters flipped before it on its side: each (flip set,
+    letter) pair is read once (`_sliced_centrals`), and each flip set's
+    columns are built once (`_flipped`), from those of the set before it on
+    the side, which has been read at."""
+    ranks = generator_ranks(n)
+    size = len(states)
+    gens = all_generators(n)
+    tags = [_tags(g) for g in gens]
+    flipped = {0: _columns(states, len(gens))}
+    reads: dict[tuple[int, int], int] = {}
+    built = []
+    for name, sides, detail, suspects in cases:
+        codes, letters = [], []
+        for side in sides:
+            done = 0
+            for b in side:
+                code = reads.get((done, b))
+                if code is None:
+                    cols = flipped.get(done)
+                    if cols is None:
+                        cols = flipped[done] = _flipped(flipped[done ^ 1 << last], last, size)
+                    code = reads[done, b] = _sliced_centrals(ranks, cols, size, n, *gens[b].elems)
+                codes.append(code)
+                letters.append(tags[b])
+                done ^= 1 << b
+                last = b
+        codes_by_state = _interleaved(size, codes)
+        built.append(_Case(name, codes_by_state, tuple(letters), template, detail, suspects(codes)))
+    return CensusReport(n, lemma, _CensusRows(states, tuple(built)))
+
+
 def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ...]:
     """The four letters of the tetrahedron word for an ordered 4-tuple:
     letter j omits the j-th tuple entry."""
@@ -536,21 +576,21 @@ def _middle_code(g: GenTriple, order: tuple[int, ...]) -> int:
 
 
 @cache
-def _tetra_windows() -> tuple[frozenset[bytes], tuple[tuple[str, tuple, tuple, tuple], ...]]:
+def _tetra_windows() -> tuple[frozenset[bytes], tuple[tuple[str, tuple[int, ...], tuple], ...]]:
     """The codes of the four letters of n=4, in triple order, that some
     total order of 1..4 realises; and per ordering of 1..4, its case name,
-    its two sides and where each of the four letters is on its left side."""
+    its left side as letter indices and where each letter is on it."""
     gens = all_generators(4)  # the letter omitting strand x is gens[4 - x]
     orders = list(permutations((1, 2, 3, 4)))
     realised = frozenset(bytes(_middle_code(g, order) for g in gens) for order in orders)
     windows = []
     for tup in orders:
-        lhs = tuple(gens[4 - x] for x in tup)
-        windows.append(("".join(map(str, tup)), lhs, lhs[::-1], tuple(map(lhs.index, gens))))
+        lhs = tuple(4 - x for x in tup)
+        windows.append(("".join(map(str, tup)), lhs, tuple(map(lhs.index, range(4)))))
     return realised, tuple(windows)
 
 
-def _tetra_detail(lhs, rhs, where, realised, codes: bytes) -> str:
+def _tetra_detail(lhs, where, realised, codes: bytes) -> str:
     cl, cr = codes[:4], codes[4:]
     n_l, n_r = 4 - cl.count(0), 4 - cr.count(0)
     if n_l not in (0, 1, 4):
@@ -559,9 +599,10 @@ def _tetra_detail(lhs, rhs, where, realised, codes: bytes) -> str:
         return f"good counts differ: {n_l} vs {n_r}"
     if n_l == 1:
         g_l = next(g for g, c in zip(lhs, cl) if c)
-        g_r = next(g for g, c in zip(rhs, cr) if c)
+        g_r = next(g for g, c in zip(lhs[::-1], cr) if c)
         if g_l != g_r:
-            return f"lone good letters differ: {g_l} vs {g_r}"
+            gens = all_generators(4)
+            return f"lone good letters differ: {gens[g_l]} vs {gens[g_r]}"
     # the right side holds the left's letters reversed, so all eight are
     # realised when each letter has one central on both sides and one total
     # order makes the four centrals middles
@@ -571,51 +612,15 @@ def _tetra_detail(lhs, rhs, where, realised, codes: bytes) -> str:
 
 
 def _tetra_census() -> CensusReport:
-    ranks = generator_ranks(4)
     states = range(1 << comb(4, 3))
-    size = len(states)
-    cols = _columns(states, comb(4, 3))
-    gens = all_generators(4)  # letter b flips triple b
-    bit = {g: b for b, g in enumerate(gens)}
-    tags = {g: _tags(g) for g in gens}
-    # flips commute, so a letter's prefix state is fixed by the set of the
-    # letters before it, a bitmask over triples: every window reads its
-    # letters at the 15 sets of at most three, each letter once per set
-    # that leaves it out
-    flipped = [cols]
-    for done in range(1, 15):
-        b = done.bit_length() - 1
-        flipped.append(_flipped(flipped[done ^ 1 << b], b, size))
-    reads = {
-        (done, b): _sliced_centrals(ranks, flipped[done], size, 4, *g.elems)
-        for done in range(15)
-        for b, g in enumerate(gens)
-        if not done >> b & 1
-    }
     # a window's verdict needs all eight codes, so every row is suspect
-    every = int.from_bytes(b"\1" * size, "little")
-    cases = []
+    every = int.from_bytes(b"\1" * len(states), "little")
     realised, windows = _tetra_windows()
-    for name, lhs, rhs, where in windows:
-        codes = []
-        for word in (lhs, rhs):
-            done = 0
-            for g in word:
-                b = bit[g]
-                codes.append(reads[done, b])
-                done |= 1 << b
-        cases.append(
-            _Case(
-                name,
-                _interleaved(size, codes),
-                tuple(tags[g] for g in lhs + rhs),
-                "{},{},{},{}|{},{},{},{}",
-                partial(_tetra_detail, lhs, rhs, where, realised),
-                every,
-            )
-        )
-    rows = _CensusRows(states, tuple(cases))
-    return CensusReport(4, "tetra", rows)
+    cases = [
+        (name, (lhs, lhs[::-1]), partial(_tetra_detail, lhs, where, realised), lambda _: every)
+        for name, lhs, where in windows
+    ]
+    return _census(4, "tetra", states, "{},{},{},{}|{},{},{},{}", cases)
 
 
 def _square_detail(codes: bytes) -> str:
@@ -623,27 +628,12 @@ def _square_detail(codes: bytes) -> str:
 
 
 def _square_census() -> CensusReport:
-    ranks = generator_ranks(4)
-    states = range(1 << comb(4, 3))
-    size = len(states)
-    cols = _columns(states, comb(4, 3))
-    cases = []
-    for b, g in enumerate(all_generators(4)):  # letter b flips triple b
-        first = _sliced_centrals(ranks, cols, size, 4, *g.elems)
-        second = _sliced_centrals(ranks, _flipped(cols, b, size), size, 4, *g.elems)
-        tags = _tags(g)
-        cases.append(
-            _Case(
-                str(g),
-                _interleaved(size, (first, second)),
-                (tags, tags),
-                "{},{}",
-                _square_detail,
-                first ^ second,
-            )
-        )
-    rows = _CensusRows(states, tuple(cases))
-    return CensusReport(4, "square", rows)
+    # each letter, then the same letter with its own triple flipped
+    cases = [
+        (str(g), ((b, b),), _square_detail, lambda codes: codes[0] ^ codes[1])
+        for b, g in enumerate(all_generators(4))
+    ]
+    return _census(4, "square", range(1 << comb(4, 3)), "{},{}", cases)
 
 
 def _commute_detail(codes: bytes) -> str:
@@ -651,8 +641,12 @@ def _commute_detail(codes: bytes) -> str:
     return "" if fa == ra and fb == rb else "statuses change under swap"
 
 
+def _commute_suspects(codes: list[int]) -> int:
+    fa, fb, rb, ra = codes
+    return (fa ^ ra) | (fb ^ rb)
+
+
 def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
-    ranks = generator_ranks(n)
     width = comb(n, 3)
     if n == 5:
         states = range(1 << width)
@@ -662,36 +656,15 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
         states = [rng.randrange(1 << width) for _ in range(samples)]
     if not states:
         return CensusReport(n, "commute", _CensusRows(states, ()))
-    size = len(states)
-    cols = _columns(states, width)
-    # letters by triple index; every letter far-commutes with another, so
-    # all are read here
+    # a then b, and b then a, for every far-commuting pair
     gens = all_generators(n)
-    here = [_sliced_centrals(ranks, cols, size, n, *g.elems) for g in gens]
-    flips = [_flipped(cols, b, size) for b in range(width)]
     names = [str(g) for g in gens]
-    tags = [_tags(g) for g in gens]
-    cases = []
-    for a, b in combinations(range(width), 2):
-        ga, gb = gens[a], gens[b]
-        if not far_commutes(ga, gb):
-            continue
-        # a then b, and b then a, each letter read at its prefix state
-        fa, rb = here[a], here[b]
-        fb = _sliced_centrals(ranks, flips[a], size, n, *gb.elems)
-        ra = _sliced_centrals(ranks, flips[b], size, n, *ga.elems)
-        cases.append(
-            _Case(
-                f"{names[a]}|{names[b]}",
-                _interleaved(size, (fa, fb, rb, ra)),
-                (tags[a], tags[b], tags[b], tags[a]),
-                "{},{}|{},{}",
-                _commute_detail,
-                (fa ^ ra) | (fb ^ rb),
-            )
-        )
-    rows = _CensusRows(states, tuple(cases))
-    return CensusReport(n, "commute", rows)
+    cases = [
+        (f"{names[a]}|{names[b]}", ((a, b), (b, a)), _commute_detail, _commute_suspects)
+        for a, b in combinations(range(width), 2)
+        if far_commutes(gens[a], gens[b])
+    ]
+    return _census(n, "commute", states, "{},{}|{},{}", cases)
 
 
 def commute_census_rows(n: int, samples: int) -> int:
@@ -715,7 +688,7 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
     or is a bool, raises `InvalidN`; another lemma raises `UnsupportedN`.
     """
     if type(n) is not int:
-        raise InvalidN(f"strand count must be an int, got {n!r}")
+        raise InvalidN(f"strand count must be an int, got {clip(n)}")
     if lemma in ("tetra", "square"):
         if n != 4:
             raise UnsupportedN(f"{lemma} census is exhaustive for n=4 only")
@@ -724,6 +697,6 @@ def relation_census(n: int, lemma: str, *, samples: int = 512, seed: int = 0) ->
         if n < 5:
             raise UnsupportedN("no far-commuting pairs below n=5")
         if n > 5 and (type(samples) is not int or samples < 0):
-            raise InvalidBudget(f"census samples must be >= 0, got {samples!r}")
+            raise InvalidBudget(f"census samples must be >= 0, got {clip(samples)}")
         return _commute_census(n, samples, seed)
-    raise UnsupportedN(f"unknown lemma census {lemma!r}")
+    raise UnsupportedN(f"unknown lemma census {clip(lemma)}")

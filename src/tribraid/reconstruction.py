@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, InvalidN, NotRealisable
+from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable, check_n, clip
 from .group_core import GWord
 from .index_state import ClassifiedWord, classify_word
 
@@ -28,10 +28,9 @@ from .index_state import ClassifiedWord, classify_word
 def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
     """(axis+1, ..., n, 1, ..., axis-1): the order in which chords from the
     axis vertex of the regular configuration sweep the other strands."""
-    if type(n) is not int or n < 4:
-        raise InvalidN(f"strand count must be >= 4, got {n!r}")
+    check_n(n)
     if type(axis) is not int or not 1 <= axis <= n:
-        raise BadTriple(f"axis {axis!r} out of range 1..{n}")
+        raise BadTriple(f"axis {clip(axis)} out of range 1..{clip(n)}")
     return tuple((axis - 1 + t) % n + 1 for t in range(1, n))
 
 
@@ -47,9 +46,9 @@ class CylLetter:
 
     def __post_init__(self):
         if not type(self.inner) is type(self.outer) is int or self.inner == self.outer:
-            raise BadTriple(f"a swap needs two distinct int strands, got {self!r}")
+            raise BadTriple(f"a swap needs two distinct int strands, got {clip(self)}")
         if type(self.sign) is not int or self.sign not in (-1, 1):
-            raise BadTriple(f"swap sign must be ±1, got {self.sign!r}")
+            raise BadTriple(f"swap sign must be ±1, got {clip(self.sign)}")
 
     def __str__(self) -> str:
         return f"b({self.inner},{self.outer},{'+' if self.sign > 0 else '-'})"
@@ -70,7 +69,9 @@ class CylWord:
         try:
             object.__setattr__(self, "letters", tuple(self.letters))
         except TypeError:
-            raise BadTriple(f"letters must be a sequence of swaps, got {self.letters!r}") from None
+            raise BadTriple(
+                f"letters must be a sequence of swaps, got {clip(self.letters)}"
+            ) from None
         object.__setattr__(self, "final_order", _replay_order(self.n, self.axis, self.letters))
 
     def __str__(self) -> str:
@@ -95,7 +96,7 @@ def _replay_order(n: int, axis: int, letters) -> tuple[int, ...]:
     order = list(initial_cyclic_order(n, axis))
     for lt in letters:
         if type(lt) is not CylLetter or axis in (lt.inner, lt.outer):
-            raise BadTriple(f"bad swap letter {lt!r} for axis {axis}")
+            raise BadTriple(f"bad swap letter {clip(lt)} for axis {axis}")
         _swap_adjacent(order, lt.inner, lt.outer)
     return tuple(order)
 
@@ -118,7 +119,7 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
     cw = classify_word(w)
     if not cw.realisable:
         bad = [i for i, st in enumerate(cw.statuses) if not st.good]
-        raise NotRealisable(f"letters at positions {bad} are not realisable")
+        raise NotRealisable(f"letters at positions {clip(bad)} are not realisable")
     letters = tuple(CylLetter(inner, outer, sign) for _, inner, outer, sign in _swaps(cw, (axis,)))
     return CylWord(w.n, axis, letters)
 
@@ -183,7 +184,7 @@ class AnnularInvariants:
         try:
             return self._by_pair[key]
         except KeyError:
-            raise BadTriple(f"pair {key} not covered by axis {self.axis}") from None
+            raise BadTriple(f"pair {clip(key)} not covered by axis {self.axis}") from None
 
     @property
     def is_identity(self) -> bool:

@@ -34,6 +34,14 @@ from tribraid import (
     relation_census,
 )
 from tribraid.cli import main
+from tribraid.errors import (
+    BadTriple,
+    DimensionMismatch,
+    InvalidBudget,
+    InvalidN,
+    NotRealisable,
+    WordParseError,
+)
 from tribraid.index_state import _columns
 
 from helpers import GAP_TABLES
@@ -174,6 +182,44 @@ def test_parse_errors_echo_a_bounded_prefix(capsys):
         code, out, err = run(capsys, ["classify", "--n", "4", text])
         assert code == 2 and out == "" and err.startswith("error: ") and "9..." in err
         assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+# 10**5000 has over 4,300 digits, so Python will not print it
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: GWord(4, HUGE), BadTriple),
+        (lambda: GWord(4, (HUGE,)), BadTriple),
+        (lambda: GWord(4, ("x" * 10**6,)), BadTriple),
+        (lambda: GenTriple(4, (1, 2, HUGE)), BadTriple),
+        (lambda: tribraid.CylLetter(HUGE, HUGE, 1), BadTriple),
+        (lambda: tribraid.CylWord(4, 1, HUGE), BadTriple),
+        (lambda: tribraid.initial_cyclic_order(4, HUGE), BadTriple),
+        (lambda: tribraid.LetterStatus(-HUGE), BadTriple),
+        (lambda: tribraid.Configuration(HUGE, ()), DimensionMismatch),
+        (lambda: tribraid.generator_ranks(-HUGE), InvalidN),
+        (lambda: all_generators(-HUGE), InvalidN),
+        (lambda: tribraid.enumerate_states(-HUGE), InvalidN),
+        (lambda: tribraid.regular_rational_configuration(-HUGE), InvalidN),
+        (lambda: tribraid.parse_word("a123", -HUGE), WordParseError),
+        (lambda: relation_census(6, "commute", samples=-HUGE), InvalidBudget),
+        (lambda: bounded_equal(GWord(4), GWord(4), -HUGE, 1), InvalidBudget),
+        # 5,000 bad letters, whose positions the message lists
+        (
+            lambda: tribraid.reconstruct_axis(tribraid.parse_word("a134 a123 " * 5000, 4), 1),
+            NotRealisable,
+        ),
+    ],
+)
+def test_oversized_values_get_typed_short_errors(call, error):
+    # a message echoes at most 40 characters of a value, and an int too
+    # long to print by its bit length
+    with pytest.raises(error) as caught:
+        call()
+    assert len(str(caught.value)) < 200
 
 
 def test_parity_output(capsys):
@@ -427,6 +473,10 @@ def test_size_arguments_above_their_ceilings_exit_2_before_building(capsys, refu
     assert err == (
         "error: --samples 512 at n=9 gives 1,397,760 rows, above the census ceiling of 600,000\n"
     )
+    # 4,300 digits parse as an int, but their row count has too many to print
+    argv = ["census", "--lemma", "commute", "--n", "6", "--samples", "9" * 4300]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "<int of" in err and len(err) < 200
 
 
 def test_size_arguments_at_their_ceilings_run(capsys, monkeypatch):

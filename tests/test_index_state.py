@@ -27,7 +27,6 @@ from tribraid import (
     classify_word,
     enumerate_states,
     far_commutes,
-    flip,
     generator_ranks,
     initial_state,
     is_realisable,
@@ -99,22 +98,22 @@ class TestSignedIndex:
 
 class TestFlip:
     def test_flips_exactly_one_entry(self):
-        s = flip(initial_state(4), GenTriple(4, (1, 2, 3)))
+        s = run_word(initial_state(4), GWord(4, (GenTriple(4, (1, 2, 3)),)))
         assert s.value((1, 2, 3)) == -1
         assert s.value((1, 2, 4)) == s.value((1, 3, 4)) == s.value((2, 3, 4)) == 1
 
     def test_involution(self):
         g = GenTriple(4, (1, 2, 3))
-        assert flip(flip(initial_state(4), g), g) == initial_state(4)
+        once = run_word(initial_state(4), GWord(4, (g,)))
+        assert once != initial_state(4)
+        assert run_word(once, GWord(4, (g,))) == initial_state(4)
 
     def test_untouched_triple(self):
-        s = flip(initial_state(4), GenTriple(4, (1, 2, 4)))
+        s = run_word(initial_state(4), GWord(4, (GenTriple(4, (1, 2, 4)),)))
         assert s.value((1, 3, 4)) == 1
 
     def test_dimension_mismatch(self):
         g = GenTriple(4, (1, 2, 3))
-        with pytest.raises(DimensionMismatch):
-            flip(initial_state(5), g)
         with pytest.raises(DimensionMismatch):
             run_word(initial_state(5), GWord(4, (g,)))
         with pytest.raises(DimensionMismatch):
@@ -146,7 +145,7 @@ class TestLetterStatus:
         assert st.centrals == frozenset({4})
 
     def test_a123_bad_after_a134(self):
-        s = flip(initial_state(4), GenTriple(4, (1, 3, 4)))
+        s = run_word(initial_state(4), GWord(4, (GenTriple(4, (1, 3, 4)),)))
         st = letter_status(s, GenTriple(4, (1, 2, 3)))
         assert st.centrals == frozenset() and not st.good and st.central == 0
 
@@ -161,7 +160,7 @@ class TestLetterStatus:
         # the central conditions only read triples containing an outside strand
         for s in enumerate_states(4):
             for g in all_generators(4):
-                assert letter_status(s, g) == letter_status(flip(s, g), g)
+                assert letter_status(s, g) == letter_status(run_word(s, GWord(4, (g,))), g)
 
     def test_centrals_always_at_most_one(self):
         # per outside strand the three central conditions are mutually exclusive
@@ -254,7 +253,7 @@ class TestBitmaskOracle:
                 for g, st in zip(w.letters, cw.statuses):
                     assert st.centrals == self.reference_centrals(cur, g)
                     seen.add(st.good)
-                    cur = flip(cur, g)
+                    cur = run_word(cur, GWord(n, (g,)))
                 assert cw.final_state == cur
             assert seen == {True, False}
 
@@ -406,6 +405,18 @@ class TestCensuses:
         with pytest.raises(InvalidBudget):
             relation_census(6, "commute", samples=samples)
 
+    # the flipped column sets each census builds, one per flip set that a
+    # letter is read at: one per letter for commute, since each
+    # far-commutes with another, and none without states; each letter's
+    # own for square; and each set of one to three letters for tetra
+    COLUMN_SETS = {
+        (5, "commute"): 10,
+        (6, "commute"): 20,
+        (14, "commute"): 0,
+        (4, "square"): 4,
+        (4, "tetra"): 4 + 6 + 4,
+    }
+
     @pytest.mark.parametrize(
         "n, lemma, samples, calls",
         [
@@ -424,17 +435,21 @@ class TestCensuses:
         ],
     )
     def test_kernel_calls_are_counted(self, monkeypatch, n, lemma, samples, calls):
-        count = 0
-        kernel = index_state._sliced_centrals
+        counts = {"_sliced_centrals": 0, "_flipped": 0}
 
-        def counted(*args):
-            nonlocal count
-            count += 1
-            return kernel(*args)
+        def counted(name):
+            function = getattr(index_state, name)
 
-        monkeypatch.setattr(index_state, "_sliced_centrals", counted)
+            def call(*args):
+                counts[name] += 1
+                return function(*args)
+
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(index_state, name, counted(name))
         relation_census(n, lemma, samples=samples)
-        assert count == calls
+        assert counts == {"_sliced_centrals": calls, "_flipped": self.COLUMN_SETS[n, lemma]}
 
     def test_violations_are_the_failing_rows(self, monkeypatch):
         # a123 reads bad everywhere once a345 is flipped, although a
@@ -639,7 +654,8 @@ class TestStateEnumeration:
                 OrientationState(4, mask)
         OrientationState(4, (1 << 4) - 1)
         OrientationState(250, (1 << comb(250, 3)) - 1)
-        with pytest.raises(BadTriple, match="state id of 2573001 bits out of range for n=250"):
+        too_wide = "state id <int of 2573001 bits> out of range for n=250"
+        with pytest.raises(BadTriple, match=too_wide):
             OrientationState(250, 1 << comb(250, 3))
         with pytest.raises(InvalidN, match="strand count must be >= 4, got 3"):
             OrientationState(3, 0)

@@ -27,7 +27,6 @@ from tribraid import (
     compile_program,
     empty_cyl_word,
     enumerate_states,
-    flip,
     full_twist_program,
     geometric_linking,
     initial_cyclic_order,
@@ -37,6 +36,7 @@ from tribraid import (
     kernel_witness,
     pure_braid_generator_program,
     reconstruct_axis,
+    run_word,
     signed_index,
     tetra_letters,
 )
@@ -412,7 +412,7 @@ class TestLocality:
                             assert {axis, inner, outer} == set(g.elems)
                             assert sign == signed_index(s, axis, outer, inner)
                             checked[sign] += 1
-                        s = flip(s, g)
+                        s = run_word(s, GWord(n, (g,)))
         assert min(checked.values()) > 1000
 
     def test_sparse_verdict_matches_the_dense_one(self):
@@ -491,7 +491,7 @@ class TestTetraSurvivors:
                             if axis in g.elems and c != axis:
                                 (outer,) = (e for e in g.elems if e not in (axis, c))
                                 out.append((c, outer, signed_index(pre, axis, outer, c)))
-                            pre = flip(pre, g)
+                            pre = run_word(pre, GWord(4, (g,)))
                         return out
 
                     sw_l, sw_r = swaps(cl), swaps(cr)
