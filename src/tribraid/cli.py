@@ -74,13 +74,14 @@ MAX_WORD_N = 500
 # 7-11 s and 106 MiB at n = 100 (see MAX_STORED_LETTERS).
 MAX_EQUAL_N = 100
 # A commute census with states reads every far-commuting pair, whatever its
-# sample count: one sample at n = 14 (60,060 pairs) takes 0.6-0.9 s and
-# 36 MiB as a command, and 1.2-1.6 s and 63 MiB at n = 16 in one process.
-# With no samples it reads nothing: 0.17 s and 18 MiB as a command at n = 14.
+# sample count: one sample at n = 14 (60,060 pairs) takes 0.48-0.50 s and
+# 37 MiB as a command, and 1.1-1.3 s and 66 MiB at n = 16 in one process.
+# With no samples it reads nothing: 0.07-0.09 s and 16 MiB as a command at
+# n = 14.
 MAX_CENSUS_N = 14
 # It keeps a few bytes per pair and state, renders rows only when they are
 # read and writes them a block at a time: 9 samples at n = 14 (540,540
-# rows) take 0.7-1.3 s and 38 MiB as a command, and 2.7-4.1 s and 42 MiB
+# rows) take 0.62-0.70 s and 39 MiB as a command, and 2.1 s and 41 MiB
 # with --full, so the ceiling bounds the columns kept and the time taken.
 MAX_CENSUS_ROWS = 600_000
 
@@ -132,12 +133,20 @@ def cmd_compile(args) -> int:
     if args.check_closed:
         prog = type(prog)(prog.initial, prog.moves, closed=True)
     out = compile_program(prog)
-    print(format_word(out.word))
+    lines = [format_word(out.word)]
     if args.events:
-        for e in out.events:
-            print(f"move={e.move_index} t={e.t} {e.triple} central={e.central}")
-        if out.twist_turns:
-            print(f"twist_turns={out.twist_turns}")
+        # rendered before any line is printed: an event time or a turn count
+        # computed from printable values may have more digits than print
+        try:
+            for e in out.events:
+                lines.append(f"move={e.move_index} t={e.t} {e.triple} central={e.central}")
+            if out.twist_turns:
+                lines.append(f"twist_turns={out.twist_turns}")
+        except ValueError:
+            raise AboveCeiling(
+                "an event time or turn count has more digits than Python prints"
+            ) from None
+    print("\n".join(lines))
     return 0
 
 

@@ -67,7 +67,8 @@ class InvalidBudget(TribraidError):
 
 
 class AboveCeiling(TribraidError):
-    """A command-line size argument is above its documented ceiling."""
+    """A command-line size argument is above its documented ceiling, or a
+    value a command computes has more digits than Python prints."""
 
 
 def clip(value: object, spec: str = "") -> str:

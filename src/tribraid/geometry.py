@@ -36,7 +36,6 @@ from .errors import (
     clip,
 )
 from .group_core import GWord, GenTriple
-from .index_state import OrientationState, all_triples
 
 
 def _frac(value) -> Fraction:
@@ -431,21 +430,6 @@ def _move_events(
     ]
 
 
-def configuration_state(c: Configuration) -> OrientationState:
-    """The orientation state a configuration realises.
-
-    A compiled word is realisable when classified from the state of its
-    program's initial configuration; programs starting at the regular
-    configuration realise the all-plus initial state.
-    """
-    minus = sum(
-        1 << b
-        for b, t in enumerate(all_triples(c.n))
-        if orientation(c.point(t[0]), c.point(t[1]), c.point(t[2])) < 0
-    )
-    return OrientationState(c.n, minus)
-
-
 def boundary_configurations(p: MoveProgram) -> list[Configuration]:
     """Configurations before each move and after the last one, as compiled."""
     return list(p._walk[2])
@@ -721,7 +705,8 @@ def _plain_int(text: str) -> bool:
 
 def _rational(value) -> Fraction:
     """A coordinate, read exactly from its text: an int, a string such as
-    "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`)."""
+    "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`);
+    one whose numerator or denominator Python cannot print is refused."""
     text = str(value)
     # the int and "p/q" branch is a fast path, not a second reading: without
     # it `motion` fell about 3.5 % over 4 alternating 10-s pairs (all four
@@ -732,7 +717,12 @@ def _rational(value) -> Fraction:
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > _MAX_EXPONENT:
         raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
-    return Fraction(text)
+    value = Fraction(text)
+    try:  # "1e-4300" reads, but its denominator has one digit more than prints
+        str(value)
+    except ValueError:
+        raise ValueError("more digits than Python prints") from None
+    return value
 
 
 def _point_from_json(obj) -> RationalPoint:

@@ -299,12 +299,14 @@ def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> 
 
 def apply_move(w: GWord, m: RelationMove) -> GWord:
     """Rewrite w by one relation move; raises InvalidMove when the pattern
-    does not match at the position."""
+    does not match at the position, or the position is not an int."""
     letters = w.letters
     p = m.position
+    if type(p) is not int:
+        raise InvalidMove(f"move position must be an int, got {clip(p)}")
     if m.kind is MoveKind.SQUARE_DELETE:
         if not (0 <= p <= len(letters) - 2 and letters[p] == letters[p + 1]):
-            raise InvalidMove(f"no equal adjacent pair at position {p}")
+            raise InvalidMove(f"no equal adjacent pair at position {clip(p)}")
         return GWord(w.n, letters[:p] + letters[p + 2 :])
     if m.kind is MoveKind.SQUARE_INSERT:
         if m.letter is None:
@@ -314,16 +316,16 @@ def apply_move(w: GWord, m: RelationMove) -> GWord:
                 f"generator {m.letter} has n={clip(m.letter.n)}, word has n={clip(w.n)}"
             )
         if not 0 <= p <= len(letters):
-            raise InvalidMove(f"insertion position {p} out of range")
+            raise InvalidMove(f"insertion position {clip(p)} out of range")
         return GWord(w.n, letters[:p] + (m.letter, m.letter) + letters[p:])
     if m.kind is MoveKind.FAR_COMMUTE:
         if not (0 <= p <= len(letters) - 2 and far_commutes(letters[p], letters[p + 1])):
-            raise InvalidMove(f"letters at position {p} do not far-commute")
+            raise InvalidMove(f"letters at position {clip(p)} do not far-commute")
         return GWord(w.n, letters[:p] + (letters[p + 1], letters[p]) + letters[p + 2 :])
     if m.kind is MoveKind.TETRA_REVERSE:
         window = letters[p : p + 4]
         if not (0 <= p <= len(letters) - 4 and _tetra(*(_code(g.elems) for g in window))):
-            raise InvalidMove(f"no tetrahedron window at position {p}")
+            raise InvalidMove(f"no tetrahedron window at position {clip(p)}")
         return GWord(w.n, letters[:p] + window[::-1] + letters[p + 4 :])
     raise InvalidMove(f"unknown move kind {clip(m.kind)}")
 

@@ -9,12 +9,12 @@ drives the good/bad split of letters, the bad-letter projection, and the
 exhaustive census checks over all states.
 
 A state is an int bitmask over the sorted triples in lexicographic order
-(the order of `all_triples`, and of `all_generators`, so letter b flips
-bit b): bit b is set when triple b carries -1.  Triple i<j<k is bit
-`first[i] - second[j] + k` for the two O(n) rows of `generator_ranks(n)`,
-which each reader takes once per call.  A state holds only n and its mask;
-a call that reads it many times builds its own byte table, one byte per
-triple (`_bits`), because every read of an int's bit copies the whole int.
+(the order of `all_generators`, so letter b flips bit b): bit b is set
+when triple b carries -1.  Triple i<j<k is bit `first[i] - second[j] + k`
+for the two O(n) rows of `generator_ranks(n)`, which each reader takes
+once per call.  A state holds only n and its mask; a call that reads it
+many times builds its own byte table, one byte per triple (`_bits`),
+because every read of an int's bit copies the whole int.
 
 A letter is read from three pair rows: the row of x<y is an int whose bit p
 is the bit of triple {x,y,p}.  Its status is a few whole-int operations on
@@ -27,13 +27,14 @@ A census reads a letter at many states at once, sliced by triple
 so one whole-int operation acts on every state, and `_sliced_centrals`
 applies `_central`'s XOR rule to the columns, one lane per central.  This
 is bit-slicing (Biham, "A fast new DES implementation in software", 1997).
-Every census is a list of cases, each with one or two sides of letters,
-read by one engine (`_census`).  Flips commute, so a letter's prefix state
-is fixed by its *flip set*, the set of letters flipped before it: the
-engine reads each (flip set, letter) pair once and builds each flip set's
-columns once (`_flipped`).  Square makes 8 reads and 4 column sets, tetra
-32 and 14, commute C(n,3) + 2 * (far pairs) and C(n,3).  A census computes
-a suspect row's detail once, for the row it renders.
+Every census is a stream of cases, each with one or two sides of letters,
+read by one engine (`_census`) as they come.  Flips commute, so a letter's
+prefix state is fixed by its *flip set*, the set of letters flipped before
+it: the engine keeps one table entry per flip set, its columns, built once
+(`_flipped`), and the code of each letter read there, read once.  Square
+makes 8 reads and 4 column sets, tetra 32 and 14, commute
+C(n,3) + 2 * (far pairs) and C(n,3).  A census computes a suspect row's
+detail once, for the row it renders.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import random
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations, takewhile
 from math import comb
 from typing import NamedTuple
 
@@ -58,10 +59,6 @@ from .errors import (
 from .group_core import GWord, GenTriple, all_generators, far_commutes, generator_ranks
 
 Triple = tuple[int, int, int]
-
-
-def all_triples(n: int) -> list[Triple]:
-    return list(combinations(range(1, n + 1), 3))
 
 
 _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -112,14 +109,6 @@ def initial_state(n: int) -> OrientationState:
     to k and the stored sign is +1.
     """
     return OrientationState(n, 0)
-
-
-def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
-    """Sign of the ordered triple (i,j,k) of distinct strands, checked as a
-    generator's are: antisymmetric in its arguments."""
-    elems = GenTriple(s.n, (i, j, k)).elems
-    odd = (i > j) ^ (i > k) ^ (j > k)
-    return -s.value(elems) if odd else s.value(elems)
 
 
 def run_word(s: OrientationState, w: GWord) -> OrientationState:
@@ -321,10 +310,13 @@ def stable_projection(w: GWord) -> tuple[GWord, int]:
 
 
 def enumerate_states(n: int) -> Iterator[OrientationState]:
-    """All 2^C(n,3) orientation states, in the order of their masks; n is
-    checked at the call, as `OrientationState` checks it."""
+    """All 2^C(n,3) orientation states, in the order of their masks, each
+    counted when it is reached; n is checked at the call, as
+    `OrientationState` checks it."""
     check_n(n)
-    return (OrientationState(n, mask) for mask in range(1 << comb(n, 3)))
+    width = comb(n, 3)
+    masks = takewhile(lambda mask: mask.bit_length() <= width, count())
+    return (OrientationState(n, mask) for mask in masks)
 
 
 class CensusRow(NamedTuple):
@@ -401,45 +393,34 @@ def _sliced_centrals(ranks, cols: list[int], size: int, n: int, i: int, j: int, 
 
 class _Case(NamedTuple):
     """One census case at every census state.  `codes` holds its letters'
-    centrals bitsets state by state (`_interleaved`); `tags[t][code]`
-    renders letter t, and `template` joins the renderings.  `detail(codes)`
-    is the row's detail, "" when the row holds, and `suspects` is nonzero in
-    byte s wherever the row at state s may fail."""
+    centrals bitsets letter by letter, a run of one byte per state, so the
+    row at state s is `codes[s::states]`; `tags[t][code]` renders letter t.
+    `detail` maps a row's codes to its detail, "" when the row holds, and
+    `suspects` is nonzero in byte s wherever the row at state s may fail."""
 
     name: str
     codes: bytes
     tags: tuple[tuple[str, ...], ...]
-    template: str
     detail: Callable[[bytes], str]
     suspects: int
-
-    def codes_at(self, s: int) -> bytes:
-        return self.codes[s * len(self.tags) : (s + 1) * len(self.tags)]
-
-
-def _interleaved(size: int, columns: Sequence[int]) -> bytes:
-    """The code columns of one case's L letters regrouped by state: bytes
-    L*s to L*s+L-1 hold their codes at state s, so one slice reads a row."""
-    out = bytearray(size * len(columns))
-    for t, column in enumerate(columns):
-        out[t :: len(columns)] = column.to_bytes(size, "little")
-    return bytes(out)
 
 
 class _CensusRows(Sequence):
     """The rows of a census, rendered when read: row r is case
-    r % len(cases) at state r // len(cases)."""
+    r % len(cases) at state r // len(cases), its letters' renderings joined
+    by `template`."""
 
-    def __init__(self, states: Sequence[int], cases: tuple[_Case, ...]):
+    def __init__(self, states: Sequence[int], template: str, cases: tuple[_Case, ...]):
         self._states = states
+        self._template = template
         self._cases = cases
 
     def _row(self, s: int, case: _Case, codes: bytes, detail: str) -> CensusRow:
-        statuses = case.template.format(*(tags[c] for tags, c in zip(case.tags, codes)))
+        statuses = self._template.format(*(tags[c] for tags, c in zip(case.tags, codes)))
         return CensusRow(self._states[s], case.name, statuses, not detail, detail)
 
     def _read(self, s: int, case: _Case) -> CensusRow:
-        codes = case.codes_at(s)
+        codes = case.codes[s :: len(self._states)]
         return self._row(s, case, codes, case.detail(codes))
 
     def __len__(self) -> int:
@@ -465,7 +446,7 @@ class _CensusRows(Sequence):
         for s in range(size):
             for case, flags in suspect:
                 if flags[s]:
-                    codes = case.codes_at(s)
+                    codes = case.codes[s::size]
                     if detail := case.detail(codes):
                         rows.append(self._row(s, case, codes, detail))
         return tuple(rows)
@@ -522,43 +503,45 @@ def _tags(g: GenTriple) -> tuple[str, ...]:
 
 
 def _census(n: int, lemma: str, states: Sequence[int], template: str, cases) -> CensusReport:
-    """The census of `cases` at `states`, each case a tuple (name, sides,
-    detail, suspects): every side is a tuple of letter indices (letter b is
-    `all_generators(n)[b]` and flips triple b), read left to right from each
-    state; `template` joins the renderings of all sides' letters, `detail`
-    is `_Case`'s, and `suspects(codes)` gives `_Case.suspects` from the
-    case's code columns, in side order.
+    """The census of `cases` at `states`, taken as they come, each case a
+    tuple (name, sides, detail, suspects): every side is a tuple of letter
+    indices (letter b is `all_generators(n)[b]` and flips triple b), read
+    left to right from each state; `template` joins the renderings of all
+    sides' letters, `detail` is `_Case`'s, and `suspects(codes)` gives
+    `_Case.suspects` from the case's code columns, in side order.
 
     Flips commute, so a letter's prefix state is fixed by its flip set, the
-    bitmask of the letters flipped before it on its side: each (flip set,
-    letter) pair is read once (`_sliced_centrals`), and each flip set's
+    bitmask of the letters flipped before it on its side.  `table` maps a
+    flip set to its columns and a slot per letter for its code there: the
     columns are built once (`_flipped`), from those of the set before it on
-    the side, which has been read at."""
+    the side, which has been read at, and each letter is read once per flip
+    set (`_sliced_centrals`)."""
     ranks = generator_ranks(n)
     size = len(states)
     gens = all_generators(n)
     tags = [_tags(g) for g in gens]
-    flipped = {0: _columns(states, len(gens))}
-    reads: dict[tuple[int, int], int] = {}
+    table = {0: (_columns(states, len(gens)), [None] * len(gens))}
     built = []
     for name, sides, detail, suspects in cases:
         codes, letters = [], []
         for side in sides:
             done = 0
             for b in side:
-                code = reads.get((done, b))
+                at = table.get(done)
+                if at is None:
+                    cols = _flipped(table[done ^ 1 << last][0], last, size)
+                    at = table[done] = (cols, [None] * len(gens))
+                cols, read = at
+                code = read[b]
                 if code is None:
-                    cols = flipped.get(done)
-                    if cols is None:
-                        cols = flipped[done] = _flipped(flipped[done ^ 1 << last], last, size)
-                    code = reads[done, b] = _sliced_centrals(ranks, cols, size, n, *gens[b].elems)
+                    code = read[b] = _sliced_centrals(ranks, cols, size, n, *gens[b].elems)
                 codes.append(code)
                 letters.append(tags[b])
                 done ^= 1 << b
                 last = b
-        codes_by_state = _interleaved(size, codes)
-        built.append(_Case(name, codes_by_state, tuple(letters), template, detail, suspects(codes)))
-    return CensusReport(n, lemma, _CensusRows(states, tuple(built)))
+        runs = b"".join([code.to_bytes(size, "little") for code in codes])
+        built.append(_Case(name, runs, tuple(letters), detail, suspects(codes)))
+    return CensusReport(n, lemma, _CensusRows(states, template, tuple(built)))
 
 
 def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ...]:
@@ -655,15 +638,15 @@ def _commute_census(n: int, samples: int, seed: int) -> CensusReport:
         rng = random.Random(seed)
         states = [rng.randrange(1 << width) for _ in range(samples)]
     if not states:
-        return CensusReport(n, "commute", _CensusRows(states, ()))
+        return CensusReport(n, "commute", _CensusRows(states, "", ()))
     # a then b, and b then a, for every far-commuting pair
     gens = all_generators(n)
     names = [str(g) for g in gens]
-    cases = [
+    cases = (
         (f"{names[a]}|{names[b]}", ((a, b), (b, a)), _commute_detail, _commute_suspects)
         for a, b in combinations(range(width), 2)
         if far_commutes(gens[a], gens[b])
-    ]
+    )
     return _census(n, "commute", states, "{},{}|{},{}", cases)
 
 

@@ -2,8 +2,10 @@
 
 import random
 from collections import Counter, deque
+from itertools import combinations
 
 from tribraid import (
+    Configuration,
     EqualityVerdict,
     GWord,
     GenTriple,
@@ -15,10 +17,39 @@ from tribraid import (
     applicable_moves,
     apply_move,
     generator_ranks,
-    signed_index,
+    orientation,
 )
 from tribraid import group_core
 from tribraid.index_state import _central
+
+Triple = tuple[int, int, int]
+
+
+def all_triples(n: int) -> list[Triple]:
+    return list(combinations(range(1, n + 1), 3))
+
+
+def signed_index(s: OrientationState, i: int, j: int, k: int) -> int:
+    """Sign of the ordered triple (i,j,k) of distinct strands, checked as a
+    generator's are: antisymmetric in its arguments."""
+    elems = GenTriple(s.n, (i, j, k)).elems
+    odd = (i > j) ^ (i > k) ^ (j > k)
+    return -s.value(elems) if odd else s.value(elems)
+
+
+def configuration_state(c: Configuration) -> OrientationState:
+    """The orientation state a configuration realises.
+
+    A compiled word is realisable when classified from the state of its
+    program's initial configuration; programs starting at the regular
+    configuration realise the all-plus initial state.
+    """
+    minus = sum(
+        1 << b
+        for b, t in enumerate(all_triples(c.n))
+        if orientation(c.point(t[0]), c.point(t[1]), c.point(t[2])) < 0
+    )
+    return OrientationState(c.n, minus)
 
 
 def word(n, *triples):

@@ -21,12 +21,15 @@ from tribraid import (
     GWord,
     MoveKind,
     OrientationState,
+    RelationMove,
     all_generators,
     applicable_moves,
+    apply_move,
     bounded_equal,
     classify_word,
     compile_program,
     format_word,
+    full_twist_program,
     letter_status,
     program_from_json,
     program_to_json,
@@ -38,6 +41,7 @@ from tribraid.errors import (
     BadTriple,
     DimensionMismatch,
     InvalidBudget,
+    InvalidMove,
     InvalidN,
     NotRealisable,
     WordParseError,
@@ -207,6 +211,10 @@ HUGE = 10**5000
         (lambda: tribraid.parse_word("a123", -HUGE), WordParseError),
         (lambda: relation_census(6, "commute", samples=-HUGE), InvalidBudget),
         (lambda: bounded_equal(GWord(4), GWord(4), -HUGE, 1), InvalidBudget),
+        *(
+            (lambda kind=kind: apply_move(GWord(4), RelationMove(kind, HUGE)), InvalidMove)
+            for kind in MoveKind
+        ),
         # 5,000 bad letters, whose positions the message lists
         (
             lambda: tribraid.reconstruct_axis(tribraid.parse_word("a134 a123 " * 5000, 4), 1),
@@ -406,6 +414,39 @@ def test_program_numbers_are_read_from_their_decimal_text(capsys, tmp_path):
     initial = [[Fraction(x) for x in point] for point in json.loads(out)["initial"]]
     assert code == 0
     assert initial[1:3] == [[1, Fraction(30000000000000000001, 10**20)], [Fraction(1, 10**400), 2]]
+
+
+def test_values_too_long_to_print_exit_2(capsys, tmp_path):
+    # Python prints no int of over 4,300 digits.  1e-4300 reads, but its
+    # denominator has 4,301: such a coordinate is refused at load
+    good = program_to_json(full_twist_program(4, 1))
+    there_and_back = [["-3", "@"], good["initial"][0]]
+    path = tmp_path / "long.json"
+    for coordinate in ("1e-4300", "0." + "0" * 4299 + "1"):
+        for obj in (
+            dict(good, initial=[["0", coordinate], *good["initial"][1:]], moves=[]),
+            dict(good, moves=[{"type": "line", "strand": 1, "to": to} for to in there_and_back]),
+        ):
+            path.write_text(json.dumps(obj).replace("@", coordinate))
+            for argv in (["compile", str(path)], ["compile", "--events", str(path)]):
+                code, out, err = run(capsys, argv)
+                assert (code, out) == (2, ""), (coordinate, argv)
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "more digits than Python prints" in err
+            assert run(capsys, ["gen", "--embed", str(path)])[:2] == (2, "")
+    # printable values whose sum, or event time, is not: two twists of a
+    # 4,300-digit turn count, and a move to a y of 1/(9*10^4299 + 7)
+    for obj in (
+        dict(good, moves=[{"type": "twist", "turns": int("9" * 4300)}] * 2),
+        dict(good, moves=[{"type": "line", "strand": 1, "to": to} for to in there_and_back]),
+    ):
+        path.write_text(json.dumps(obj).replace("@", f"1/{9 * 10**4299 + 7}"))
+        assert run(capsys, ["compile", str(path)])[0] == 0
+        assert run(capsys, ["compile", "--events", str(path)]) == (
+            2,
+            "",
+            "error: an event time or turn count has more digits than Python prints\n",
+        )
 
 
 def test_program_numbers_without_an_exact_reading_exit_2(capsys, tmp_path):
@@ -736,6 +777,24 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_state_and_geometry_layers_read_only_errors_and_group_core():
+    # index_state and geometry are two layers over group_core: neither
+    # reads the other, so either changes alone
+    package = Path(tribraid.__file__).resolve().parent
+    for name in ("geometry", "index_state"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update(m for m in modules if m.startswith((".", "tribraid")))
+        assert found == {".errors", ".group_core"}, name
 
 
 def test_per_process_caches_are_the_known_three():

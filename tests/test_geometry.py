@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from helpers import configuration_state, signed_index
 from tribraid import (
     BadTriple,
     CollinearityEvent,
@@ -29,7 +30,6 @@ from tribraid import (
     boundary_configurations,
     compile_program,
     concat_programs,
-    configuration_state,
     embed_at_infinity,
     far_commutes,
     format_word,
@@ -48,7 +48,6 @@ from tribraid import (
     regular_rational_configuration,
     run_word,
     segment_events,
-    signed_index,
 )
 from tribraid import geometry
 from tribraid.errors import TribraidError

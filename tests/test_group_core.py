@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from helpers import random_word, word
+from helpers import all_triples, random_word, word
 from tribraid import (
     BadTriple,
     DimensionMismatch,
@@ -23,7 +23,6 @@ from tribraid import (
     SearchStats,
     WordParseError,
     all_generators,
-    all_triples,
     applicable_moves,
     apply_move,
     bounded_equal,
@@ -449,6 +448,15 @@ class TestApplyMove:
             apply_move(w, RelationMove(MoveKind.SQUARE_INSERT, 5, GenTriple(4, (1, 2, 3))))
         with pytest.raises(InvalidMove):
             apply_move(w, RelationMove(MoveKind.SQUARE_INSERT, 0, None))
+
+    @pytest.mark.parametrize("kind", list(MoveKind))
+    @pytest.mark.parametrize("position", ["0", 1.0, None, True])
+    def test_positions_that_are_not_ints_are_refused(self, kind, position):
+        # a bool is an int to Python, but not a position here: True would
+        # insert at 1
+        w = word(4, (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+        with pytest.raises(InvalidMove, match="move position must be an int, got "):
+            apply_move(w, RelationMove(kind, position, GenTriple(4, (1, 2, 3))))
 
 
 class TestParity:

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from helpers import GAP_TABLES, good_walk, random_word, word
+from helpers import GAP_TABLES, all_triples, good_walk, random_word, signed_index, word
 from tribraid import (
     BadTriple,
     CensusRow,
@@ -34,7 +34,6 @@ from tribraid import (
     project_once,
     relation_census,
     run_word,
-    signed_index,
     stable_projection,
     tetra_letters,
 )
@@ -43,7 +42,6 @@ from tribraid.index_state import (
     _columns,
     _flipped,
     _sliced_centrals,
-    all_triples,
     commute_census_rows,
 )
 
@@ -451,6 +449,20 @@ class TestCensuses:
         relation_census(n, lemma, samples=samples)
         assert counts == {"_sliced_centrals": calls, "_flipped": self.COLUMN_SETS[n, lemma]}
 
+    def test_building_holds_little_beyond_the_report(self):
+        # the engine takes the commute cases as they come and keeps one
+        # entry per flip set: the build peaks about 1.2x above what the
+        # report keeps, and 2.5x when every case is listed first and each
+        # read is kept under a (flip set, letter) key
+        relation_census(6, "commute", samples=1)
+        tracemalloc.start()
+        try:
+            report = relation_census(10, "commute", samples=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.cases == 5880 and peak <= 1.6 * kept
+
     def test_violations_are_the_failing_rows(self, monkeypatch):
         # a123 reads bad everywhere once a345 is flipped, although a
         # one-letter flip outside a letter's strands cannot change it
@@ -683,6 +695,17 @@ class TestStateEnumeration:
     def test_count(self):
         assert sum(1 for _ in enumerate_states(4)) == 16
         assert sum(1 for _ in enumerate_states(5)) == 1024
+
+    def test_states_are_counted_as_they_are_reached(self):
+        # the bound 2^C(1000,3) alone is a 166-million-bit int
+        tracemalloc.start()
+        try:
+            first = next(enumerate_states(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == OrientationState(1000, 0) and peak < 1 << 20
+        assert next(enumerate_states(10**5)).minus == 0
 
     @pytest.mark.parametrize("n", [4.0, "4", True, 3])
     def test_enumeration_checks_n_at_the_call(self, n):

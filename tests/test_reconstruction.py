@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import good_walk, word
+from helpers import good_walk, signed_index, word
 from tribraid import (
     NONTRIVIAL_BY_LINKING,
     NONTRIVIAL_BY_PARITY,
@@ -37,7 +37,6 @@ from tribraid import (
     pure_braid_generator_program,
     reconstruct_axis,
     run_word,
-    signed_index,
     tetra_letters,
 )
 from tribraid.reconstruction import _deviating_pair, _swaps
