@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from decimal import Decimal
 from itertools import islice
 
@@ -185,14 +186,18 @@ def cmd_equal(args) -> int:
     w1 = parse_word(args.word1, n)
     w2 = parse_word(args.word2, n)
     verdict = bounded_equal(w1, w2, depth=args.depth, max_len=args.max_len)
-    if verdict.is_equal:
+    if args.json:
+        path = None if verdict.path is None else [str(m) for m in verdict.path]
+        fields = {"status": verdict.status, "path": path, "witness": verdict.witness}
+        print(json.dumps({**fields, "stats": asdict(verdict.stats)}))
+    elif verdict.is_equal:
         path = " ".join(str(m) for m in verdict.path)
         print(f"equal ({len(verdict.path)} moves): {path}" if path else "equal (0 moves)")
     elif verdict.is_distinct:
         print(f"distinct: {verdict.witness}")
     else:
         print(f"unknown ({_stop_reason(verdict.stats, args)})")
-    if args.stats:
+    if args.stats and not args.json:
         print(f"stats: {verdict.stats}")
     return 0
 
@@ -428,13 +433,16 @@ def cmd_selftest(args) -> int:
         return errors == [("GenericityError", "moving strand meets another strand")] * 2
 
     def check_bounded_equality() -> bool:
-        # a tetrahedron window reversed, and a square that w1's first
-        # expansion meets inside its block of square insertions
+        # a tetrahedron window reversed, a square that w1's first expansion
+        # meets inside its block of square insertions, and a square deleted
+        # from a run of three, which every position of the run but the last
+        # deletes alike: the path names the first
         tetra = parse_word("a123 a124 a134 a234", 4)
         abc = parse_word("a123 a456 a789", 9)
         pairs = [
             (tetra, GWord(4, tetra.letters[::-1]), 1000, 8, ["tetra@0"]),
             (abc, parse_word("a159 a159 a123 a456 a789", 9), 1, 5, ["ins@0:a159"]),
+            (parse_word("a123 a123 a123 a124", 4), parse_word("a123 a124", 4), 10, 4, ["del@0"]),
         ]
         for w1, w2, depth, max_len, path in pairs:
             verdict = bounded_equal(w1, w2, depth, max_len)
@@ -512,6 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=1000, help="expanded-word budget")
     p.add_argument("--max-len", type=int, default=12, dest="max_len")
     p.add_argument("--stats", action="store_true", help="also print what the search did")
+    p.add_argument(
+        "--json", action="store_true", help="print the verdict and its stats as one JSON object"
+    )
     p.add_argument("word1")
     p.add_argument("word2")
     p.set_defaults(func=cmd_equal)

@@ -180,6 +180,13 @@ def parse_word(text: str, n: int) -> GWord:
     return GWord(n, tuple(letters))
 
 
+def _check_word(w: object) -> None:
+    """Refuse anything but a `GWord` with `BadTriple`, as `GWord` refuses a
+    letter that is not a generator."""
+    if type(w) is not GWord:
+        raise BadTriple(f"need a word of generators, got {clip(w)}")
+
+
 def format_word(w: GWord) -> str:
     return " ".join(str(g) for g in w.letters)
 
@@ -211,14 +218,6 @@ def _tetra(a: int, b: int, c: int, d: int) -> bool:
     return (a | b | c | d).bit_count() == 4 and len({a, b, c, d}) == 4
 
 
-def _encode(w: GWord, rows: tuple[list[int], list[int]]) -> str:
-    """The search's form of a word: one code point per letter, the
-    generator's index in lexicographic order, from the `generator_ranks`
-    rows of w.n."""
-    first, second = rows
-    return "".join(chr(first[i] - second[j] + k) for i, j, k in (g.elems for g in w.letters))
-
-
 def _letter(rows: tuple[list[int], list[int]], rank: int) -> tuple[int, int, int]:
     """The generator i<j<k whose index is `rank`, read back from the rows of
     `generator_ranks`: i is the first index with first[i] > rank, and
@@ -232,20 +231,23 @@ def _letter(rows: tuple[list[int], list[int]], rank: int) -> tuple[int, int, int
     return i, j, second[j] - below
 
 
-def _neighbours(word: str, masks: list[int]):
+def _neighbours(word: str, masks: list[int], squares):
     """Every word one square deletion, swap or tetrahedron reversal from
     `word`, by position: the order of `applicable_moves` before its
-    insertions.  `masks` holds the codes of the word's letters.  Lazy,
-    since a search that finds its goal stops partway through an expansion."""
+    insertions.  `masks` holds the codes of the word's letters, read here
+    as `_far` and `_tetra` read them, and `squares` its squares and their
+    deletions (see `_squares`).  Lazy, since a search that finds its goal
+    stops partway through an expansion."""
+    for _, deleted in squares:
+        yield deleted
     length = len(word)
     for p in range(length - 1):
-        if word[p] == word[p + 1]:
-            yield word[:p] + word[p + 2 :]
-    for p in range(length - 1):
-        if _far(masks[p], masks[p + 1]):
+        shared = masks[p] & masks[p + 1]
+        if not shared & (shared - 1):
             yield word[:p] + word[p + 1] + word[p] + word[p + 2 :]
     for p in range(length - 3):
-        if _tetra(*masks[p : p + 4]):
+        a, b, c, d = masks[p : p + 4]
+        if (a | b | c | d).bit_count() == 4 and len({a, b, c, d}) == 4:
             yield word[:p] + word[p : p + 4][::-1] + word[p + 4 :]
 
 
@@ -299,7 +301,12 @@ def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> 
 
 def apply_move(w: GWord, m: RelationMove) -> GWord:
     """Rewrite w by one relation move; raises InvalidMove when the pattern
-    does not match at the position, or the position is not an int."""
+    does not match at the position, or the position is not an int.  A w
+    that is not a `GWord` raises `BadTriple`, and an m that is not a
+    `RelationMove` raises `InvalidMove`."""
+    _check_word(w)
+    if type(m) is not RelationMove:
+        raise InvalidMove(f"need a relation move, got {clip(m)}")
     letters = w.letters
     p = m.position
     if type(p) is not int:
@@ -348,6 +355,8 @@ class ParityVector:
 
 
 def generator_parity(w: GWord) -> ParityVector:
+    """The parity vector of w; a w that is not a `GWord` raises `BadTriple`."""
+    _check_word(w)
     counts = Counter(g.elems for g in w.letters)
     return ParityVector(w.n, frozenset(t for t, c in counts.items() if c % 2))
 
@@ -456,6 +465,8 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     complete decision procedure is known.  Deterministic for fixed inputs
     and limits.
     """
+    _check_word(w1)
+    _check_word(w2)
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={clip(w1.n)} and n={clip(w2.n)}")
     if type(depth) is not int or type(max_len) is not int or depth < 0 or max_len < 0:
@@ -463,15 +474,29 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
             f"search budgets must be >= 0, got depth={clip(depth)}, max_len={clip(max_len)}"
         )
     n = w1.n
-    rows = generator_ranks(n)
-    start, goal = _encode(w1, rows), _encode(w2, rows)
-    if _odd_letters(start) != _odd_letters(goal):
+    rows = first, second = generator_ranks(n)
+    # one pass over both words: each letter's code point, its generator's
+    # index, and its code; a letter read an odd number of times over both
+    # words is one whose parity differs between them
+    codes: dict[int, int] = {}  # the codes of the letters read so far, by code point
+    odd: set[int] = set()
+    start, goal = [], []
+    for w, chars in ((w1, start), (w2, goal)):
+        for g in w.letters:
+            i, j, k = g.elems
+            c = first[i] - second[j] + k
+            chars.append(chr(c))
+            codes[c] = 1 << i | 1 << j | 1 << k
+            if c in odd:
+                odd.remove(c)
+            else:
+                odd.add(c)
+    if odd:
         return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))
+    start, goal = "".join(start), "".join(goal)
     if start == goal:
         return EqualityVerdict.equal((), SearchStats(0, 0, 0, "identical"))
     width = n * (n - 1) * (n - 2) // 6
-    # the codes of the letters read so far, by code point
-    codes = {ord(c): _code(g.elems) for c, g in zip(start + goal, w1.letters + w2.letters)}
     fore, back = _Side(start, width), _Side(goal, width)
     lengths: set[int] = set()  # the lengths of the words with blocks, on either side
     expanded, peak, letters = 0, 2, len(start) + len(goal)
@@ -482,24 +507,38 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
         stats = SearchStats(expanded, stored, max(peak, fore.size + back.size + queued), reason)
         if meet is None:
             return EqualityVerdict.unknown(stats)
-        chain = fore.chain(meet)[::-1] + back.chain(meet)[1:]
-        path = tuple(_move(n, rows, *step) for step in zip(chain, chain[1:]))
-        return EqualityVerdict.equal(path, stats)
+        # w1's side is read back from the meeting word and reversed; w2's
+        # side is read forward, each step the inverse of the one searched
+        path = []
+        word = meet
+        while (prev := fore.parent(word)) is not None:
+            path.append(_move(n, rows, prev, word))
+            word = prev
+        path.reverse()
+        word = meet
+        while (nxt := back.parent(word)) is not None:
+            path.append(_move(n, rows, word, nxt))
+            word = nxt
+        return EqualityVerdict.equal(tuple(path), stats)
 
     while fore.size and back.size and expanded < depth:
         side, other = (fore, back) if fore.size <= back.size else (back, fore)
+        parents, held = side.parents, other.parents
         word = side.pop()
         expanded += 1
-        for nxt in _neighbours(word, [codes[x] for x in map(ord, word)]):
-            if nxt in side.parents:
+        squares = _squares(word)
+        for nxt in _neighbours(word, [codes[x] for x in map(ord, word)], squares):
+            if nxt in parents:
                 continue
             # a word can be a block word only if a block is 2 letters shorter
-            squares = _squares(nxt) if len(nxt) - 2 in lengths else None
-            if squares and side.in_block(squares):
+            nxt_squares = _squares(nxt) if len(nxt) - 2 in lengths else None
+            if nxt_squares and side.in_block(nxt_squares):
                 continue
-            side.store(nxt, word, squares)
+            parents[nxt] = word
+            if nxt_squares:
+                side.index(nxt, nxt_squares)
             letters += len(nxt)
-            if nxt in other.parents or squares and other.in_block(squares):
+            if nxt in held or nxt_squares and other.in_block(nxt_squares):
                 return stop("found", meet=nxt)
             if letters > MAX_STORED_LETTERS:
                 return stop("limit")
@@ -514,7 +553,6 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
                 lengths.add(len(word))
                 fore.read_squares(size)
                 back.read_squares(size)
-            squares = _squares(word)
             skip = {p * width + ord(word[p - 1]) for p in range(1, size - 1)}
             skip |= side.positions(word, squares)
             meets = other.positions(word, squares)
@@ -538,19 +576,11 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     return stop("depth" if fore.size and back.size else "exhausted")
 
 
-# every position where a square starts: a run of three letters holds two
-_SQUARE = re.compile(r"(?=(.)\1)", re.DOTALL)
-
-
 def _squares(word: str) -> list[tuple[int, str]]:
-    """(q, `word` with its square at q deleted) for every square of `word`."""
-    squares = []
-    found = _SQUARE.search(word)
-    while found is not None:
-        q = found.start()
-        squares.append((q, word[:q] + word[q + 2 :]))
-        found = _SQUARE.search(word, q + 1)
-    return squares
+    """(q, `word` with its square at q deleted) for every square of `word`,
+    that is every q with word[q] == word[q + 1]: a run of three letters
+    holds two."""
+    return [(q, word[:q] + word[q + 2 :]) for q, x in enumerate(word[1:]) if x == word[q]]
 
 
 class _Side:
@@ -585,10 +615,6 @@ class _Side:
             if d in self.blocks:
                 return True
         return False
-
-    def store(self, word: str, parent: str | None, squares) -> None:
-        self.parents[word] = parent
-        self.index(word, squares or ())
 
     def index(self, word: str, squares) -> None:
         for q, d in squares:
@@ -637,46 +663,48 @@ class _Side:
                 return word
             self.queue.popleft()  # a block read to its end
 
-    def chain(self, word: str) -> list[str]:
-        """`word` and its stored predecessors, back to this side's word."""
-        chain = [word]
-        while True:
-            if word in self.parents:
-                word = self.parents[word]
-            else:
-                word = min((d for _, d in _squares(word) if d in self.blocks), key=self.blocks.get)
-            if word is None:
-                return chain
-            chain.append(word)
-
-
-def _odd_letters(word: str) -> set[str]:
-    """The letters that occur an odd number of times: the parity vector."""
-    return {c for c, count in Counter(word).items() if count % 2}
-
-
-def _squared(longer: str, p: int, shorter: str) -> bool:
-    """True when `longer` is `shorter` with a square inserted at p."""
-    return longer[p] == longer[p + 1] and longer[:p] + longer[p + 2 :] == shorter
+    def parent(self, word: str) -> str | None:
+        """The stored word that `word` was first reached from, None for this
+        side's word; a block word's is the earliest block that deleting one
+        of its squares gives."""
+        if word in self.parents:
+            return self.parents[word]
+        found, rank = None, len(self.blocks)
+        for q, x in enumerate(word[1:]):
+            # the first square of each run: the others delete to what it does
+            if x == word[q] and (not q or word[q - 1] != x):
+                d = word[:q] + word[q + 2 :]
+                if self.blocks.get(d, rank) < rank:
+                    found, rank = d, self.blocks[d]
+        return found
 
 
 def _move(n: int, rows, prev: str, word: str) -> RelationMove:
     """The first move, in enumeration order, that rewrites `prev` into
-    `word`, one move away.  The search stores only each word's predecessor.
-    On w1's side this is the move that first reached `word`; on w2's side
-    the search found the reverse step, and this is its inverse: a deletion
-    for an insertion and back, the same swap or tetrahedron window
-    otherwise.  A swap changes two adjacent letters and a tetrahedron
-    window four, so at most one of them fits, at the first letter that
-    differs; deletions and insertions of a repeated letter may fit at
-    several positions, and an insertion at p can only be of word[p], whose
-    generator is read from the rank `rows`."""
-    if len(word) < len(prev):
-        p = next(p for p in range(len(prev) - 1) if _squared(prev, p, word))
+    `word`, one move away, read from p, the first position where the two
+    differ.  The search stores only each word's predecessor.  On w1's side
+    this is the move that first reached `word`; on w2's side the search
+    found the reverse step, and this is its inverse: a deletion for an
+    insertion and back, the same swap or tetrahedron window otherwise.  A
+    swap changes two adjacent letters and a tetrahedron window four, so
+    the one that fits starts at p, and only a swap leaves the rest from
+    p + 2 on as it was.  The square deleted from, or inserted into, the
+    longer of the two words ends a run of equal letters at p + 1, and any
+    two letters of that run may go: the first move is at the run's start,
+    and an insertion is of that letter, whose generator is read from the
+    rank `rows`."""
+    p = 0
+    for a, b in zip(prev, word):
+        if a != b:
+            break
+        p += 1
+    if len(word) == len(prev):
+        kind = MoveKind.FAR_COMMUTE if prev[p + 2 :] == word[p + 2 :] else MoveKind.TETRA_REVERSE
+        return RelationMove(kind, p)
+    longer = max(prev, word, key=len)
+    x = longer[p]
+    while p and longer[p - 1] == x:
+        p -= 1
+    if longer is prev:
         return RelationMove(MoveKind.SQUARE_DELETE, p)
-    if len(word) > len(prev):
-        p = next(p for p in range(len(prev) + 1) if _squared(word, p, prev))
-        return RelationMove(MoveKind.SQUARE_INSERT, p, GenTriple(n, _letter(rows, ord(word[p]))))
-    p = next(p for p, (a, b) in enumerate(zip(prev, word)) if a != b)
-    kind = MoveKind.FAR_COMMUTE if prev[p + 2 :] == word[p + 2 :] else MoveKind.TETRA_REVERSE
-    return RelationMove(kind, p)
+    return RelationMove(MoveKind.SQUARE_INSERT, p, GenTriple(n, _letter(rows, ord(x))))

@@ -110,17 +110,43 @@ def gap_table(gap: int) -> tuple[int, ...]:
 GAP_TABLES = tuple(gap_table(gap) for gap in range(4))
 
 
+def encode(w: GWord) -> str:
+    """The search's form of a word: one code point per letter, the
+    generator's index in lexicographic order (`generator_ranks`)."""
+    first, second = generator_ranks(w.n)
+    return "".join(chr(first[i] - second[j] + k) for i, j, k in (g.elems for g in w.letters))
+
+
+def _squared(longer: str, p: int, shorter: str) -> bool:
+    """True when `longer` is `shorter` with a square inserted at p."""
+    return longer[p] == longer[p + 1] and longer[:p] + longer[p + 2 :] == shorter
+
+
+def first_move(n: int, prev: str, word: str) -> RelationMove:
+    """The first move, in enumeration order, that rewrites `prev` into
+    `word` (as `encode` writes words), one move away, found by trying each
+    position in turn: `bounded_equal`'s path steps must match it.  A swap
+    or tetrahedron window fits only at the first letter that differs;
+    deletions and insertions of a repeated letter may fit at several
+    positions, and an insertion at p can only be of word[p]."""
+    if len(word) < len(prev):
+        p = next(p for p in range(len(prev) - 1) if _squared(prev, p, word))
+        return RelationMove(MoveKind.SQUARE_DELETE, p)
+    if len(word) > len(prev):
+        p = next(p for p in range(len(prev) + 1) if _squared(word, p, prev))
+        return RelationMove(MoveKind.SQUARE_INSERT, p, all_generators(n)[ord(word[p])])
+    p = next(p for p, (a, b) in enumerate(zip(prev, word)) if a != b)
+    kind = MoveKind.FAR_COMMUTE if prev[p + 2 :] == word[p + 2 :] else MoveKind.TETRA_REVERSE
+    return RelationMove(kind, p)
+
+
 def reference_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVerdict:
     """`bounded_equal` as a per-word search: every neighbour, square
     insertions included, is built, hashed and stored one by one, and the
     letter cap is read from `group_core.MAX_STORED_LETTERS` at the call.
     The library's search must return the same verdict, path and stats."""
     n = w1.n
-    first, second = generator_ranks(n)
-    start, goal = (
-        "".join(chr(first[i] - second[j] + k) for i, j, k in (g.elems for g in w.letters))
-        for w in (w1, w2)
-    )
+    start, goal = encode(w1), encode(w2)
     odd = {c for c, count in Counter(start).items() if count % 2}
     if odd != {c for c, count in Counter(goal).items() if count % 2}:
         return EqualityVerdict.distinct("parity mismatch", SearchStats(0, 0, 0, "parity"))

@@ -159,6 +159,37 @@ def test_equal_unknown_names_the_letter_limit(capsys, monkeypatch):
     assert code == 0 and out.strip() == "unknown (stored-letter limit 1,000 reached)"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--depth", "1000", "--max-len", "8", "a123 a124 a134 a234", "a234 a134 a124 a123"],
+        ["--max-len", "6", "a123 a123 a124", "a124 a134 a134"],
+        ["a123", "a123"],
+        ["a123", "a124"],
+        ["--depth", "10", "--max-len", "4", "a123 a124", "a124 a123"],
+    ],
+    ids=["equal", "equal-2-moves", "identical", "distinct", "unknown"],
+)
+def test_equal_json_matches_the_text_output(capsys, argv):
+    code, text, _ = run(capsys, ["equal", "--n", "4", "--stats", *argv])
+    json_code, out, _ = run(capsys, ["equal", "--n", "4", "--json", *argv])
+    assert code == json_code == 0
+    obj = json.loads(out)  # one object: trailing text would not load
+    assert list(obj) == ["status", "path", "witness", "stats"]
+    verdict, stats = text.splitlines()
+    assert stats == "stats: " + " ".join(f"{k}={v}" for k, v in obj["stats"].items())
+    assert list(obj["stats"]) == ["expanded", "stored", "peak_frontier", "stop"]
+    path, witness = obj["path"], obj["witness"]
+    if obj["status"] == "equal":
+        moves = f"equal ({len(path)} moves)"
+        assert witness is None and verdict == (f"{moves}: {' '.join(path)}" if path else moves)
+    elif obj["status"] == "distinct":
+        assert path is None and verdict == f"distinct: {witness}"
+    else:
+        assert obj["status"] == "unknown" and path is witness is None
+        assert verdict.startswith("unknown (")
+
+
 def test_equal_negative_budget_exits_2(capsys):
     for flag in ("--depth", "--max-len"):
         code, out, err = run(capsys, ["equal", "--n", "4", flag, "-1", "a123", "a123"])
@@ -618,6 +649,24 @@ def test_selftest_catches_a_drifted_row_kernel(capsys, monkeypatch):
     code, out, _ = run(capsys, ["selftest"])
     lines = out.splitlines()
     assert code == 1 and lines[0].startswith("FAIL sliced census kernel against letter_status")
+
+
+def test_selftest_catches_a_path_step_one_position_off(capsys, monkeypatch):
+    # a deletion named one position late still replays inside a run of
+    # three, so only the path's text shows it
+    exact = tribraid.group_core._move
+
+    def late(*args):
+        m = exact(*args)
+        return dataclasses.replace(m, position=m.position + (m.kind is MoveKind.SQUARE_DELETE))
+
+    monkeypatch.setattr(tribraid.group_core, "_move", late)
+    code, out, _ = run(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 1 and [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL bounded equality"
+    ]
+    assert len(lines) == 11
 
 
 def table_kernel(tables):

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from helpers import all_triples, random_word, word
+from helpers import all_triples, encode, random_word, word
 from tribraid import (
     BadTriple,
     DimensionMismatch,
@@ -283,9 +283,9 @@ def search_neighbours(w, max_len):
     of the insertion block it keeps, repeated words included."""
     gens = all_generators(w.n)
     rows = generator_ranks(w.n)
-    code, codes = group_core._encode(w, rows), {}
+    code, codes = encode(w), {}
     masks = [group_core._code(g.elems) for g in w.letters]
-    found = list(group_core._neighbours(code, masks))
+    found = list(group_core._neighbours(code, masks, group_core._squares(code)))
     if len(w) + 2 <= max_len:
         found += group_core._block(code, len(gens), set(), codes, rows)
         assert codes == {c: group_core._code(g.elems) for c, g in enumerate(gens)}
@@ -314,12 +314,12 @@ class TestMoveEnumeration:
         runs = [word(6, g, g, g), word(6, h, g, g, g, h), word(6, g, h), word(6, g, h, f, g)]
         for w in [*move_corpus(), *runs]:
             rows = generator_ranks(w.n)
-            prev = group_core._encode(w, rows)
+            prev = encode(w)
             first = {}
             for m in applicable_moves(w, True, len(w) + 2):
                 first.setdefault(apply_move(w, m), m)
             for x, m in first.items():
-                assert group_core._move(w.n, rows, prev, group_core._encode(x, rows)) == m
+                assert group_core._move(w.n, rows, prev, encode(x)) == m
 
 
 class TestSearchAlphabet:
@@ -390,7 +390,7 @@ class TestSearchAlphabet:
         g = gens[0]
         h = next(x for x in gens if far_commutes(g, x))
         for x in (g, h):
-            code_point = ord(group_core._encode(GWord(n, (x,)), generator_ranks(n)))
+            code_point = ord(encode(GWord(n, (x,))))
             assert code_point >= first and (n == 13 or code_point <= 0xDFFF)
         cases = [
             (GWord(n, (g, h)), GWord(n, (h, g)), 2, ["swap@0"]),
@@ -458,8 +458,22 @@ class TestApplyMove:
         with pytest.raises(InvalidMove, match="move position must be an int, got "):
             apply_move(w, RelationMove(kind, position, GenTriple(4, (1, 2, 3))))
 
+    def test_a_move_that_is_not_a_relation_move_is_refused(self):
+        # a move's text, or a word in place of the word, is refused before
+        # any other work, where it raised AttributeError
+        w = word(4, (1, 2, 3), (1, 2, 3))
+        with pytest.raises(InvalidMove, match="need a relation move, got 'del@0'"):
+            apply_move(w, "del@0")
+        with pytest.raises(BadTriple, match="need a word of generators, got 'a123 a123'"):
+            apply_move("a123 a123", RelationMove(MoveKind.SQUARE_DELETE, 0))
+
 
 class TestParity:
+    def test_a_word_that_is_not_a_gword_is_refused(self):
+        for w in ("x", (GenTriple(4, (1, 2, 3)),), None):
+            with pytest.raises(BadTriple, match="need a word of generators, got "):
+                generator_parity(w)
+
     def test_odd_single_generator(self):
         w = word(4, (1, 2, 3), (1, 2, 4), (1, 2, 3))
         pv = generator_parity(w)
@@ -511,6 +525,15 @@ class TestBoundedEqual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             bounded_equal(GWord(4), GWord(5), 10, 6)
+
+    def test_a_word_that_is_not_a_gword_is_refused(self):
+        # on either side, before the budgets are read
+        w = word(4, (1, 2, 3))
+        for w1, w2 in (("a123", w), (w, "a123"), (w.letters, w), (w, None)):
+            with pytest.raises(BadTriple, match="need a word of generators, got "):
+                bounded_equal(w1, w2, depth=3, max_len=4)
+        with pytest.raises(BadTriple):
+            bounded_equal("a123", w, depth=-1, max_len=4)
 
     def test_soundness_on_random_reachable_words(self):
         rng = random.Random(23)
