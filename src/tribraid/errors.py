@@ -15,7 +15,8 @@ class InvalidN(TribraidError):
 
 
 class BadTriple(TribraidError):
-    """Strand or triple indices repeated or out of range."""
+    """Strand or triple indices repeated or out of range, or a strand, word,
+    letter or state of the wrong type."""
 
 
 class InvalidMove(TribraidError):
@@ -32,7 +33,7 @@ class WordParseError(TribraidError):
 
 
 class ProgramParseError(TribraidError):
-    """Malformed motion-program JSON."""
+    """A malformed motion program: its JSON, a coordinate's text or a part's type."""
 
 
 class GenericityError(TribraidError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from itertools import combinations, count
@@ -29,22 +30,60 @@ from .errors import (
     DimensionMismatch,
     GenericityError,
     InvalidMove,
-    InvalidN,
     NotClosed,
     ProgramParseError,
+    TribraidError,
     check_n,
     clip,
 )
 from .group_core import GWord, GenTriple
 
 
+# the largest power of ten a coordinate's text may carry, as many as the
+# digits Python reads into an int by default: Fraction("1e999999999") would
+# build a billion-digit integer
+_MAX_EXPONENT = 4300
+
+
+def _rational(value) -> Fraction:
+    """A coordinate, read exactly from its text: an int, a string such as
+    "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`);
+    one Python cannot read or print raises `ProgramParseError`."""
+    try:
+        text = str(value)
+        # the int and "p/q" branch is a fast path, not a second reading: without
+        # it `motion` fell about 3.5 % over 4 alternating 10-s pairs (all four
+        # worse), and 1.6-3.4 % over 3 more, on a shared 2-core x86-64 machine
+        num, slash, den = text.partition("/")
+        digits = num.removeprefix("-") + den
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProgramParseError(f"bad rational {clip(value)}: {exc}") from None
+    try:  # "1e-4300" reads, but its denominator has one digit more than prints
+        str(value)
+    except ValueError:
+        raise ProgramParseError(f"{clip(text)} has more digits than Python prints") from None
+    return value
+
+
 def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
+    if type(value) in (str, int, Decimal):  # a bool is no coordinate
+        return _rational(value)
     # floats are banned: one rounding error would corrupt event order
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def _check_point(value: object) -> None:
+    """Refuse anything but a `RationalPoint` with `ProgramParseError`."""
+    if not isinstance(value, RationalPoint):
+        raise ProgramParseError(f"need a RationalPoint, got {clip(value)}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +127,8 @@ def orientation(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> int:
 
     Antisymmetric under swapping any two arguments.
     """
+    for point in (p, q, r):
+        _check_point(point)
     d = cross(q - p, r - p)
     return (d > 0) - (d < 0)
 
@@ -126,15 +167,19 @@ def _collinear_pair(c: tuple[int, int], points) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class Configuration:
-    """n labelled points with no three collinear (hence pairwise distinct),
-    checked in O(n^2)."""
+    """n labelled `RationalPoint`s with no three collinear (hence pairwise
+    distinct), checked in O(n^2)."""
 
     n: int
     points: tuple[RationalPoint, ...]
 
     def __post_init__(self):
         check_n(self.n)
+        if not isinstance(self.points, (tuple, list)):
+            raise ProgramParseError(f"need a sequence of points, got {clip(self.points)}")
         object.__setattr__(self, "points", tuple(self.points))
+        for p in self.points:
+            _check_point(p)
         if len(self.points) != self.n:
             raise DimensionMismatch(f"{len(self.points)} points for n={clip(self.n)}")
         grid, _ = _grid(self.points)
@@ -192,6 +237,11 @@ class LinearMove:
     strand: int
     target: RationalPoint
 
+    def __post_init__(self):
+        if type(self.strand) is not int:
+            raise BadTriple(f"strand must be an int, got {clip(self.strand)}")
+        _check_point(self.target)
+
 
 @dataclass(frozen=True)
 class FullTwistMove:
@@ -218,14 +268,26 @@ Move = LinearMove | FullTwistMove
 
 @dataclass(frozen=True)
 class MoveProgram:
-    """A pure braid as an initial configuration plus a move sequence."""
+    """A pure braid as an initial configuration plus a move sequence.  The
+    constructor checks the parts; the walk checks genericity."""
 
     initial: Configuration
     moves: tuple[Move, ...] = ()
     closed: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.initial, Configuration):
+            raise ProgramParseError(f"need an initial configuration, got {clip(self.initial)}")
+        if not isinstance(self.moves, (tuple, list)):
+            raise InvalidMove(f"need a sequence of moves, got {clip(self.moves)}")
         object.__setattr__(self, "moves", tuple(self.moves))
+        for mv in self.moves:
+            if isinstance(mv, LinearMove):
+                self.initial.point(mv.strand)  # range check
+            elif not isinstance(mv, FullTwistMove):
+                raise InvalidMove(f"unknown move {clip(mv)}")
+        if type(self.closed) is not bool:
+            raise ProgramParseError(f"'closed' must be True or False, got {clip(self.closed)}")
 
     @property
     def n(self) -> int:
@@ -235,10 +297,10 @@ class MoveProgram:
     def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple, tuple, int]:
         """The events, the total twist and the boundary configurations, as
         points and on one integer grid, with the grid's denominator, from the
-        one pass that checks the moves: `_move_events` for a linear move, the
-        common circle for a full twist.  The initial points and every target
-        share the grid, so a move replaces one entry of it.  An invalid
-        program caches nothing and raises on every call."""
+        one pass that checks genericity: `_move_events` for a linear move,
+        the common circle for a full twist.  The initial points and every
+        target share the grid, so a move replaces one entry of it.  A
+        nongeneric program caches nothing and raises on every call."""
         cur = self.initial
         ends = tuple(mv.target for mv in self.moves if isinstance(mv, LinearMove))
         flat, den = _grid(cur.points + ends)
@@ -253,14 +315,11 @@ class MoveProgram:
                         "full twist requires all strands on a common circle about the origin"
                     )
                 twist += mv.turns
-            elif isinstance(mv, LinearMove):
-                cur.point(mv.strand)  # range check
+            else:
                 end = next(targets)
                 events.extend(_move_events(grid, mv.strand, end, idx))
                 grid[mv.strand - 1] = end
                 cur = cur._with_point(mv.strand, mv.target)  # checked by _move_events
-            else:
-                raise InvalidMove(f"unknown move {clip(mv)}")
             configs.append(cur)
             grids.append(tuple(grid))
         return tuple(events), twist, tuple(configs), tuple(grids), den
@@ -344,6 +403,9 @@ def segment_events(c: Configuration, s: int, target: RationalPoint) -> list[Coll
     The roots and centrals come from the integer kernel `_move_roots` on
     one grid of the points and `target`; only the events are built here.
     """
+    if not isinstance(c, Configuration):
+        raise ProgramParseError(f"need a configuration, got {clip(c)}")
+    _check_point(target)
     grid, end = _move_on_grid(c, s, target)
     return _move_events(grid, s, end, 0)
 
@@ -430,8 +492,15 @@ def _move_events(
     ]
 
 
+def _check_program(p: object) -> None:
+    """Refuse anything but a `MoveProgram` with `ProgramParseError`."""
+    if not isinstance(p, MoveProgram):
+        raise ProgramParseError(f"need a motion program, got {clip(p)}")
+
+
 def boundary_configurations(p: MoveProgram) -> list[Configuration]:
     """Configurations before each move and after the last one, as compiled."""
+    _check_program(p)
     return list(p._walk[2])
 
 
@@ -442,6 +511,7 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     collinear) but add to the twist count; their common-circle precondition
     is checked.  A program marked closed must end exactly where it started.
     """
+    _check_program(p)
     events, twist, configs, _, _ = p._walk
     if p.closed and configs[-1] != p.initial:
         raise NotClosed("program marked closed but the final configuration differs")
@@ -474,6 +544,7 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
     boundary grids and twist of the compiler's walk, kept for the many pairs
     callers ask about: an invalid program raises as it does when compiled.
     """
+    _check_program(p)
     if i == j:
         raise BadTriple("linking needs two distinct strands")
     p.initial.point(i)  # range checks
@@ -608,6 +679,7 @@ def inverse_program(p: MoveProgram) -> MoveProgram:
 def concat_programs(a: MoveProgram, b: MoveProgram) -> MoveProgram:
     """Run a, then b; b must start where a ends."""
     end = boundary_configurations(a)[-1]
+    _check_program(b)
     if end != b.initial:
         raise DimensionMismatch("second program does not start at the first one's end")
     final = boundary_configurations(b)[-1]
@@ -620,6 +692,7 @@ def program_power(p: MoveProgram, k: int) -> MoveProgram:
     k that is not an int (or is a bool) raises `InvalidMove`."""
     if type(k) is not int:
         raise InvalidMove(f"program power needs an integer exponent, got {clip(k)}")
+    _check_program(p)
     if not p.closed or boundary_configurations(p)[-1] != p.initial:
         raise NotClosed("powers are defined for closed programs")
     base = p if k >= 0 else inverse_program(p)
@@ -692,49 +765,23 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
 # Program JSON format
 
 
-# the largest power of ten a coordinate's text may carry, as many as the
-# digits Python reads into an int by default: Fraction("1e999999999") would
-# build a billion-digit integer
-_MAX_EXPONENT = 4300
-
-
-def _plain_int(text: str) -> bool:
-    """Whether `text` is ASCII digits with at most a leading minus sign."""
-    return text.isascii() and (text[1:] if text[:1] == "-" else text).isdigit()
-
-
-def _rational(value) -> Fraction:
-    """A coordinate, read exactly from its text: an int, a string such as
-    "3/10" or "1e-400", or a JSON number kept as its text (a `Decimal`);
-    one whose numerator or denominator Python cannot print is refused."""
-    text = str(value)
-    # the int and "p/q" branch is a fast path, not a second reading: without
-    # it `motion` fell about 3.5 % over 4 alternating 10-s pairs (all four
-    # worse), and 1.6-3.4 % over 3 more, on a shared 2-core x86-64 machine
-    num, slash, den = text.partition("/")
-    if _plain_int(num) and (not slash or den.isascii() and den.isdigit()):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    _, e, exponent = text.lower().partition("e")
-    if e and abs(int(exponent)) > _MAX_EXPONENT:
-        raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
-    value = Fraction(text)
-    try:  # "1e-4300" reads, but its denominator has one digit more than prints
-        str(value)
-    except ValueError:
-        raise ValueError("more digits than Python prints") from None
-    return value
-
-
 def _point_from_json(obj) -> RationalPoint:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ProgramParseError(f"point must be a 2-element list, got {clip(obj)}")
-    try:
-        return RationalPoint(_rational(obj[0]), _rational(obj[1]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProgramParseError(f"bad rational in point {clip(obj)}: {exc}") from exc
+    return RationalPoint(*obj)
+
+
+def _move_from_json(obj) -> Move:
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind == "line":
+        return LinearMove(obj.get("strand"), _point_from_json(obj.get("to")))
+    if kind == "twist":
+        return FullTwistMove(obj.get("turns"))
+    raise ProgramParseError(f"move must be an object of type line or twist, got {clip(obj)}")
 
 
 def program_to_json(p: MoveProgram) -> dict:
+    _check_program(p)
     moves = []
     for mv in p.moves:
         if isinstance(mv, FullTwistMove):
@@ -751,52 +798,18 @@ def program_to_json(p: MoveProgram) -> dict:
     }
 
 
-def _integer(value) -> int:
-    """`value` if it is a JSON integer, else TypeError: `int` would truncate
-    1.5 and accept "4" and true."""
-    if type(value) is not int:
-        raise TypeError(f"integer required, got {clip(value)}")
-    return value
-
-
 def program_from_json(obj) -> MoveProgram:
+    """The program of a JSON document, whose shape is checked here and whose
+    values by the constructors: any error is raised as `ProgramParseError`."""
     if not isinstance(obj, dict):
         raise ProgramParseError("program JSON must be an object")
-    try:
-        n = _integer(obj["n"])
-        initial_raw = obj["initial"]
-        moves_raw = obj.get("moves", [])
-    except (KeyError, TypeError) as exc:
-        raise ProgramParseError(f"missing or malformed program field: {exc}") from exc
-    closed = obj.get("closed", False)
-    if type(closed) is not bool:
-        raise ProgramParseError(f"'closed' must be true or false, got {clip(closed)}")
-    if not isinstance(initial_raw, list):
+    initial, moves = obj.get("initial"), obj.get("moves", [])
+    if not isinstance(initial, list):
         raise ProgramParseError("'initial' must be a list of points")
-    points = tuple(_point_from_json(pt) for pt in initial_raw)
+    if not isinstance(moves, list):
+        raise ProgramParseError(f"'moves' must be a list, got {type(moves).__name__}")
     try:
-        cfg = Configuration(n, points)
-    except (InvalidN, DimensionMismatch, GenericityError) as exc:
-        raise ProgramParseError(f"bad initial configuration: {exc}") from exc
-    if not isinstance(moves_raw, list):
-        raise ProgramParseError(f"'moves' must be a list, got {type(moves_raw).__name__}")
-    moves: list[Move] = []
-    for mv in moves_raw:
-        if not isinstance(mv, dict) or "type" not in mv:
-            raise ProgramParseError(f"move must be an object with a type, got {clip(mv)}")
-        if mv["type"] == "line":
-            try:
-                strand = _integer(mv["strand"])
-            except (KeyError, TypeError) as exc:
-                raise ProgramParseError(f"bad line move {clip(mv)}") from exc
-            if not 1 <= strand <= n:
-                raise ProgramParseError(f"strand {clip(strand)} out of range 1..{clip(n)}")
-            moves.append(LinearMove(strand, _point_from_json(mv.get("to"))))
-        elif mv["type"] == "twist":
-            try:
-                moves.append(FullTwistMove(_integer(mv["turns"])))
-            except (KeyError, TypeError, InvalidMove) as exc:
-                raise ProgramParseError(f"bad twist move {clip(mv)}") from exc
-        else:
-            raise ProgramParseError(f"unknown move type {clip(mv['type'])}")
-    return MoveProgram(cfg, tuple(moves), closed=closed)
+        cfg = Configuration(obj.get("n"), [_point_from_json(pt) for pt in initial])
+        return MoveProgram(cfg, [_move_from_json(mv) for mv in moves], obj.get("closed", False))
+    except (TribraidError, TypeError) as exc:  # a RationalPoint of no text is a TypeError
+        raise ProgramParseError(f"bad program: {exc}") from exc

@@ -103,6 +103,8 @@ def _far(a: int, b: int) -> bool:
 
 def far_commutes(a: GenTriple, b: GenTriple) -> bool:
     """True when the index sets share at most one strand."""
+    if type(a) is not GenTriple or type(b) is not GenTriple:
+        raise BadTriple(f"need two generators, got {clip(a)} and {clip(b)}")
     return _far(_code(a.elems), _code(b.elems))
 
 
@@ -149,6 +151,8 @@ def parse_indices(token: str, n: int) -> tuple[int, int, int]:
     unambiguous when n <= 9; parenthesised tokens ``a(1,2,3)`` work for
     any n.
     """
+    if type(token) is not str:
+        raise WordParseError(f"a generator token is text, got {clip(token)}")
     m = _GENERAL_TOKEN.match(token)
     if m:
         try:
@@ -171,6 +175,8 @@ def parse_word(text: str, n: int) -> GWord:
     appear in any order.  A bad n is refused before any token is read, so
     the empty word is no exception."""
     check_n(n, WordParseError)
+    if type(text) is not str:
+        raise WordParseError(f"a word is text, got {clip(text)}")
     letters = []
     for token in text.split():
         try:
@@ -180,14 +186,16 @@ def parse_word(text: str, n: int) -> GWord:
     return GWord(n, tuple(letters))
 
 
-def _check_word(w: object) -> None:
+def check_word(w: object) -> None:
     """Refuse anything but a `GWord` with `BadTriple`, as `GWord` refuses a
-    letter that is not a generator."""
+    letter that is not a generator; every function that reads a word
+    checks it so."""
     if type(w) is not GWord:
         raise BadTriple(f"need a word of generators, got {clip(w)}")
 
 
 def format_word(w: GWord) -> str:
+    check_word(w)
     return " ".join(str(g) for g in w.letters)
 
 
@@ -280,6 +288,7 @@ def applicable_moves(w: GWord, allow_insert: bool = False, max_len: int = 0) -> 
     at a 115 MiB peak RSS (one process on a shared 2-core x86-64 machine).
     The generators to insert are built for the call, so none outlives it.
     """
+    check_word(w)
     masks = [_code(g.elems) for g in w.letters]
     pairs = list(enumerate(zip(masks, masks[1:])))
     moves = [RelationMove(MoveKind.SQUARE_DELETE, p) for p, (a, b) in pairs if a == b]
@@ -304,7 +313,7 @@ def apply_move(w: GWord, m: RelationMove) -> GWord:
     does not match at the position, or the position is not an int.  A w
     that is not a `GWord` raises `BadTriple`, and an m that is not a
     `RelationMove` raises `InvalidMove`."""
-    _check_word(w)
+    check_word(w)
     if type(m) is not RelationMove:
         raise InvalidMove(f"need a relation move, got {clip(m)}")
     letters = w.letters
@@ -356,7 +365,7 @@ class ParityVector:
 
 def generator_parity(w: GWord) -> ParityVector:
     """The parity vector of w; a w that is not a `GWord` raises `BadTriple`."""
-    _check_word(w)
+    check_word(w)
     counts = Counter(g.elems for g in w.letters)
     return ParityVector(w.n, frozenset(t for t, c in counts.items() if c % 2))
 
@@ -465,8 +474,8 @@ def bounded_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityVer
     complete decision procedure is known.  Deterministic for fixed inputs
     and limits.
     """
-    _check_word(w1)
-    _check_word(w2)
+    check_word(w1)
+    check_word(w2)
     if w1.n != w2.n:
         raise DimensionMismatch(f"cannot compare words with n={clip(w1.n)} and n={clip(w2.n)}")
     if type(depth) is not int or type(max_len) is not int or depth < 0 or max_len < 0:

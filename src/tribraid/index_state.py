@@ -56,7 +56,7 @@ from .errors import (
     check_n,
     clip,
 )
-from .group_core import GWord, GenTriple, all_generators, far_commutes, generator_ranks
+from .group_core import GWord, GenTriple, all_generators, check_word, far_commutes, generator_ranks
 
 Triple = tuple[int, int, int]
 
@@ -67,8 +67,6 @@ _ASCII_BITS = bytes.maketrans(b"01", b"\0\1")
 def _bits(mask: int, width: int) -> bytearray:
     """The byte table of `mask`: byte b is bit b, for b < width.  O(width)
     at C speed, the cost of one bit read of the int."""
-    if not mask:
-        return bytearray(width)
     return bytearray(f"{mask:0{width}b}"[::-1], "ascii").translate(_ASCII_BITS)
 
 
@@ -101,6 +99,13 @@ class OrientationState:
         return -1 if self.minus >> (first[a] - second[b] + c) & 1 else 1
 
 
+def _check_state(s: object) -> None:
+    """Refuse anything but an `OrientationState` with `BadTriple`, as
+    `check_word` refuses anything but a word."""
+    if type(s) is not OrientationState:
+        raise BadTriple(f"need an orientation state, got {clip(s)}")
+
+
 def initial_state(n: int) -> OrientationState:
     """State of the uniform circular configuration.
 
@@ -113,6 +118,8 @@ def initial_state(n: int) -> OrientationState:
 
 def run_word(s: OrientationState, w: GWord) -> OrientationState:
     """Left-to-right composition of flips."""
+    _check_state(s)
+    check_word(w)
     if w.n != s.n:
         raise DimensionMismatch(f"word n={clip(w.n)}, state n={clip(s.n)}")
     first, second = generator_ranks(s.n)
@@ -216,8 +223,7 @@ _status = cache(LetterStatus)
 
 def letter_status(s: OrientationState, g: GenTriple) -> LetterStatus:
     """Classify one letter at a state: the one-letter `classify_word`."""
-    if g.n != s.n:
-        raise DimensionMismatch(f"generator n={clip(g.n)}, state n={clip(s.n)}")
+    _check_state(s)
     return classify_word(GWord(s.n, (g,)), s).statuses[0]
 
 
@@ -250,7 +256,9 @@ def classify_word(w: GWord, start: OrientationState | None = None) -> Classified
     (`_central`) and flips one bit in each; the rows of a start other than
     all-plus come from its byte table (`_bits`), built for the call.
     """
+    check_word(w)
     s = initial_state(w.n) if start is None else start
+    _check_state(s)
     if s.n != w.n:
         raise DimensionMismatch(f"word n={clip(w.n)}, state n={clip(s.n)}")
     n = w.n
@@ -426,7 +434,9 @@ class _CensusRows(Sequence):
     def __len__(self) -> int:
         return len(self._states) * len(self._cases)
 
-    def __getitem__(self, index: int) -> CensusRow:
+    def __getitem__(self, index: int | slice) -> CensusRow | tuple[CensusRow, ...]:
+        if isinstance(index, slice):
+            return tuple(self[r] for r in range(len(self))[index])
         s, c = divmod(range(len(self))[index], len(self._cases))
         return self._read(s, self._cases[c])
 
@@ -547,7 +557,10 @@ def _census(n: int, lemma: str, states: Sequence[int], template: str, cases) -> 
 def tetra_letters(n: int, tup: tuple[int, int, int, int]) -> tuple[GenTriple, ...]:
     """The four letters of the tetrahedron word for an ordered 4-tuple:
     letter j omits the j-th tuple entry."""
-    u = set(tup)
+    try:
+        u = set(tup)
+    except TypeError:
+        raise BadTriple(f"need four strands, got {clip(tup)}") from None
     return tuple(GenTriple(n, tuple(sorted(u - {x}))) for x in tup)
 
 

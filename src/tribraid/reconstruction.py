@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import AdjacencyViolation, BadTriple, DimensionMismatch, NotRealisable, check_n, clip
-from .group_core import GWord
+from .group_core import GWord, check_word
 from .index_state import ClassifiedWord, classify_word
 
 
@@ -115,6 +115,7 @@ def reconstruct_axis(w: GWord, axis: int) -> CylWord:
     calibrated so a counterclockwise revolution of one strand about another
     contributes +1 to their linking number.
     """
+    check_word(w)
     initial_cyclic_order(w.n, axis)  # a bad axis raises before classifying
     cw = classify_word(w)
     if not cw.realisable:
@@ -225,6 +226,8 @@ def annular_invariants(c: CylWord) -> AnnularInvariants:
     integer constructor, `Fraction(sum >> 1)`, which skips the gcd that
     `Fraction(sum, 2)` runs, and an odd one is the half-integer sum/2.  Most
     sums are even (a gadget's word swaps one pair, and 0 is even)."""
+    if type(c) is not CylWord:
+        raise BadTriple(f"need a swap word, got {clip(c)}")
     start = initial_cyclic_order(c.n, c.axis)
     perm = tuple(sorted(zip(start, c.final_order)))
     strands = tuple(sorted(start))
@@ -245,6 +248,8 @@ def invariants_equal_mod_full_twist(a: AnnularInvariants, b: AnnularInvariants):
     permutation, so the test is: equal permutations and a common integer
     difference on every pair.
     """
+    if type(a) is not AnnularInvariants or type(b) is not AnnularInvariants:
+        raise BadTriple(f"need two sets of invariants, got {clip(a)} and {clip(b)}")
     if a.axis != b.axis or a.strands != b.strands:
         raise DimensionMismatch("invariants cover different strand sets")
     if a.perm != b.perm:

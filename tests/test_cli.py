@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -44,6 +45,7 @@ from tribraid.errors import (
     InvalidMove,
     InvalidN,
     NotRealisable,
+    TribraidError,
     WordParseError,
 )
 from tribraid.index_state import _columns
@@ -808,6 +810,43 @@ def test_export_list_is_what_the_package_binds():
     namespace = {}
     exec("from tribraid import *", namespace)
     assert public <= namespace.keys()
+
+
+# plain result records, whose constructors keep what they are given
+RESULT_RECORDS = {
+    "AnnularInvariants",
+    "CensusReport",
+    "CensusRow",
+    "ClassifiedWord",
+    "CollinearityEvent",
+    "CompileOutput",
+    "EqualityVerdict",
+    "KernelVerdict",
+    "ParityVector",
+    "RelationMove",
+    "SearchStats",
+}
+
+
+def test_every_export_refuses_a_foreign_object_with_a_typed_error():
+    # a float coordinate stays a TypeError, and an enum's lookup its own
+    # ValueError
+    exempt = RESULT_RECORDS | {"RationalPoint", "MoveKind"}
+    assert exempt <= set(tribraid.__all__)
+    called = []
+    for name in tribraid.__all__:
+        obj = getattr(tribraid, name)
+        if name in exempt or not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        required = [p for p in params if p.default is p.empty]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in required), name
+        with pytest.raises(TribraidError):
+            obj(*(object() for _ in required))
+        called.append(name)
+    assert {"MoveProgram", "compile_program", "classify_word", "reconstruct_axis"} <= set(called)
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

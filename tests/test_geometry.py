@@ -3,7 +3,9 @@ import hashlib
 import json
 import random
 import re
+import time
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -15,6 +17,7 @@ from tribraid import (
     BadTriple,
     CollinearityEvent,
     Configuration,
+    DimensionMismatch,
     FullTwistMove,
     GWord,
     GenTriple,
@@ -239,6 +242,9 @@ class TestOrientation:
         assert orientation(P(0, 0), P(1, 1), P(2, 2)) == 0
         assert orientation(P(0, 0), P(0, 1), P(1, 0)) == -1
 
+    def test_a_point_prints_its_coordinates(self):
+        assert str(P(F(1, 2), -3)) == "(1/2,-3)"
+
     def test_antisymmetry(self):
         rng = random.Random(41)
         for _ in range(100):
@@ -329,6 +335,32 @@ class TestConfiguration:
             (lambda cfg: regular_rational_configuration(4.0), InvalidN),
             (lambda cfg: random_closed_program("5"), InvalidN),
             (lambda cfg: pure_braid_generator_program("4", 1, 2), InvalidN),
+            # each value refused where it is built, and anything but a point,
+            # configuration or program refused by the readers of one
+            (lambda cfg: RationalPoint("nan", 0), ProgramParseError),
+            (lambda cfg: RationalPoint("3/0", 0), ProgramParseError),
+            (lambda cfg: RationalPoint(0, "1e-4300"), ProgramParseError),
+            (lambda cfg: RationalPoint(10**5000, 0), ProgramParseError),
+            (lambda cfg: Configuration(4, (1, 2, 3, 4)), ProgramParseError),
+            (lambda cfg: Configuration(4, None), ProgramParseError),
+            (lambda cfg: Configuration(4, iter(cfg.points)), ProgramParseError),
+            (lambda cfg: LinearMove(1, (0, 0)), ProgramParseError),
+            (lambda cfg: LinearMove(1.0, P(0, 2)), BadTriple),
+            (lambda cfg: LinearMove("1", P(0, 2)), BadTriple),
+            (lambda cfg: MoveProgram("x", ()), ProgramParseError),
+            (lambda cfg: MoveProgram(cfg, 5), InvalidMove),
+            (lambda cfg: MoveProgram(cfg, ("x",)), InvalidMove),
+            (lambda cfg: MoveProgram(cfg, (LinearMove(5, P(0, 2)),)), BadTriple),
+            (lambda cfg: MoveProgram(cfg, (LinearMove(0, P(0, 2)),)), BadTriple),
+            (lambda cfg: MoveProgram(cfg, (), closed=1), ProgramParseError),
+            (lambda cfg: MoveProgram(cfg, (), closed=None), ProgramParseError),
+            (lambda cfg: segment_events(cfg, 1, (0, 0)), ProgramParseError),
+            (lambda cfg: segment_events(cfg.points, 1, P(0, 2)), ProgramParseError),
+            (lambda cfg: orientation(P(0, 0), P(1, 0), (0, 1)), ProgramParseError),
+            (lambda cfg: compile_program(cfg), ProgramParseError),
+            (lambda cfg: program_to_json(cfg), ProgramParseError),
+            (lambda cfg: program_power(cfg, 2), ProgramParseError),
+            (lambda cfg: concat_programs(MoveProgram(cfg), cfg), ProgramParseError),
         ],
         ids=[
             "point-bool",
@@ -344,11 +376,77 @@ class TestConfiguration:
             "regular-float",
             "random-str",
             "gadget-str",
+            "nan-text",
+            "zero-denominator",
+            "unprintable-text",
+            "unprintable-int",
+            "config-ints",
+            "config-none",
+            "config-iterator",
+            "move-tuple-target",
+            "move-float-strand",
+            "move-str-strand",
+            "program-str-initial",
+            "program-int-moves",
+            "program-str-move",
+            "program-strand-above",
+            "program-strand-zero",
+            "program-int-closed",
+            "program-none-closed",
+            "segment-tuple-target",
+            "segment-tuple-config",
+            "orientation-tuple",
+            "compile-config",
+            "to-json-config",
+            "power-config",
+            "concat-config",
         ],
     )
     def test_wrong_types_raise_typed_errors(self, call, error):
         with pytest.raises(error):
             call(regular_rational_configuration(4))
+
+
+class TestValuesAreCheckedWhereBuilt:
+    """Each constructor owns the rules of the value it makes, so a bad part
+    of a program raises when the program is built, not when it compiles."""
+
+    def test_only_exact_types_are_coordinates(self):
+        # a float, a bool or a subclass of Fraction or int is refused
+        half = type("Half", (Fraction,), {})(1, 2)
+        for value in (0.5, True, False, None, [1], half):
+            with pytest.raises(TypeError):
+                RationalPoint(value, 0)
+
+    def test_decimals_and_text_read_as_the_json_reader_reads_them(self):
+        assert RationalPoint(Decimal("0.25"), Decimal("-1E+2")) == P(F(1, 4), -100)
+        for text in ("-12/8", "1e-400", " 3/4", "1_000", "0x10", "", "7" * 4301, "1e5000"):
+            try:
+                expected = geometry._point_from_json([text, "0"])
+            except ProgramParseError:
+                with pytest.raises(ProgramParseError):
+                    RationalPoint(text, 0)
+            else:
+                assert RationalPoint(text, 0) == expected
+
+    def test_a_huge_exponent_is_refused_before_it_is_built(self):
+        # Fraction("1e2000000") builds a 6.6-Mbit numerator in about 0.5 s
+        for value in ("1e2000000", Decimal("1e2000000"), "-1E-2000000"):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(ProgramParseError, match="exponent beyond 4300"):
+                    RationalPoint(value, 0)
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.01
+
+    def test_a_bad_strand_raises_when_built_not_when_compiled(self, monkeypatch):
+        cfg = regular_rational_configuration(4)
+        walked = []
+        monkeypatch.setattr(geometry, "_move_events", lambda *args: walked.append(args))
+        with pytest.raises(BadTriple, match="strand 9 out of range 1..4"):
+            MoveProgram(cfg, (LinearMove(1, P(0, 2)), LinearMove(9, P(0, 2))))
+        assert walked == []
 
 
 class TestIntegerKernelOracle:
@@ -696,6 +794,10 @@ class TestGeometricLinking:
         prog = MoveProgram(regular_rational_configuration(4), (), closed=True)
         assert geometric_linking(prog, 1, 2) == 0
 
+    def test_a_strand_does_not_link_itself(self):
+        with pytest.raises(BadTriple, match="two distinct strands"):
+            geometric_linking(full_twist_program(4, 1), 2, 2)
+
     def test_generator_program_matrix(self):
         prog = pure_braid_generator_program(4, 1, 3)
         expected = {(1, 3): 1}
@@ -777,6 +879,14 @@ class TestGeneratorProgram:
         # the return run reads the outward letters backwards
         assert len(w) % 2 == 0 and w.letters == w.letters[::-1]
         assert run_word(initial_state(4), w) == initial_state(4)
+
+    def test_concat_needs_the_second_to_start_where_the_first_ends(self):
+        prog = pure_braid_generator_program(4, 1, 3)
+        away = MoveProgram(prog.initial, (LinearMove(4, P(F(-1, 2), 0)),))
+        elsewhere = MoveProgram(boundary_configurations(away)[-1])
+        assert concat_programs(away, elsewhere).moves == away.moves
+        with pytest.raises(DimensionMismatch, match="does not start at the first one's end"):
+            concat_programs(prog, elsewhere)
 
     def test_powers(self):
         prog = pure_braid_generator_program(4, 1, 3)
@@ -1009,4 +1119,20 @@ class TestProgramJson:
         bads += [dict(good, closed=value) for value in ("no", "false", 0, 1, None)]
         for bad in bads:
             with pytest.raises(ProgramParseError):
+                program_from_json(bad)
+
+    def test_shape_errors(self):
+        good = program_to_json(pure_braid_generator_program(4, 1, 3))
+        line = good["moves"][0]
+        for bad in (
+            dict(good, initial=[["0", "1"], ["-1"], ["0", "-1"], ["1", "0"]]),
+            dict(good, initial=[["0", "1"], "-1 0", ["0", "-1"], ["1", "0"]]),
+            dict(good, moves=[dict(line, to=["0", "1", "2"])]),
+            dict(good, moves=[dict(line, to=None)]),
+            dict(good, moves=[{k: v for k, v in line.items() if k != "type"}]),
+            dict(good, moves=[["line", 1, ["0", "0"]]]),
+            {k: v for k, v in good.items() if k != "n"},
+            {k: v for k, v in good.items() if k != "initial"},
+        ):
+            with pytest.raises(ProgramParseError, match="point must|move must|program:|initial"):
                 program_from_json(bad)

@@ -71,6 +71,7 @@ class TestGenTriple:
             (GWord, (4, (1,)), BadTriple),
             (GWord, (4, ((1, 2, 3),)), BadTriple),
             (GWord, (4, 5), BadTriple),
+            (parse_word, (None, 4), WordParseError),
         ],
     )
     def test_wrong_types_raise_typed_errors(self, build, args, error):
@@ -121,6 +122,11 @@ class TestParsing:
         w = parse_word("a312 a134", 4)
         assert w.letters == (GenTriple(4, (1, 2, 3)), GenTriple(4, (1, 3, 4)))
         assert format_word(w) == "a123 a134"
+
+    def test_a_word_prints_as_its_format(self):
+        w = parse_word("a312 a(4,1,3)", 4)
+        assert str(w) == format_word(w) == "a123 a134"
+        assert str(GWord(10, ())) == ""
 
     def test_round_trip_general(self):
         w = parse_word("a(11,2,1) a(3,4,10)", 12)
@@ -448,6 +454,10 @@ class TestApplyMove:
             apply_move(w, RelationMove(MoveKind.SQUARE_INSERT, 5, GenTriple(4, (1, 2, 3))))
         with pytest.raises(InvalidMove):
             apply_move(w, RelationMove(MoveKind.SQUARE_INSERT, 0, None))
+        with pytest.raises(InvalidMove, match="has n=5, word has n=4"):
+            apply_move(w, RelationMove(MoveKind.SQUARE_INSERT, 0, GenTriple(5, (1, 2, 5))))
+        with pytest.raises(InvalidMove, match="unknown move kind 'swap'"):
+            apply_move(w, RelationMove("swap", 0))
 
     @pytest.mark.parametrize("kind", list(MoveKind))
     @pytest.mark.parametrize("position", ["0", 1.0, None, True])

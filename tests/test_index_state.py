@@ -499,6 +499,12 @@ class TestCensuses:
         assert listed == tuple(relation_census(6, "commute", samples=5, seed=3).rows)
         assert listed != tuple(relation_census(6, "commute", samples=5, seed=4).rows)
 
+    def test_rows_slice_to_a_tuple(self):
+        rows = relation_census(4, "square").rows
+        listed = tuple(rows)
+        assert rows[0:2] == listed[0:2] and type(rows[0:2]) is tuple
+        assert rows[::-3] == listed[::-3] and rows[5:1] == ()
+
     def test_lines_render_rows_as_they_are_read(self, monkeypatch):
         report = relation_census(6, "commute", samples=64)
         table = report.to_table(full=True)
