@@ -8,10 +8,13 @@ only one strand moves per segment, each triple's collinearity condition is
 linear in the time parameter, so event times are exact rationals with an
 exact total order.  A program is walked on one grid: its initial points and
 every move's target share the denominator, and `Fraction`s are built only
-for the event times the walk returns.  Orientation is +1 for positively oriented
-(counterclockwise) triangles, calibrated so that the rational regular
-configuration carries the all-plus initial orientation state on sorted
-triples.
+for the event times the walk returns; `boundary_configurations` is built on
+request from the checked walk's points.  A random program's draws share one
+grid with the regular configuration.  One grid check, `_check_generic`,
+reports every degeneracy, of a configuration and of a move's end alike.
+Orientation is +1 for positively oriented (counterclockwise) triangles,
+calibrated so that the rational regular configuration carries the all-plus
+initial orientation state on sorted triples.
 """
 
 from __future__ import annotations
@@ -165,6 +168,20 @@ def _collinear_pair(c: tuple[int, int], points) -> tuple[int, int] | None:
     return best
 
 
+def _check_generic(grid: list[tuple[int, int]]) -> None:
+    """Raise the error of the lexicographically first coinciding pair, else
+    of the first collinear triple, of the integer configuration `grid`, in
+    O(n^2): the one degeneracy check of every configuration and move end."""
+    for a, b in combinations(range(len(grid)), 2):
+        if grid[a] == grid[b]:
+            raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
+    for a in range(len(grid) - 2):
+        pair = _collinear_pair(grid[a], grid[a + 1 :])
+        if pair:
+            b, c = pair
+            raise GenericityError(f"strands {a + 1},{a + b + 2},{a + c + 2} are collinear")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """n labelled `RationalPoint`s with no three collinear (hence pairwise
@@ -182,15 +199,7 @@ class Configuration:
             _check_point(p)
         if len(self.points) != self.n:
             raise DimensionMismatch(f"{len(self.points)} points for n={clip(self.n)}")
-        grid, _ = _grid(self.points)
-        for a, b in combinations(range(self.n), 2):
-            if grid[a] == grid[b]:
-                raise GenericityError(f"strands {a + 1} and {b + 1} coincide")
-        for a in range(self.n - 2):
-            pair = _collinear_pair(grid[a], grid[a + 1 :])
-            if pair:
-                b, c = pair
-                raise GenericityError(f"strands {a + 1},{a + b + 2},{a + c + 2} are collinear")
+        _check_generic(_grid(self.points)[0])
 
     def point(self, strand: int) -> RationalPoint:
         """The point of `strand`; every geometry reader's range check, which
@@ -198,28 +207,6 @@ class Configuration:
         if type(strand) is not int or not 1 <= strand <= self.n:
             raise BadTriple(f"strand {clip(strand)} out of range 1..{self.n}")
         return self.points[strand - 1]
-
-    def _with_point(self, strand: int, target: RationalPoint) -> "Configuration":
-        """This configuration with `strand` at `target`, unchecked: the
-        caller has already checked the target generic."""
-        pts = list(self.points)
-        pts[strand - 1] = target
-        return _trusted_configuration(self.n, tuple(pts))
-
-
-def _check_mover(grid: list[tuple[int, int]], strand: int) -> None:
-    """Raise the error of the first pair, then the first triple, through
-    `strand` that is degenerate in the integer configuration `grid`."""
-    s = strand - 1
-    others = [k for k in range(len(grid)) if k != s]
-    for k in others:
-        if grid[k] == grid[s]:
-            a, b = sorted((k + 1, strand))
-            raise GenericityError(f"strands {a} and {b} coincide")
-    pair = _collinear_pair(grid[s], [grid[k] for k in others])
-    if pair:
-        a, b, c = sorted((others[pair[0]] + 1, others[pair[1]] + 1, strand))
-        raise GenericityError(f"strands {a},{b},{c} are collinear")
 
 
 def _trusted_configuration(n: int, points: tuple[RationalPoint, ...]) -> Configuration:
@@ -294,18 +281,18 @@ class MoveProgram:
         return self.initial.n
 
     @cached_property
-    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple, tuple, int]:
-        """The events, the total twist and the boundary configurations, as
-        points and on one integer grid, with the grid's denominator, from the
-        one pass that checks genericity: `_move_events` for a linear move,
-        the common circle for a full twist.  The initial points and every
-        target share the grid, so a move replaces one entry of it.  A
-        nongeneric program caches nothing and raises on every call."""
-        cur = self.initial
+    def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple, int]:
+        """The events, the total twist and the boundary configurations on
+        one integer grid, with the grid's denominator, from the one pass
+        that checks genericity: `_move_events` for a linear move, the common
+        circle for a full twist.  The initial points and every target share
+        the grid, so a move replaces one entry of it, and two boundary
+        configurations are equal exactly when their grids are.  A nongeneric
+        program caches nothing and raises on every call."""
         ends = tuple(mv.target for mv in self.moves if isinstance(mv, LinearMove))
-        flat, den = _grid(cur.points + ends)
+        flat, den = _grid(self.initial.points + ends)
         grid, targets = flat[: self.n], iter(flat[self.n :])
-        configs, grids = [cur], [tuple(grid)]
+        grids = [tuple(grid)]
         events: list[CollinearityEvent] = []
         twist = 0
         for idx, mv in enumerate(self.moves):
@@ -319,10 +306,8 @@ class MoveProgram:
                 end = next(targets)
                 events.extend(_move_events(grid, mv.strand, end, idx))
                 grid[mv.strand - 1] = end
-                cur = cur._with_point(mv.strand, mv.target)  # checked by _move_events
-            configs.append(cur)
             grids.append(tuple(grid))
-        return tuple(events), twist, tuple(configs), tuple(grids), den
+        return tuple(events), twist, tuple(grids), den
 
 
 @dataclass(frozen=True)
@@ -406,18 +391,9 @@ def segment_events(c: Configuration, s: int, target: RationalPoint) -> list[Coll
     if not isinstance(c, Configuration):
         raise ProgramParseError(f"need a configuration, got {clip(c)}")
     _check_point(target)
-    grid, end = _move_on_grid(c, s, target)
+    c.point(s)  # range check
+    *grid, end = _grid(c.points + (target,))[0]
     return _move_events(grid, s, end, 0)
-
-
-def _move_on_grid(
-    c: Configuration, s: int, target: RationalPoint
-) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """The points of c and `target` on one integer grid, as (grid, end),
-    after the range check of s."""
-    c.point(s)
-    grid, _ = _grid(c.points + (target,))
-    return grid, grid.pop()
 
 
 def _earlier(r, u) -> int:
@@ -437,9 +413,10 @@ def _move_roots(
     at time num/den in lowest terms with den > 0, for the static pair a < b,
     sorted by (time, triple).  It builds no `Fraction` and no letter, so a
     caller that asks only whether a move is generic pays for the roots
-    alone.  A degenerate end raises `_check_mover`'s error and a mover that
-    meets a strand `_central`'s.  `grid` is trusted generic and left as it
-    is."""
+    alone.  A degenerate end raises `_check_generic`'s error on the end
+    configuration, and a mover that meets a strand `_central`'s.  `grid` is
+    trusted generic and left as it is, so every degenerate pair or triple of
+    the end holds s."""
     px, py = grid[s - 1]
     dx, dy = end[0] - px, end[1] - py
     # each static strand relative to the mover's start, with its cross with d
@@ -454,7 +431,7 @@ def _move_roots(
         num = ax * by - ay * bx  # nonzero: the start configuration is generic
         den = bd - ad
         if num + den == 0:  # the end configuration is degenerate: say how
-            _check_mover(grid[: s - 1] + [end] + grid[s:], s)
+            _check_generic(grid[: s - 1] + [end] + grid[s:])
         if 0 < -num < den or den < -num < 0:  # 0 < -num/den < 1
             # in lowest terms with den > 0: the grid's numerators can be long
             g = gcd(num, den) if den > 0 else -gcd(num, den)
@@ -499,9 +476,20 @@ def _check_program(p: object) -> None:
 
 
 def boundary_configurations(p: MoveProgram) -> list[Configuration]:
-    """Configurations before each move and after the last one, as compiled."""
+    """Configurations before each move and after the last one, as compiled:
+    built on request from the initial points and the move targets, once the
+    walk has checked them all generic."""
     _check_program(p)
-    return list(p._walk[2])
+    p._walk  # raises for a program that does not compile
+    points = list(p.initial.points)
+    configs = [p.initial]
+    for mv in p.moves:
+        if isinstance(mv, LinearMove):
+            points[mv.strand - 1] = mv.target
+            configs.append(_trusted_configuration(p.n, tuple(points)))
+        else:
+            configs.append(configs[-1])
+    return configs
 
 
 def compile_program(p: MoveProgram) -> CompileOutput:
@@ -512,8 +500,8 @@ def compile_program(p: MoveProgram) -> CompileOutput:
     is checked.  A program marked closed must end exactly where it started.
     """
     _check_program(p)
-    events, twist, configs, _, _ = p._walk
-    if p.closed and configs[-1] != p.initial:
+    events, twist, grids, _ = p._walk
+    if p.closed and grids[-1] != grids[0]:
         raise NotClosed("program marked closed but the final configuration differs")
     return CompileOutput(GWord(p.n, tuple(e.triple for e in events)), events, twist)
 
@@ -549,7 +537,7 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
         raise BadTriple("linking needs two distinct strands")
     p.initial.point(i)  # range checks
     p.initial.point(j)
-    _, wn, _, grids, _ = p._walk
+    _, wn, grids, _ = p._walk
     ux, uy = grids[0][i - 1][0] - grids[0][j - 1][0], grids[0][i - 1][1] - grids[0][j - 1][1]
     for k in range(1, len(grids)):
         vx, vy = grids[k][i - 1][0] - grids[k][j - 1][0], grids[k][i - 1][1] - grids[k][j - 1][1]
@@ -650,7 +638,7 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
     if any(isinstance(mv, FullTwistMove) for mv in p.moves):
         raise InvalidMove("cannot embed a program containing full twists")
     # every boundary configuration on the walk's one grid
-    grids, den = p._walk[3:]
+    grids, den = p._walk[2:]
     R = 8
     while any(x >= R * den for grid in grids for x, _ in grid):
         R *= 2
@@ -693,7 +681,7 @@ def program_power(p: MoveProgram, k: int) -> MoveProgram:
     if type(k) is not int:
         raise InvalidMove(f"program power needs an integer exponent, got {clip(k)}")
     _check_program(p)
-    if not p.closed or boundary_configurations(p)[-1] != p.initial:
+    if not p.closed or p._walk[2][-1] != p._walk[2][0]:
         raise NotClosed("powers are defined for closed programs")
     base = p if k >= 0 else inverse_program(p)
     return MoveProgram(p.initial, base.moves * abs(k), closed=True)
@@ -713,51 +701,52 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     """
     rng = random.Random(seed)
     cfg = regular_rational_configuration(n)
+    # the regular points and every draw, k/1200 for an int k, on one grid
+    home, den = _grid(cfg.points)
+    unit = lcm(den, 1200)
+    home = [(x * (unit // den), y * (unit // den)) for x, y in home]
+    step = unit // 1200
 
-    def draw_point() -> RationalPoint:
-        return RationalPoint(
-            Fraction(rng.randint(-2400, 2400), 1200),
-            Fraction(rng.randint(-2400, 2400), 1200),
-        )
+    def draw() -> tuple[tuple[int, int], RationalPoint]:
+        x, y = rng.randint(-2400, 2400), rng.randint(-2400, 2400)
+        return (x * step, y * step), RationalPoint(Fraction(x, 1200), Fraction(y, 1200))
 
-    def clear(c: Configuration, s: int, target: RationalPoint) -> bool:
+    def clear(grid: list[tuple[int, int]], s: int, end: tuple[int, int]) -> bool:
         # whether `segment_events` would raise, without building its events
-        grid, end = _move_on_grid(c, s, target)
         try:
             _move_roots(grid, s, end)
         except GenericityError:
             return False
         return True
 
-    cur = cfg
+    cur = list(home)
     moves: list[Move] = []
-    displaced: dict[int, RationalPoint] = {}
     for _ in range(rng.randint(1, _WANDER_MOVES)):
         for _ in range(_MAX_ATTEMPTS):
-            s, target = rng.randint(1, n), draw_point()
-            if clear(cur, s, target):
+            s, (end, target) = rng.randint(1, n), draw()
+            if clear(cur, s, end):
                 break
         else:
             raise ConstructionFailure("could not draw a generic wander move")
         moves.append(LinearMove(s, target))
-        displaced.setdefault(s, cfg.point(s))
-        cur = cur._with_point(s, target)
-    for s in reversed(list(displaced)):
-        home = displaced[s]
-        if cur.point(s) == home:
+        cur[s - 1] = end
+    # the displaced strands home, the first displaced last
+    for s in reversed(dict.fromkeys(mv.strand for mv in moves)):
+        if cur[s - 1] == home[s - 1]:
             continue
-        route = (home,)
-        if not clear(cur, s, home):
+        route = [(home[s - 1], cfg.point(s))]
+        if not clear(cur, s, home[s - 1]):
             for _ in range(_MAX_ATTEMPTS):
-                via = draw_point()
-                if clear(cur, s, via) and clear(cur._with_point(s, via), s, home):
+                via, point = draw()
+                moved = cur[: s - 1] + [via] + cur[s:]
+                if clear(cur, s, via) and clear(moved, s, home[s - 1]):
                     break
             else:
                 raise ConstructionFailure("could not route a strand back home")
-            route = (via, home)
-        for target in route:
+            route.insert(0, (via, point))
+        for end, target in route:
             moves.append(LinearMove(s, target))
-            cur = cur._with_point(s, target)
+            cur[s - 1] = end
     return MoveProgram(cfg, tuple(moves), closed=True)
 
 

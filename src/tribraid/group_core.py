@@ -151,6 +151,7 @@ def parse_indices(token: str, n: int) -> tuple[int, int, int]:
     unambiguous when n <= 9; parenthesised tokens ``a(1,2,3)`` work for
     any n.
     """
+    check_n(n, WordParseError)
     if type(token) is not str:
         raise WordParseError(f"a generator token is text, got {clip(token)}")
     m = _GENERAL_TOKEN.match(token)

@@ -181,6 +181,8 @@ class AnnularInvariants:
         return dict(self.linking)
 
     def linking_of(self, i: int, j: int) -> Fraction:
+        if not type(i) is type(j) is int:  # a bool or 2.0 would find pair 1, 2
+            raise BadTriple(f"a pair needs two int strands, got {clip((i, j))}")
         key = (i, j) if i < j else (j, i)
         try:
             return self._by_pair[key]

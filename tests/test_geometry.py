@@ -499,6 +499,29 @@ class TestIntegerKernelOracle:
             "moving strand meets another strand",
         }
 
+    def test_full_check_names_the_first_of_many_degeneracies(self):
+        # several coinciding pairs and collinear triples at once, which no
+        # move end has: the one check still names the oracle's first
+        rng = random.Random(67)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(5, 9)
+            pts = list(_random_generic_points(rng, n))
+            for _ in range(rng.randint(2, 4)):
+                a, b, c = rng.sample(range(n), 3)
+                if rng.randrange(2):
+                    pts[b] = pts[a]
+                else:
+                    pts[c] = pts[a] + (pts[b] - pts[a]) * F(rng.randint(-6, 6), rng.randint(1, 4))
+            got = _outcome(Configuration, n, pts)
+            got = ("ok", got[1].points) if got[0] == "ok" else got
+            assert got == _outcome(_oracle_full_check, tuple(pts))
+            seen[re.sub(r"[0-9]+", "#", got[1]) if got[0] != "ok" else "ok"] += 1
+        assert min(seen.values()) >= 20 and set(seen) == {
+            "strands # and # coincide",
+            "strands #,#,# are collinear",
+        }
+
     def test_geometric_linking(self):
         rng = random.Random(71)
         progs = [random_closed_program(n, seed=seed) for n in (4, 6, 8) for seed in range(4)]
@@ -589,6 +612,9 @@ class TestOneWalk:
                 geometric_linking(prog, i, j)
             boundary_configurations(prog)
             inverse_program(prog)
+            program_power(prog, 3)
+            program_power(prog, -2)
+            concat_programs(prog, prog)
         assert calls == Counter()
         # the counters do count: a fresh copy is walked once, on one grid,
         # with one kernel call per linear move
@@ -601,8 +627,8 @@ class TestOneWalk:
 
 class TestGenericityProbe:
     """`random_closed_program` asks only whether a move is generic, and reads
-    the answer off the root kernel `_move_roots`, on the grid that
-    `segment_events` builds, without building any event."""
+    the answer off the root kernel `_move_roots`, on one grid of the regular
+    points and its draws, without building any event."""
 
     def test_root_kernel_accepts_exactly_what_segment_events_accepts(self):
         seen = Counter()
@@ -641,6 +667,18 @@ class TestGenericityProbe:
             "strands #,#,# are collinear",
             "moving strand meets another strand",
         }
+
+    def test_random_program_draws_on_one_grid(self, monkeypatch):
+        # the regular points are gridded once, with room for every draw,
+        # and each draw is probed on that grid, however many are redrawn
+        calls = []
+        grid = geometry._grid
+        monkeypatch.setattr(geometry, "_grid", lambda points: calls.append(1) or grid(points))
+        for n in range(4, 11):
+            for seed in range(6):
+                calls.clear()
+                random_closed_program(n, seed=seed)
+                assert calls == [1]
 
 
 class TestEventPins:

@@ -72,6 +72,8 @@ class TestGenTriple:
             (GWord, (4, ((1, 2, 3),)), BadTriple),
             (GWord, (4, 5), BadTriple),
             (parse_word, (None, 4), WordParseError),
+            (parse_indices, ("a123", object()), WordParseError),
+            (parse_indices, ("a(1,2,3)", "4"), WordParseError),
         ],
     )
     def test_wrong_types_raise_typed_errors(self, build, args, error):
@@ -215,6 +217,10 @@ class TestParsing:
         for text in ("", "  ", "a123", "zzz"):
             with pytest.raises(WordParseError, match=re.escape(f"strand count must be >= 4, got {n!r}")):
                 parse_word(text, n)
+        # a token alone is checked against n as a word is, compact or not
+        for token in ("a123", "a(1,2,3)"):
+            with pytest.raises(WordParseError, match=re.escape(f"strand count must be >= 4, got {n!r}")):
+                parse_indices(token, n)
 
     def test_word_rejects_mixed_n(self):
         with pytest.raises(DimensionMismatch):

@@ -166,6 +166,12 @@ class TestAnnularInvariants:
                         assert inv.linking_of(i, j) == expected
             assert inv.linking_of(1, n // 2 + 1) == 1  # the gadget's pair, about axis n
 
+    @pytest.mark.parametrize("pair", [("1", 2), (object(), object()), (True, 2), (1, 2.0)])
+    def test_linking_of_refuses_a_strand_that_is_not_an_int(self, pair):
+        inv = annular_invariants(CylWord(4, 4, (CylLetter(1, 2, 1),)))
+        with pytest.raises(BadTriple, match="a pair needs two int strands"):
+            inv.linking_of(*pair)
+
     def test_text_rendering(self):
         inv = annular_invariants(empty_cyl_word(4, 4))
         text = inv.to_text()
