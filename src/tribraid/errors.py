@@ -49,7 +49,7 @@ class NotClosed(TribraidError):
 class ConstructionFailure(TribraidError):
     """A deterministic constructor found no valid motion: every shear of a
     generator gadget is blocked, or a seeded random program ran out of
-    draws."""
+    draws for a wander move (its way home needs none)."""
 
 
 class NotRealisable(TribraidError):

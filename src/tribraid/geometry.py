@@ -693,11 +693,17 @@ _MAX_ATTEMPTS = 200  # draws per move before giving up
 
 def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     """Seeded random closed program: a few random strand displacements from
-    the regular configuration, then return moves back home.
+    the regular configuration, then the way back home.
 
-    Targets are drawn from a fine rational grid; candidates violating
-    genericity are redrawn, and a blocked return move detours through one
-    random waypoint.  Deterministic for a fixed seed.
+    Targets are drawn from a fine rational grid, and a draw that violates
+    genericity is drawn again.  Nothing is drawn after that: the displaced
+    strands go straight home, the first displaced last, and if one of
+    those returns is blocked the program instead runs every move made so
+    far backwards.  That cannot be blocked: each undone move runs along the
+    same segment, between the same two generic configurations, as it did
+    forwards, so its events are the forward move's at times 1 - t.  A
+    strand already home returns by a move of length zero, with no event.
+    Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     cfg = regular_rational_configuration(n)
@@ -706,10 +712,6 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     unit = lcm(den, 1200)
     home = [(x * (unit // den), y * (unit // den)) for x, y in home]
     step = unit // 1200
-
-    def draw() -> tuple[tuple[int, int], RationalPoint]:
-        x, y = rng.randint(-2400, 2400), rng.randint(-2400, 2400)
-        return (x * step, y * step), RationalPoint(Fraction(x, 1200), Fraction(y, 1200))
 
     def clear(grid: list[tuple[int, int]], s: int, end: tuple[int, int]) -> bool:
         # whether `segment_events` would raise, without building its events
@@ -723,30 +725,21 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     moves: list[Move] = []
     for _ in range(rng.randint(1, _WANDER_MOVES)):
         for _ in range(_MAX_ATTEMPTS):
-            s, (end, target) = rng.randint(1, n), draw()
+            s, x, y = rng.randint(1, n), rng.randint(-2400, 2400), rng.randint(-2400, 2400)
+            end = x * step, y * step
             if clear(cur, s, end):
                 break
         else:
             raise ConstructionFailure("could not draw a generic wander move")
-        moves.append(LinearMove(s, target))
+        moves.append(LinearMove(s, RationalPoint(Fraction(x, 1200), Fraction(y, 1200))))
         cur[s - 1] = end
     # the displaced strands home, the first displaced last
     for s in reversed(dict.fromkeys(mv.strand for mv in moves)):
-        if cur[s - 1] == home[s - 1]:
-            continue
-        route = [(home[s - 1], cfg.point(s))]
         if not clear(cur, s, home[s - 1]):
-            for _ in range(_MAX_ATTEMPTS):
-                via, point = draw()
-                moved = cur[: s - 1] + [via] + cur[s:]
-                if clear(cur, s, via) and clear(moved, s, home[s - 1]):
-                    break
-            else:
-                raise ConstructionFailure("could not route a strand back home")
-            route.insert(0, (via, point))
-        for end, target in route:
-            moves.append(LinearMove(s, target))
-            cur[s - 1] = end
+            moves += inverse_program(MoveProgram(cfg, tuple(moves))).moves
+            break
+        moves.append(LinearMove(s, cfg.point(s)))
+        cur[s - 1] = home[s - 1]
     return MoveProgram(cfg, tuple(moves), closed=True)
 
 

@@ -34,6 +34,7 @@ from tribraid import (
     letter_status,
     program_from_json,
     program_to_json,
+    project_once,
     pure_braid_generator_program,
     relation_census,
 )
@@ -669,6 +670,123 @@ def test_selftest_catches_a_path_step_one_position_off(capsys, monkeypatch):
         "FAIL bounded equality"
     ]
     assert len(lines) == 11
+
+
+def selftest_failures(capsys):
+    """The exit code of `selftest` and its FAIL lines, once every one of the
+    11 checks has printed a line."""
+    code, out, _ = run(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert len(lines) == 11
+    return code, [line for line in lines if not line.startswith("PASS ")]
+
+
+def test_selftest_catches_a_letter_that_reads_its_own_triple(capsys, monkeypatch):
+    # the census kernel calls a letter bad wherever its own triple is
+    # clockwise, so a doubled letter changes status and the square census
+    # fails; the kernel check sees the drift too
+    exact = tribraid.index_state._sliced_centrals
+
+    def drifted(ranks, cols, size, n, i, j, k):
+        first, second = ranks
+        ones = int.from_bytes(b"\1" * size, "little")
+        own = cols[first[i] - second[j] + k]
+        return exact(ranks, cols, size, n, i, j, k) & 7 * (ones ^ own)
+
+    monkeypatch.setattr(tribraid.index_state, "_sliced_centrals", drifted)
+    assert selftest_failures(capsys) == (
+        1,
+        ["FAIL sliced census kernel against letter_status", "FAIL relation censuses"],
+    )
+
+
+def test_selftest_catches_a_word_run_one_letter_short(capsys, monkeypatch):
+    exact = tribraid.index_state.run_word
+    monkeypatch.setattr(
+        tribraid.index_state, "run_word", lambda s, w: exact(s, GWord(w.n, w.letters[:-1]))
+    )
+    assert selftest_failures(capsys) == (1, ["FAIL generator gadget round trip"])
+
+
+def test_selftest_catches_a_permutation_read_one_slot_along(capsys, monkeypatch):
+    # every set of invariants drifts alike, so the kernel witness, which
+    # compares two of them, still passes
+    exact = tribraid.cli.annular_invariants
+
+    def along(c):
+        inv = exact(c)
+        ends = [dst for _, dst in inv.perm]
+        return dataclasses.replace(
+            inv, perm=tuple(zip((src for src, _ in inv.perm), ends[1:] + ends[:1]))
+        )
+
+    monkeypatch.setattr(tribraid.cli, "annular_invariants", along)
+    assert selftest_failures(capsys) == (1, ["FAIL generator gadget round trip"])
+
+
+def test_selftest_catches_a_linking_number_of_the_wrong_sign(capsys, monkeypatch):
+    exact = tribraid.geometry.geometric_linking
+    monkeypatch.setattr(tribraid.geometry, "geometric_linking", lambda p, i, j: -exact(p, i, j))
+    assert selftest_failures(capsys) == (
+        1,
+        ["FAIL generator gadget round trip", "FAIL computed gadget links only its pair"],
+    )
+
+
+def test_selftest_catches_a_projection_that_stops_after_one_pass(capsys, monkeypatch):
+    monkeypatch.setattr(tribraid.cli, "stable_projection", lambda w: (project_once(w), 1))
+    assert selftest_failures(capsys) == (1, ["FAIL stable projection fixed points"])
+
+
+def test_selftest_catches_a_pass_counted_twice(capsys, monkeypatch):
+    # the empty word takes one pass, its length plus one
+    exact = tribraid.cli.stable_projection
+
+    def twice(w):
+        out, passes = exact(w)
+        return out, passes + 1
+
+    monkeypatch.setattr(tribraid.cli, "stable_projection", twice)
+    assert selftest_failures(capsys) == (1, ["FAIL stable projection fixed points"])
+
+
+def test_selftest_catches_an_insertion_replayed_one_position_late(capsys, monkeypatch):
+    # the search's own path is right; only replaying it shows the drift
+    exact = tribraid.group_core.apply_move
+
+    def late(w, move):
+        shift = move.kind is MoveKind.SQUARE_INSERT
+        return exact(w, dataclasses.replace(move, position=move.position + shift))
+
+    monkeypatch.setattr(tribraid.group_core, "apply_move", late)
+    assert selftest_failures(capsys) == (1, ["FAIL bounded equality"])
+
+
+def test_a_closed_pipe_exits_0(monkeypatch):
+    # a consumer such as head closed stdout; the handler closes stderr too,
+    # so both are stand-ins
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    err = io.StringIO()
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    monkeypatch.setattr("sys.stderr", err)
+    assert main(["parity", "--n", "4", "a123"]) == 0
+    assert err.closed
+
+
+def test_module_entry_point_exits_with_mains_code():
+    src = str(Path(tribraid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "tribraid.cli", "parity", "--n", "4", "a123"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 def table_kernel(tables):

@@ -17,6 +17,7 @@ from tribraid import (
     BadTriple,
     CollinearityEvent,
     Configuration,
+    ConstructionFailure,
     DimensionMismatch,
     FullTwistMove,
     GWord,
@@ -994,6 +995,13 @@ class TestGeneratorProgram:
                 h.update(json.dumps(program_to_json(pure_braid_generator_program(n, i, j))).encode())
         assert h.hexdigest() == "69b4d213078d485aa21a657399332d74469bdce9a216256babec8f5f7020b60c"
 
+    def test_a_gadget_with_every_shear_blocked_raises(self, monkeypatch):
+        # with shear 0 alone, strand 4 (antipodal to strand 2) lies on the
+        # line through strand 1 and two of the loop's corners
+        monkeypatch.setattr(geometry, "_SHEARS", (F(0),))
+        with pytest.raises(ConstructionFailure, match="every shear puts a loop corner"):
+            pure_braid_generator_program(4, 2, 1)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(BadTriple):
             pure_braid_generator_program(4, 2, 2)
@@ -1090,6 +1098,27 @@ class TestRandomPrograms:
             "closed": True,
         }
         assert prog.closed and format_word(compile_program(prog).word) == "a123 a124 a124 a123"
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        # a straight return is blocked: at (4, 71466) strand 2 ends its wander
+        # on the line x = 0 through the homes of strands 1 and 3
+        [(4, 71466), (4, 78582), (5, 169148), (6, 203145), (8, 71466)]
+        + [(4, 45118), (4, 48654), (6, 153402), (8, 45118)],
+    )
+    def test_blocked_return_runs_every_move_backwards(self, n, seed):
+        prog = random_closed_program(n, seed)
+        half = len(prog.moves) // 2
+        outward = MoveProgram(prog.initial, prog.moves[:half])
+        assert prog.moves[half:] == inverse_program(outward).moves
+        word = compile_program(prog).word  # checks that it closes
+        assert is_realisable(word) and word.letters == word.letters[::-1]
+        assert all(geometric_linking(prog, i, j) == 0 for i, j in permutations(range(1, n + 1), 2))
+
+    def test_a_wander_move_with_no_draw_left_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_ATTEMPTS", 0)
+        with pytest.raises(ConstructionFailure, match="could not draw a generic wander move"):
+            random_closed_program(4, 0)
 
     def test_compiled_state_tracks_configuration(self):
         prog = random_closed_program(4, seed=12)

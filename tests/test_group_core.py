@@ -74,6 +74,7 @@ class TestGenTriple:
             (parse_word, (None, 4), WordParseError),
             (parse_indices, ("a123", object()), WordParseError),
             (parse_indices, ("a(1,2,3)", "4"), WordParseError),
+            (parse_indices, (123, 4), WordParseError),
         ],
     )
     def test_wrong_types_raise_typed_errors(self, build, args, error):

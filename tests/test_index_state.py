@@ -1,7 +1,7 @@
 import hashlib
 import random
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -598,6 +598,21 @@ class TestCensuses:
                 }
                 assert goods_l == goods_r
         assert observed == {2, 4}
+
+    def test_tetra_lone_good_letters_must_coincide(self):
+        # no n=4 window has one good letter a side (the observed law above),
+        # so planted codes drive the check: the two lone good letters must
+        # be one letter, whatever their centrals
+        gens = all_generators(4)
+        realised, windows = index_state._tetra_windows()
+        for _, lhs, where in windows:
+            for p, q in product(range(4), repeat=2):
+                codes = bytearray(8)
+                codes[p], codes[4 + q] = 1, 4  # lhs[p] and lhs[::-1][q] good
+                detail = index_state._tetra_detail(lhs, where, realised, bytes(codes))
+                left, right = gens[lhs[p]], gens[lhs[3 - q]]
+                differ = f"lone good letters differ: {left} vs {right}"
+                assert detail == ("" if left == right else differ)
 
 
 class TestSlicedKernel:
