@@ -17,7 +17,9 @@ from itertools import islice
 
 from .errors import (
     AboveCeiling,
+    GenericityError,
     InvalidBudget,
+    NotClosed,
     ProgramParseError,
     TribraidError,
     WordParseError,
@@ -102,7 +104,7 @@ def _read_word(args) -> GWord:
     return parse_word(text, n)
 
 
-def _load_program(path: str):
+def _load_program(path: str, args):
     # a JSON number with a fraction or an exponent stays its decimal text, a
     # Decimal, so that coordinates are read exactly and not as binary floats
     try:
@@ -118,22 +120,25 @@ def _load_program(path: str):
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is int and n > MAX_GEN_N:  # otherwise program_from_json says what is wrong
         raise AboveCeiling(f"the program has {n} strands, above the ceiling of {MAX_GEN_N}")
-    return program_from_json(obj)
+    try:
+        prog = program_from_json(obj)
+    except (GenericityError, NotClosed):  # a walk "closed": true asked for: --n comes first
+        _check_n_flag(args, n)
+        raise
+    _check_n_flag(args, prog.n)
+    return prog
 
 
 def _check_n_flag(args, program_n: int) -> None:
-    if getattr(args, "n", None) is not None and args.n != program_n:
-        raise ProgramParseError(
-            f"--n {args.n} contradicts the program's strand count {program_n}"
-        )
+    if args.n not in (None, program_n):
+        raise ProgramParseError(f"--n {args.n} contradicts the program's strand count {program_n}")
 
 
 def cmd_compile(args) -> int:
-    prog = _load_program(args.program)
-    _check_n_flag(args, prog.n)
-    if args.check_closed:
-        prog = type(prog)(prog.initial, prog.moves, closed=True)
+    prog = _load_program(args.program, args)
     out = compile_program(prog)
+    if args.check_closed and not prog.closed:
+        raise NotClosed("program marked closed but the final configuration differs")
     lines = [format_word(out.word)]
     if args.events:
         # rendered before any line is printed: an event time or a turn count
@@ -259,8 +264,7 @@ def cmd_gen(args) -> int:
     elif args.full_twist is not None:
         prog = full_twist_program(_gen_n(args, "--full-twist"), args.full_twist)
     else:
-        base = _load_program(args.embed)
-        _check_n_flag(args, base.n)
+        base = _load_program(args.embed, args)
         prog = embed_at_infinity(base)
     print(json.dumps(program_to_json(prog)))
     return 0

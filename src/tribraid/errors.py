@@ -43,13 +43,12 @@ class GenericityError(TribraidError):
 
 
 class NotClosed(TribraidError):
-    """A program marked closed does not return to its initial configuration."""
+    """A program that must return home does not: the base of a power, a JSON
+    document that says it is closed, or a `compile --check-closed` input."""
 
 
 class ConstructionFailure(TribraidError):
-    """A deterministic constructor found no valid motion: every shear of a
-    generator gadget is blocked, or a seeded random program ran out of
-    draws for a wander move (its way home needs none)."""
+    """A generator gadget found no valid motion: every shear is blocked."""
 
 
 class NotRealisable(TribraidError):

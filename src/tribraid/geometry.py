@@ -9,9 +9,10 @@ linear in the time parameter, so event times are exact rationals with an
 exact total order.  A program is walked on one grid: its initial points and
 every move's target share the denominator, and `Fraction`s are built only
 for the event times the walk returns; `boundary_configurations` is built on
-request from the checked walk's points.  A random program's draws share one
-grid with the regular configuration.  One grid check, `_check_generic`,
-reports every degeneracy, of a configuration and of a move's end alike.
+request from the checked walk's points, and closure is read off the moves,
+with no walk.  A random program's draws share one grid with the regular
+configuration.  One grid check, `_check_generic`, reports every
+degeneracy, of a configuration and of a move's end alike.
 Orientation is +1 for positively oriented (counterclockwise) triangles,
 calibrated so that the rational regular configuration carries the all-plus
 initial orientation state on sorted triples.
@@ -255,12 +256,11 @@ Move = LinearMove | FullTwistMove
 
 @dataclass(frozen=True)
 class MoveProgram:
-    """A pure braid as an initial configuration plus a move sequence.  The
+    """A motion as an initial configuration plus a move sequence.  The
     constructor checks the parts; the walk checks genericity."""
 
     initial: Configuration
     moves: tuple[Move, ...] = ()
-    closed: bool = False
 
     def __post_init__(self):
         if not isinstance(self.initial, Configuration):
@@ -273,25 +273,32 @@ class MoveProgram:
                 self.initial.point(mv.strand)  # range check
             elif not isinstance(mv, FullTwistMove):
                 raise InvalidMove(f"unknown move {clip(mv)}")
-        if type(self.closed) is not bool:
-            raise ProgramParseError(f"'closed' must be True or False, got {clip(self.closed)}")
 
     @property
     def n(self) -> int:
         return self.initial.n
 
     @cached_property
+    def closed(self) -> bool:
+        """Whether the motion is a pure braid: each strand's last linear move
+        targets its initial point (a full twist moves none on net).  Read
+        off the moves, without the walk, for a valid program or not."""
+        last = {mv.strand: mv.target for mv in self.moves if isinstance(mv, LinearMove)}
+        return all(self.initial.points[s - 1] == target for s, target in last.items())
+
+    @cached_property
     def _walk(self) -> tuple[tuple[CollinearityEvent, ...], int, tuple, int]:
         """The events, the total twist and the boundary configurations on
         one integer grid, with the grid's denominator, from the one pass
-        that checks genericity: `_move_events` for a linear move, the common
-        circle for a full twist.  The initial points and every target share
-        the grid, so a move replaces one entry of it, and two boundary
-        configurations are equal exactly when their grids are.  A nongeneric
-        program caches nothing and raises on every call."""
+        that checks genericity, and the one builder of events: `_move_roots`
+        for a linear move, the common circle for a full twist.  The initial
+        points and every target share the grid, so a move replaces one
+        entry of it.  A nongeneric program caches nothing and raises on
+        every call."""
+        n = self.n
         ends = tuple(mv.target for mv in self.moves if isinstance(mv, LinearMove))
-        flat, den = _grid(self.initial.points + ends)
-        grid, targets = flat[: self.n], iter(flat[self.n :])
+        flat, unit = _grid(self.initial.points + ends)
+        grid, targets = flat[:n], iter(flat[n:])
         grids = [tuple(grid)]
         events: list[CollinearityEvent] = []
         twist = 0
@@ -303,11 +310,19 @@ class MoveProgram:
                     )
                 twist += mv.turns
             else:
-                end = next(targets)
-                events.extend(_move_events(grid, mv.strand, end, idx))
-                grid[mv.strand - 1] = end
+                s, end = mv.strand, next(targets)
+                events += [
+                    CollinearityEvent(
+                        idx,
+                        Fraction(num, den),
+                        GenTriple(n, (s, a, b) if s < a else (a, s, b) if s < b else (a, b, s)),
+                        central,
+                    )
+                    for num, den, a, b, central in _move_roots(grid, s, end)
+                ]
+                grid[s - 1] = end
             grids.append(tuple(grid))
-        return tuple(events), twist, tuple(grids), den
+        return tuple(events), twist, tuple(grids), unit
 
 
 @dataclass(frozen=True)
@@ -373,27 +388,21 @@ def _central(s, a, b, mx, my, ax, ay, bx, by) -> int:
 
 
 def segment_events(c: Configuration, s: int, target: RationalPoint) -> list[CollinearityEvent]:
-    """Collinearity events while strand s moves linearly to `target`.
+    """Collinearity events while strand s moves linearly to `target`: the
+    events of the one-move program from `c`, read from its walk, so each
+    event's `move_index` is 0.
 
     For each static pair {a,b} the condition det(z_a - p(t), z_b - p(t)) = 0
     is linear in t, giving at most one exact rational root; roots strictly
     inside (0,1) become events, sorted by (time, triple).  The start
-    configuration is trusted generic; the end configuration is checked
-    (its orientation on (s,a,b) is the root's numerator plus denominator),
-    and the mover must not meet a static point.  Events may share a time:
+    configuration is generic; the end configuration is checked (its
+    orientation on (s,a,b) is the root's numerator plus denominator), and
+    the mover must not meet a static point.  Events may share a time:
     their static pairs are then disjoint (a shared strand would put it on
     two distinct lines through the mover, or the mover on it), so their
-    letters far-commute and either order reads the same braid.  Every
-    event's `move_index` is 0: only a program's walk numbers its moves.
-    The roots and centrals come from the integer kernel `_move_roots` on
-    one grid of the points and `target`; only the events are built here.
+    letters far-commute and either order reads the same braid.
     """
-    if not isinstance(c, Configuration):
-        raise ProgramParseError(f"need a configuration, got {clip(c)}")
-    _check_point(target)
-    c.point(s)  # range check
-    *grid, end = _grid(c.points + (target,))[0]
-    return _move_events(grid, s, end, 0)
+    return list(MoveProgram(c, (LinearMove(s, target),))._walk[0])
 
 
 def _earlier(r, u) -> int:
@@ -452,23 +461,6 @@ def _move_roots(
     ]
 
 
-def _move_events(
-    grid: list[tuple[int, int]], s: int, end: tuple[int, int], move_index: int
-) -> list[CollinearityEvent]:
-    """`segment_events` on one integer grid: the events of `_move_roots`,
-    each letter's indices given sorted (s placed among a < b)."""
-    n = len(grid)
-    return [
-        CollinearityEvent(
-            move_index,
-            Fraction(num, den),
-            GenTriple(n, (s, a, b) if s < a else (a, s, b) if s < b else (a, b, s)),
-            central,
-        )
-        for num, den, a, b, central in _move_roots(grid, s, end)
-    ]
-
-
 def _check_program(p: object) -> None:
     """Refuse anything but a `MoveProgram` with `ProgramParseError`."""
     if not isinstance(p, MoveProgram):
@@ -497,12 +489,10 @@ def compile_program(p: MoveProgram) -> CompileOutput:
 
     Full twists contribute no letters (concyclic points are never three
     collinear) but add to the twist count; their common-circle precondition
-    is checked.  A program marked closed must end exactly where it started.
+    is checked.  An open program compiles too: closure is `p.closed`.
     """
     _check_program(p)
-    events, twist, grids, _ = p._walk
-    if p.closed and grids[-1] != grids[0]:
-        raise NotClosed("program marked closed but the final configuration differs")
+    events, twist, _, _ = p._walk
     return CompileOutput(GWord(p.n, tuple(e.triple for e in events)), events, twist)
 
 
@@ -527,10 +517,12 @@ def geometric_linking(p: MoveProgram, i: int, j: int) -> Fraction:
 
     Computed as signed crossings of the positive x-ray over the piecewise
     linear difference path, plus one turn per full twist (a rigid rotation
-    winds every nonzero difference exactly once per turn).  Integer-valued
-    for closed programs; counterclockwise is positive.  Reads only the
-    boundary grids and twist of the compiler's walk, kept for the many pairs
-    callers ask about: an invalid program raises as it does when compiled.
+    winds every nonzero difference exactly once per turn); counterclockwise
+    is positive.  For an open program the path does not close, and the
+    result is that signed crossing count, not a winding number.  Reads only
+    the boundary grids and twist of the compiler's walk, kept for the many
+    pairs callers ask about: an invalid program raises as it does when
+    compiled.
     """
     _check_program(p)
     if i == j:
@@ -612,14 +604,12 @@ def pure_braid_generator_program(n: int, i: int, j: int) -> MoveProgram:
     )
     loop = [RationalPoint(Fraction(x, d), Fraction(y, d)) for x, y, d in around]
     waypoints = (*loop, loop[0], pi)
-    return MoveProgram(cfg, tuple(LinearMove(i, w) for w in waypoints), closed=True)
+    return MoveProgram(cfg, tuple(LinearMove(i, w) for w in waypoints))
 
 
 def full_twist_program(n: int, m: int) -> MoveProgram:
     """All strands of the regular configuration rotate rigidly m full turns."""
-    return MoveProgram(
-        regular_rational_configuration(n), (FullTwistMove(m),), closed=True
-    )
+    return MoveProgram(regular_rational_configuration(n), (FullTwistMove(m),))
 
 
 def embed_at_infinity(p: MoveProgram) -> MoveProgram:
@@ -629,16 +619,16 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
     so no move passes through (R, d), and d the first of 1, -1, 2, -2, ...
     on no line through two points of one boundary configuration.  The far
     strand keeps every configuration generic, so the augmented program
-    compiles if `p` does; `p` is compiled first, and an invalid one raises
+    compiles if `p` does; `p` is walked first, and an invalid one raises
     the error of its walk.  Letters not containing n+1 are exactly the
     original program's letters, in the original order.  Full twists are
     rejected: the far strand leaves the common circle.
     """
-    compile_program(p)
-    if any(isinstance(mv, FullTwistMove) for mv in p.moves):
-        raise InvalidMove("cannot embed a program containing full twists")
+    _check_program(p)
     # every boundary configuration on the walk's one grid
     grids, den = p._walk[2:]
+    if any(isinstance(mv, FullTwistMove) for mv in p.moves):
+        raise InvalidMove("cannot embed a program containing full twists")
     R = 8
     while any(x >= R * den for grid in grids for x, _ in grid):
         R *= 2
@@ -649,7 +639,7 @@ def embed_at_infinity(p: MoveProgram) -> MoveProgram:
         if not any(_collinear_pair((R * den, d * den), grid) for grid in grids)
     )
     cfg = _trusted_configuration(p.n + 1, p.initial.points + (RationalPoint(R, d),))
-    return MoveProgram(cfg, p.moves, closed=p.closed)
+    return MoveProgram(cfg, p.moves)
 
 
 def inverse_program(p: MoveProgram) -> MoveProgram:
@@ -661,49 +651,49 @@ def inverse_program(p: MoveProgram) -> MoveProgram:
         else LinearMove(mv.strand, configs[idx].point(mv.strand))
         for idx, mv in reversed(list(enumerate(p.moves)))
     )
-    return MoveProgram(configs[-1], rev, closed=p.closed)
+    return MoveProgram(configs[-1], rev)
 
 
 def concat_programs(a: MoveProgram, b: MoveProgram) -> MoveProgram:
-    """Run a, then b; b must start where a ends."""
+    """Run a, then b; b must start where a ends.  Both are walked."""
     end = boundary_configurations(a)[-1]
     _check_program(b)
     if end != b.initial:
         raise DimensionMismatch("second program does not start at the first one's end")
-    final = boundary_configurations(b)[-1]
-    return MoveProgram(a.initial, a.moves + b.moves, closed=final == a.initial)
+    b._walk
+    return MoveProgram(a.initial, a.moves + b.moves)
 
 
 def program_power(p: MoveProgram, k: int) -> MoveProgram:
-    """k-fold repetition of a closed program (inverse for negative k); one not
-    marked closed, or not ending where it starts, raises `NotClosed`, and a
-    k that is not an int (or is a bool) raises `InvalidMove`."""
+    """k-fold repetition of a closed program (inverse for negative k); `p` is
+    walked, and an open one raises `NotClosed`.  A k that is not an int (or
+    is a bool) raises `InvalidMove`."""
     if type(k) is not int:
         raise InvalidMove(f"program power needs an integer exponent, got {clip(k)}")
     _check_program(p)
-    if not p.closed or p._walk[2][-1] != p._walk[2][0]:
+    p._walk
+    if not p.closed:
         raise NotClosed("powers are defined for closed programs")
     base = p if k >= 0 else inverse_program(p)
-    return MoveProgram(p.initial, base.moves * abs(k), closed=True)
+    return MoveProgram(p.initial, base.moves * abs(k))
 
 
 _WANDER_MOVES = 3  # at most this many random displacements
-_MAX_ATTEMPTS = 200  # draws per move before giving up
 
 
 def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     """Seeded random closed program: a few random strand displacements from
     the regular configuration, then the way back home.
 
-    Targets are drawn from a fine rational grid, and a draw that violates
-    genericity is drawn again.  Nothing is drawn after that: the displaced
-    strands go straight home, the first displaced last, and if one of
-    those returns is blocked the program instead runs every move made so
-    far backwards.  That cannot be blocked: each undone move runs along the
-    same segment, between the same two generic configurations, as it did
-    forwards, so its events are the forward move's at times 1 - t.  A
-    strand already home returns by a move of length zero, with no event.
-    Deterministic for a fixed seed.
+    Targets are drawn from a fine rational grid; a draw that violates
+    genericity is dropped, so a program may have no move.  Nothing is drawn
+    after that: the displaced strands go straight home, the first displaced
+    last, and if one of those returns is blocked the program instead runs
+    every move made so far backwards.  That cannot be blocked: each undone
+    move runs along the same segment, between the same two generic
+    configurations, as it did forwards, so its events are the forward move's
+    at times 1 - t.  A strand already home returns by a zero-length move,
+    with no event.  Nothing raises.  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     cfg = regular_rational_configuration(n)
@@ -724,15 +714,11 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
     cur = list(home)
     moves: list[Move] = []
     for _ in range(rng.randint(1, _WANDER_MOVES)):
-        for _ in range(_MAX_ATTEMPTS):
-            s, x, y = rng.randint(1, n), rng.randint(-2400, 2400), rng.randint(-2400, 2400)
-            end = x * step, y * step
-            if clear(cur, s, end):
-                break
-        else:
-            raise ConstructionFailure("could not draw a generic wander move")
-        moves.append(LinearMove(s, RationalPoint(Fraction(x, 1200), Fraction(y, 1200))))
-        cur[s - 1] = end
+        s, x, y = rng.randint(1, n), rng.randint(-2400, 2400), rng.randint(-2400, 2400)
+        end = x * step, y * step
+        if clear(cur, s, end):
+            moves.append(LinearMove(s, RationalPoint(Fraction(x, 1200), Fraction(y, 1200))))
+            cur[s - 1] = end
     # the displaced strands home, the first displaced last
     for s in reversed(dict.fromkeys(mv.strand for mv in moves)):
         if not clear(cur, s, home[s - 1]):
@@ -740,7 +726,7 @@ def random_closed_program(n: int, seed: int = 0) -> MoveProgram:
             break
         moves.append(LinearMove(s, cfg.point(s)))
         cur[s - 1] = home[s - 1]
-    return MoveProgram(cfg, tuple(moves), closed=True)
+    return MoveProgram(cfg, tuple(moves))
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +768,9 @@ def program_to_json(p: MoveProgram) -> dict:
 
 def program_from_json(obj) -> MoveProgram:
     """The program of a JSON document, whose shape is checked here and whose
-    values by the constructors: any error is raised as `ProgramParseError`."""
+    values by the constructors: any error is raised as `ProgramParseError`.
+    An optional bool `closed` of true asserts closure: the program is then
+    walked, and raises the error of its walk or `NotClosed`."""
     if not isinstance(obj, dict):
         raise ProgramParseError("program JSON must be an object")
     initial, moves = obj.get("initial"), obj.get("moves", [])
@@ -792,6 +780,14 @@ def program_from_json(obj) -> MoveProgram:
         raise ProgramParseError(f"'moves' must be a list, got {type(moves).__name__}")
     try:
         cfg = Configuration(obj.get("n"), [_point_from_json(pt) for pt in initial])
-        return MoveProgram(cfg, [_move_from_json(mv) for mv in moves], obj.get("closed", False))
+        p = MoveProgram(cfg, [_move_from_json(mv) for mv in moves])
     except (TribraidError, TypeError) as exc:  # a RationalPoint of no text is a TypeError
         raise ProgramParseError(f"bad program: {exc}") from exc
+    closed = obj.get("closed", False)
+    if type(closed) is not bool:
+        raise ProgramParseError(f"bad program: 'closed' must be True or False, got {clip(closed)}")
+    if closed:
+        p._walk
+        if not p.closed:
+            raise NotClosed("program marked closed but the final configuration differs")
+    return p

@@ -7,9 +7,12 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -334,6 +337,52 @@ def test_readme_pipeline_pinned(capsys, monkeypatch):
 def test_reconstruct_not_realisable_exits_1(capsys):
     code, _, err = run(capsys, ["reconstruct", "--n", "4", "--axis", "4", "a134 a123"])
     assert code == 1 and "realisable" in err
+
+
+def test_readme_examples_run(capsys):
+    # every program of the README compiles, and every `equal --stats` or
+    # `equal --json` of its CLI tour prints the output its comments give
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    programs = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
+    assert programs
+    for block in programs:
+        compile_program(program_from_json(json.loads(block, parse_float=Decimal)))
+    tour = "\n".join(re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M))
+    lines = tour.replace("\\\n", " ").splitlines()
+    checked = 0
+    for k, line in enumerate(lines):
+        argv = shlex.split(line)
+        if argv[:2] == ["tribraid", "equal"] and {"--stats", "--json"} & set(argv):
+            # the verdict and the stats, or the one JSON object
+            shown = lines[k + 1 : k + (2 if "--json" in argv else 3)]
+            assert all(comment.startswith("# ") for comment in shown)
+            assert run(capsys, argv[1:]) == (0, "".join(f"{c[2:]}\n" for c in shown), "")
+            checked += 1
+    assert checked == 2
+
+
+def test_check_closed_refuses_an_open_program(capsys, tmp_path):
+    good = program_to_json(pure_braid_generator_program(4, 1, 3))
+    away = [{"type": "line", "strand": 4, "to": ["-1/2", "0"]}]
+    path = tmp_path / "prog.json"
+    refused = (1, "", "error: program marked closed but the final configuration differs\n")
+    path.write_text(json.dumps(dict(good, moves=away, closed=False)))
+    assert run(capsys, ["compile", str(path)]) == (0, "a134\n", "")
+    assert run(capsys, ["compile", str(path), "--check-closed"]) == refused
+    # a document that says it is closed but does not return home
+    path.write_text(json.dumps(dict(good, moves=away)))
+    for argv in (["compile", str(path)], ["gen", "--embed", str(path)]):
+        assert run(capsys, argv) == refused
+
+
+def test_closed_is_written_as_the_moves_give_it(capsys, tmp_path):
+    # a program that returns home is closed, whatever its document says
+    good = program_to_json(pure_braid_generator_program(4, 1, 3))
+    path = tmp_path / "prog.json"
+    path.write_text(json.dumps(dict(good, closed=False)))
+    assert run(capsys, ["compile", str(path), "--check-closed"])[0] == 0
+    code, out, _ = run(capsys, ["gen", "--embed", str(path)])
+    assert code == 0 and json.loads(out)["closed"] is True
 
 
 def test_gen_braid_and_embed(capsys, tmp_path):

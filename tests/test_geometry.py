@@ -353,8 +353,6 @@ class TestConfiguration:
             (lambda cfg: MoveProgram(cfg, ("x",)), InvalidMove),
             (lambda cfg: MoveProgram(cfg, (LinearMove(5, P(0, 2)),)), BadTriple),
             (lambda cfg: MoveProgram(cfg, (LinearMove(0, P(0, 2)),)), BadTriple),
-            (lambda cfg: MoveProgram(cfg, (), closed=1), ProgramParseError),
-            (lambda cfg: MoveProgram(cfg, (), closed=None), ProgramParseError),
             (lambda cfg: segment_events(cfg, 1, (0, 0)), ProgramParseError),
             (lambda cfg: segment_events(cfg.points, 1, P(0, 2)), ProgramParseError),
             (lambda cfg: orientation(P(0, 0), P(1, 0), (0, 1)), ProgramParseError),
@@ -392,8 +390,6 @@ class TestConfiguration:
             "program-str-move",
             "program-strand-above",
             "program-strand-zero",
-            "program-int-closed",
-            "program-none-closed",
             "segment-tuple-target",
             "segment-tuple-config",
             "orientation-tuple",
@@ -444,7 +440,7 @@ class TestValuesAreCheckedWhereBuilt:
     def test_a_bad_strand_raises_when_built_not_when_compiled(self, monkeypatch):
         cfg = regular_rational_configuration(4)
         walked = []
-        monkeypatch.setattr(geometry, "_move_events", lambda *args: walked.append(args))
+        monkeypatch.setattr(geometry, "_move_roots", lambda *args: walked.append(args))
         with pytest.raises(BadTriple, match="strand 9 out of range 1..4"):
             MoveProgram(cfg, (LinearMove(1, P(0, 2)), LinearMove(9, P(0, 2))))
         assert walked == []
@@ -606,7 +602,7 @@ class TestOneWalk:
             return wrapper
 
         # the integer kernel every linear move of a walk goes through
-        monkeypatch.setattr(geometry, "_move_events", counted("events", geometry._move_events))
+        monkeypatch.setattr(geometry, "_move_roots", counted("roots", geometry._move_roots))
         monkeypatch.setattr(geometry, "_grid", counted("grid", geometry._grid))
         for prog in progs:
             for i, j in permutations(range(1, prog.n + 1), 2):
@@ -623,7 +619,7 @@ class TestOneWalk:
         geometric_linking(fresh, 1, 2)
         compile_program(fresh)
         boundary_configurations(fresh)
-        assert calls == Counter(events=len(fresh.moves), grid=1)
+        assert calls == Counter(roots=len(fresh.moves), grid=1)
 
 
 class TestGenericityProbe:
@@ -786,9 +782,8 @@ class TestSegmentEvents:
 class TestCompile:
     def test_out_and_back(self):
         cfg = regular_rational_configuration(4)
-        prog = MoveProgram(
-            cfg, (LinearMove(4, P(F(-1, 2), 0)), LinearMove(4, P(1, 0))), closed=True
-        )
+        prog = MoveProgram(cfg, (LinearMove(4, P(F(-1, 2), 0)), LinearMove(4, P(1, 0))))
+        assert prog.closed
         out = compile_program(prog)
         assert [g.elems for g in out.word.letters] == [(1, 3, 4), (1, 3, 4)]
         assert run_word(initial_state(4), out.word) == initial_state(4)
@@ -809,15 +804,15 @@ class TestCompile:
         with pytest.raises(InvalidMove):
             FullTwistMove(0)
 
-    def test_not_closed_detected(self):
+    def test_an_open_program_compiles(self):
         cfg = regular_rational_configuration(4)
-        prog = MoveProgram(cfg, (LinearMove(4, P(F(-1, 2), 0)),), closed=True)
-        with pytest.raises(NotClosed):
-            compile_program(prog)
+        prog = MoveProgram(cfg, (LinearMove(4, P(F(-1, 2), 0)),))
+        assert not prog.closed
+        assert [g.elems for g in compile_program(prog).word.letters] == [(1, 3, 4)]
 
     def test_empty_program(self):
         cfg = regular_rational_configuration(4)
-        out = compile_program(MoveProgram(cfg, (), closed=True))
+        out = compile_program(MoveProgram(cfg, ()))
         assert out.word == GWord(4) and out.events == () and out.twist_turns == 0
 
 
@@ -830,7 +825,7 @@ class TestGeometricLinking:
         assert geometric_linking(prog, 1, 3) == -2
 
     def test_empty_program_zero(self):
-        prog = MoveProgram(regular_rational_configuration(4), (), closed=True)
+        prog = MoveProgram(regular_rational_configuration(4), ())
         assert geometric_linking(prog, 1, 2) == 0
 
     def test_a_strand_does_not_link_itself(self):
@@ -891,7 +886,6 @@ class TestGeometricLinking:
                 split = MoveProgram(
                     prog.initial,
                     prog.moves[:k] + (LinearMove(mv.strand, mid), mv) + prog.moves[k + 1 :],
-                    closed=True,
                 )
                 compile_program(split)
             except GenericityError:
@@ -936,12 +930,10 @@ class TestGeneratorProgram:
 
     def test_power_of_an_open_program_raises_not_closed(self):
         cfg = regular_rational_configuration(4)
-        away = (LinearMove(4, P(F(-1, 2), 0)),)
-        for closed in (True, False):
-            prog = MoveProgram(cfg, away, closed=closed)
-            for k in (-2, -1, 0, 1, 2):
-                with pytest.raises(NotClosed):
-                    program_power(prog, k)
+        prog = MoveProgram(cfg, (LinearMove(4, P(F(-1, 2), 0)),))
+        for k in (-2, -1, 0, 1, 2):
+            with pytest.raises(NotClosed):
+                program_power(prog, k)
 
     @pytest.mark.parametrize("k", [1.5, 2.0, "2", True, False, None])
     def test_power_needs_an_int_exponent(self, k):
@@ -954,7 +946,7 @@ class TestGeneratorProgram:
             for i, j in permutations(range(1, n + 1), 2):
                 prog = pure_braid_generator_program(n, i, j)
                 assert prog.closed
-                word = compile_program(prog).word  # checks that it closes
+                word = compile_program(prog).word
                 cw = classify_word(word)
                 assert cw.realisable and cw.final_state == initial_state(n)
                 row = [geometric_linking(prog, i, k) for k in range(1, n + 1) if k != i]
@@ -1027,13 +1019,13 @@ class TestEmbedding:
         assert classify_word(w5, start=configuration_state(emb.initial)).realisable
 
     def test_empty_program(self):
-        base = MoveProgram(regular_rational_configuration(4), (), closed=True)
+        base = MoveProgram(regular_rational_configuration(4), ())
         emb = embed_at_infinity(base)
         assert compile_program(emb).word == GWord(5)
 
     def test_open_program_stays_open(self):
         cfg = regular_rational_configuration(4)
-        base = MoveProgram(cfg, (LinearMove(4, P(F(1, 2), F(1, 2))),), closed=False)
+        base = MoveProgram(cfg, (LinearMove(4, P(F(1, 2), F(1, 2))),))
         assert not embed_at_infinity(base).closed
 
     def test_rejects_full_twists(self):
@@ -1046,9 +1038,6 @@ class TestEmbedding:
         with pytest.raises(GenericityError) as info:
             embed_at_infinity(collinear)
         assert str(info.value) == "strands 1,3,4 are collinear"
-        open_but_marked_closed = MoveProgram(cfg, (LinearMove(4, P(F(1, 2), 0)),), closed=True)
-        with pytest.raises(NotClosed):
-            embed_at_infinity(open_but_marked_closed)
 
     def test_far_point(self):
         # R is the smallest power of two >= 8 right of every point a program
@@ -1057,7 +1046,7 @@ class TestEmbedding:
         assert embed_at_infinity(MoveProgram(cfg, ())).initial.point(5) == P(8, 1)
         for x, far in ((F(15, 2), P(8, 1)), (8, P(16, 1)), (17, P(32, 1))):
             out_and_back = (LinearMove(4, P(x, F(1, 3))), LinearMove(4, cfg.point(4)))
-            emb = embed_at_infinity(MoveProgram(cfg, out_and_back, closed=True))
+            emb = embed_at_infinity(MoveProgram(cfg, out_and_back))
             assert emb.initial.point(5) == far
             compile_program(emb)
 
@@ -1085,19 +1074,30 @@ class TestRandomPrograms:
                 assert run_word(initial_state(n), out.word) == initial_state(n)
         assert len(seen) > 10  # seeds genuinely vary
 
-    def test_rejected_wander_move_is_redrawn(self):
-        # seed 1604's first wander draw is not generic; the second is kept
-        prog = random_closed_program(4, seed=1604)
-        assert program_to_json(prog) == {
-            "n": 4,
-            "initial": [["0", "1"], ["-1", "0"], ["0", "-1"], ["1", "0"]],
-            "moves": [
-                {"type": "line", "strand": 2, "to": ["83/1200", "1207/1200"]},
-                {"type": "line", "strand": 2, "to": ["-1", "0"]},
-            ],
-            "closed": True,
-        }
-        assert prog.closed and format_word(compile_program(prog).word) == "a123 a124 a124 a123"
+    def test_a_draw_that_is_not_generic_is_dropped(self):
+        # each wander draw is probed once: the program keeps the generic ones,
+        # in draw order, and draws nothing in place of one it drops
+        cases = [(4, 1604), (4, 5548), (6, 10683), (7, 4249), (12, 71)]
+        cases += [(n, seed) for n in range(4, 7) for seed in range(40)]
+        dropped = 0
+        for n, seed in cases:
+            rng = random.Random(seed)
+            cfg = regular_rational_configuration(n)
+            kept = []
+            for _ in range(rng.randint(1, geometry._WANDER_MOVES)):
+                s, x, y = rng.randint(1, n), rng.randint(-2400, 2400), rng.randint(-2400, 2400)
+                move = LinearMove(s, P(F(x, 1200), F(y, 1200)))
+                try:
+                    compile_program(MoveProgram(cfg, (*kept, move)))
+                except GenericityError:
+                    dropped += 1
+                else:
+                    kept.append(move)
+            prog = random_closed_program(n, seed)
+            assert prog.moves[: len(kept)] == tuple(kept) and prog.closed, (n, seed)
+        assert dropped >= 5
+        # seed 1604's one draw is not generic, so its program has no move
+        assert random_closed_program(4, 1604).moves == ()
 
     @pytest.mark.parametrize(
         "n, seed",
@@ -1115,16 +1115,76 @@ class TestRandomPrograms:
         assert is_realisable(word) and word.letters == word.letters[::-1]
         assert all(geometric_linking(prog, i, j) == 0 for i, j in permutations(range(1, n + 1), 2))
 
-    def test_a_wander_move_with_no_draw_left_raises(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_MAX_ATTEMPTS", 0)
-        with pytest.raises(ConstructionFailure, match="could not draw a generic wander move"):
-            random_closed_program(4, 0)
-
     def test_compiled_state_tracks_configuration(self):
         prog = random_closed_program(4, seed=12)
         out = compile_program(prog)
         cw = classify_word(out.word)
         assert cw.final_state == configuration_state(boundary_configurations(prog)[-1])
+
+
+class TestClosure:
+    """A program is closed when every strand ends where it starts.  `closed`
+    is read off the moves, without the walk, and is the one closure test
+    every reader of a program uses."""
+
+    def test_closed_is_where_the_walk_ends(self):
+        cfg = regular_rational_configuration(4)
+        away = MoveProgram(cfg, (LinearMove(4, P(F(-1, 2), 0)),))
+        back = MoveProgram(boundary_configurations(away)[-1], (LinearMove(4, cfg.point(4)),))
+        bases = [random_closed_program(n, seed) for n in range(4, 9) for seed in range(12)]
+        bases += [
+            pure_braid_generator_program(n, i, j)
+            for n in range(4, 7)
+            for i, j in permutations(range(1, n + 1), 2)
+        ]
+        progs = []
+        for base in bases + [away]:
+            inverse = inverse_program(base)
+            progs += [base, inverse, embed_at_infinity(base)]
+            progs += [concat_programs(base, inverse), concat_programs(inverse, base)]
+            if base.closed:
+                progs += [concat_programs(base, base)]
+                progs += [program_power(base, k) for k in (-2, 0, 3)]
+        progs += [MoveProgram(cfg), full_twist_program(4, 1), full_twist_program(5, -2)]
+        progs += [concat_programs(away, back), concat_programs(back, away), back]
+        # one-move programs: a strand away from home, or a move of length zero
+        progs += [MoveProgram(cfg, (LinearMove(s, P(F(s, 7), F(1, 9))),)) for s in range(1, 5)]
+        progs += [MoveProgram(cfg, (LinearMove(s, cfg.point(s)),)) for s in range(1, 5)]
+        verdicts = Counter()
+        for prog in progs:
+            assert prog.closed == (boundary_configurations(prog)[-1] == prog.initial)
+            verdicts[prog.closed] += 1
+        assert verdicts[True] >= 1000 and verdicts[False] == 8
+
+    def test_closed_is_read_without_the_walk(self, monkeypatch):
+        cfg = regular_rational_configuration(4)
+        gadget = pure_braid_generator_program(100, 1, 50)
+        # strand 4 ends home, but its way out is collinear with 1 and 3
+        nongeneric = MoveProgram(cfg, (LinearMove(4, P(0, 2)), LinearMove(4, cfg.point(4))))
+
+        def refuse(*args):
+            raise AssertionError("a program was walked")
+
+        monkeypatch.setattr(geometry, "_move_roots", refuse)
+        assert gadget.closed and nongeneric.closed
+        assert program_to_json(gadget)["closed"] is True
+        monkeypatch.undo()
+        with pytest.raises(GenericityError, match="strands 1,3,4 are collinear"):
+            compile_program(nongeneric)
+        # a power walks its base: an invalid one raises the error of its walk
+        for prog in (nongeneric, MoveProgram(cfg, (LinearMove(4, P(0, 2)),))):
+            with pytest.raises(GenericityError):
+                program_power(prog, 2)
+
+    def test_closed_is_derived_not_set(self):
+        cfg = regular_rational_configuration(4)
+        assert [f.name for f in dataclasses.fields(MoveProgram)] == ["initial", "moves"]
+        with pytest.raises(TypeError):
+            MoveProgram(cfg, (), closed=False)
+        prog = MoveProgram(cfg, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.closed = False
+        assert prog.closed
 
 
 class TestProgramJson:
@@ -1150,6 +1210,25 @@ class TestProgramJson:
         prog = program_from_json(obj)
         out = compile_program(prog)
         assert [g.elems for g in out.word.letters] == [(1, 3, 4), (1, 3, 4)]
+
+    def test_closed_true_asserts_that_the_program_returns_home(self):
+        good = program_to_json(pure_braid_generator_program(4, 1, 3))
+        unsaid = {k: v for k, v in good.items() if k != "closed"}
+        away = [{"type": "line", "strand": 4, "to": ["-1/2", "0"]}]
+        for doc in (unsaid, dict(good, closed=False), good):
+            prog = program_from_json(doc)
+            assert prog.closed and program_to_json(prog) == good
+            assert program_power(prog, 2).closed
+        assert not program_from_json(dict(good, moves=away, closed=False)).closed
+        assert not program_from_json(dict(unsaid, moves=away)).closed
+        # an open program said to be closed is not a parse error
+        with pytest.raises(NotClosed, match="marked closed but the final configuration differs"):
+            program_from_json(dict(good, moves=away, closed=True))
+        # and a walk error comes first: strand 4 runs through strand 2
+        through = [{"type": "line", "strand": 4, "to": ["-2", "0"]}]
+        with pytest.raises(GenericityError, match="moving strand meets another strand"):
+            program_from_json(dict(good, moves=through, closed=True))
+        assert not program_from_json(dict(unsaid, moves=through)).closed
 
     def test_coordinates_read_as_fraction_reads_them(self):
         texts = ["1_000", " 3/4", "+3", "-0", "--1", "\u0663/4", "3/0", "1/-2", "1e5", "0x10"]

@@ -273,7 +273,7 @@ class TestModFullTwist:
         # appending a full twist shifts every geometric linking number by one
         # but adds no letters, so the reconstruction lags by exactly m twists
         prog = pure_braid_generator_program(4, 1, 3)
-        twisted = MoveProgram(prog.initial, prog.moves + (FullTwistMove(1),), closed=True)
+        twisted = MoveProgram(prog.initial, prog.moves + (FullTwistMove(1),))
         w = compile_program(twisted).word
         inv = annular_invariants(reconstruct_axis(w, 4))
         geometric = AnnularInvariants(
