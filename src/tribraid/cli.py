@@ -32,6 +32,7 @@ from .geometry import (
     program_from_json,
     program_to_json,
     pure_braid_generator_program,
+    require_closed,
 )
 from .group_core import (
     MAX_STORED_LETTERS,
@@ -137,8 +138,8 @@ def _check_n_flag(args, program_n: int) -> None:
 def cmd_compile(args) -> int:
     prog = _load_program(args.program, args)
     out = compile_program(prog)
-    if args.check_closed and not prog.closed:
-        raise NotClosed("program marked closed but the final configuration differs")
+    if args.check_closed:
+        require_closed(prog)
     lines = [format_word(out.word)]
     if args.events:
         # rendered before any line is printed: an event time or a turn count
@@ -264,8 +265,7 @@ def cmd_gen(args) -> int:
     elif args.full_twist is not None:
         prog = full_twist_program(_gen_n(args, "--full-twist"), args.full_twist)
     else:
-        base = _load_program(args.embed, args)
-        prog = embed_at_infinity(base)
+        prog = embed_at_infinity(_load_program(args.embed, args))
     print(json.dumps(program_to_json(prog)))
     return 0
 
@@ -425,9 +425,9 @@ def cmd_selftest(args) -> int:
         return seen > 0
 
     def check_linking_rejects_what_compile_rejects() -> bool:
-        # strand 1 of the regular square runs through strand 2 at (-1, 0)
+        # strand 1 of the square meets strand 2 at (-1, 0); marked open, each read walks it
         meet = [{"type": "line", "strand": 1, "to": ["-2", "-1"]}]
-        obj = dict(program_to_json(full_twist_program(4, 1)), moves=meet)
+        obj = dict(program_to_json(full_twist_program(4, 1)), moves=meet, closed=False)
         errors = []
         for read in (compile_program, lambda p: geometric_linking(p, 1, 2)):
             try:

@@ -664,6 +664,13 @@ def concat_programs(a: MoveProgram, b: MoveProgram) -> MoveProgram:
     return MoveProgram(a.initial, a.moves + b.moves)
 
 
+def require_closed(p: MoveProgram) -> None:
+    """Raise the error of `p`'s walk, or `NotClosed` if `p` does not return home."""
+    p._walk
+    if not p.closed:
+        raise NotClosed("program marked closed but the final configuration differs")
+
+
 def program_power(p: MoveProgram, k: int) -> MoveProgram:
     """k-fold repetition of a closed program (inverse for negative k); `p` is
     walked, and an open one raises `NotClosed`.  A k that is not an int (or
@@ -769,8 +776,7 @@ def program_to_json(p: MoveProgram) -> dict:
 def program_from_json(obj) -> MoveProgram:
     """The program of a JSON document, whose shape is checked here and whose
     values by the constructors: any error is raised as `ProgramParseError`.
-    An optional bool `closed` of true asserts closure: the program is then
-    walked, and raises the error of its walk or `NotClosed`."""
+    An optional bool `closed` of true asserts closure by `require_closed`."""
     if not isinstance(obj, dict):
         raise ProgramParseError("program JSON must be an object")
     initial, moves = obj.get("initial"), obj.get("moves", [])
@@ -787,7 +793,5 @@ def program_from_json(obj) -> MoveProgram:
     if type(closed) is not bool:
         raise ProgramParseError(f"bad program: 'closed' must be True or False, got {clip(closed)}")
     if closed:
-        p._walk
-        if not p.closed:
-            raise NotClosed("program marked closed but the final configuration differs")
+        require_closed(p)
     return p

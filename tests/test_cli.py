@@ -45,6 +45,7 @@ from tribraid.cli import main
 from tribraid.errors import (
     BadTriple,
     DimensionMismatch,
+    GenericityError,
     InvalidBudget,
     InvalidMove,
     InvalidN,
@@ -809,6 +810,20 @@ def test_selftest_catches_an_insertion_replayed_one_position_late(capsys, monkey
 
     monkeypatch.setattr(tribraid.group_core, "apply_move", late)
     assert selftest_failures(capsys) == (1, ["FAIL bounded equality"])
+
+
+def test_selftest_catches_a_linking_number_of_a_nongeneric_program(capsys, monkeypatch):
+    # the check's program reads as a plain mapping, so each reader walks it
+    exact = tribraid.geometry.geometric_linking
+
+    def lenient(p, i, j):
+        try:
+            return exact(p, i, j)
+        except GenericityError:
+            return 0
+
+    monkeypatch.setattr(tribraid.geometry, "geometric_linking", lenient)
+    assert selftest_failures(capsys) == (1, ["FAIL linking rejects what compile rejects"])
 
 
 def test_a_closed_pipe_exits_0(monkeypatch):

@@ -1132,6 +1132,12 @@ class TestClosure:
         away = MoveProgram(cfg, (LinearMove(4, P(F(-1, 2), 0)),))
         back = MoveProgram(boundary_configurations(away)[-1], (LinearMove(4, cfg.point(4)),))
         bases = [random_closed_program(n, seed) for n in range(4, 9) for seed in range(12)]
+        # the seeds whose return home is blocked close by running every move backwards
+        blocked = [(4, 71466), (4, 78582), (5, 169148), (6, 203145), (8, 71466)]
+        blocked += [(4, 45118), (4, 48654), (6, 153402), (8, 45118)]
+        for n, seed in blocked:
+            bases.append(random_closed_program(n, seed))
+            assert bases[-1].closed
         bases += [
             pure_braid_generator_program(n, i, j)
             for n in range(4, 7)
