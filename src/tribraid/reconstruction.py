@@ -31,7 +31,7 @@ def initial_cyclic_order(n: int, axis: int) -> tuple[int, ...]:
     check_n(n)
     if type(axis) is not int or not 1 <= axis <= n:
         raise BadTriple(f"axis {clip(axis)} out of range 1..{clip(n)}")
-    return tuple((axis - 1 + t) % n + 1 for t in range(1, n))
+    return (*range(axis + 1, n + 1), *range(1, axis))
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class CylLetter:
 class CylWord:
     """A cylindrical braid word; every swap must be cyclically adjacent.
     `final_order` is the ray order the swaps leave, computed by replaying
-    them."""
+    them on a `_RayOrder`: O(n) to set up, then O(1) per swap."""
 
     n: int
     axis: int
@@ -78,27 +78,45 @@ class CylWord:
         return " ".join(str(lt) for lt in self.letters)
 
 
-def _swap_adjacent(order: list[int], a: int, b: int) -> None:
-    try:
-        pa, pb = order.index(a), order.index(b)
-    except ValueError:
-        raise BadTriple(f"swap of {a} and {b} names a strand missing from {tuple(order)}") from None
-    last = len(order) - 1
-    adjacent = abs(pa - pb) == 1 or (last > 1 and {pa, pb} == {0, last})
-    if not adjacent:
-        raise AdjacencyViolation(
-            f"strands {a} and {b} are not adjacent in the cyclic order {tuple(order)}"
-        )
-    order[pa], order[pb] = order[pb], order[pa]
+class _RayOrder:
+    """The running ray order around one axis, kept with each strand's ray
+    slot: `order[t]` is the strand in slot t and `slot[s]` the slot of
+    strand s.  A swap reads both slots, so it costs O(1), not a scan."""
+
+    __slots__ = ("order", "slot")
+
+    def __init__(self, start: tuple[int, ...]):
+        self.order = list(start)
+        self.slot = {s: t for t, s in enumerate(start)}
+
+    def swap(self, a: int, b: int) -> None:
+        """Exchange the rays of a and b, which must be cyclically adjacent:
+        next to each other, or in the first and the last slot."""
+        slot = self.slot
+        try:
+            pa, pb = slot[a], slot[b]
+        except KeyError:
+            raise BadTriple(
+                f"swap of {clip(a)} and {clip(b)} names a strand missing from "
+                f"{clip(tuple(self.order))}"
+            ) from None
+        if abs(pa - pb) not in (1, len(slot) - 1):
+            raise AdjacencyViolation(
+                f"strands {clip(a)} and {clip(b)} are not adjacent in the cyclic order "
+                f"{clip(tuple(self.order))}"
+            )
+        order = self.order
+        order[pa], order[pb] = b, a
+        slot[a], slot[b] = pb, pa
 
 
 def _replay_order(n: int, axis: int, letters) -> tuple[int, ...]:
-    order = list(initial_cyclic_order(n, axis))
+    rays = _RayOrder(initial_cyclic_order(n, axis))
     for lt in letters:
         if type(lt) is not CylLetter or axis in (lt.inner, lt.outer):
             raise BadTriple(f"bad swap letter {clip(lt)} for axis {axis}")
-        _swap_adjacent(order, lt.inner, lt.outer)
-    return tuple(order)
+        rays.swap(lt.inner, lt.outer)
+    return tuple(rays.order)
 
 
 def empty_cyl_word(n: int, axis: int) -> CylWord:
@@ -280,13 +298,13 @@ class KernelVerdict:
         return self.kind
 
 
-def _deviating_pair(start, order, sums: Counter) -> tuple[int, int] | None:
+def _deviating_pair(start, order, sums: dict[tuple[int, int], int]) -> tuple[int, int] | None:
     """None when one axis's swap word may be a power of the full twist: no
-    ray slot moved and every pair has one common even sum (`sums` holds
-    twice each linking number, for the pairs that swapped).  Otherwise the
-    first moved slot, else the first pair off the commonest sum (ties to the
-    smaller |sum|, then to the value met first in pair order), else the
-    smallest pair.
+    ray slot moved and every pair has one common even sum (`sums` maps a
+    pair x<y that swapped to its signed swap sum, twice its linking number;
+    a pair missing from it sums to 0).  Otherwise the first moved slot,
+    else the first pair off the commonest sum (ties to the smaller |sum|,
+    then to the value met first in pair order), else the smallest pair.
 
     Only the swapped pairs are read: every other pair, and every entry back
     at 0, sums to 0, so their count stands in for them.  A value v != 0
@@ -321,6 +339,11 @@ def kernel_witness(w: GWord) -> KernelVerdict:
     A consistent outcome makes no triviality claim: these invariants are
     blind beyond parity, winding and the ray permutation.
 
+    The pass keeps one `_RayOrder` per axis, an O(n^2) slot table built
+    once per call, so each swap costs O(1), and one flat table of signed
+    swap sums keyed by ints.  An axis with no slot moved and no nonzero sum
+    is skipped: `_deviating_pair` would find every sum 0, which is even.
+
     Reading every axis first raises no `AdjacencyViolation` that an earlier
     verdict would hide, because no realisable word breaks adjacency: around
     an axis a the running order stays the order of ray angles whose
@@ -334,14 +357,25 @@ def kernel_witness(w: GWord) -> KernelVerdict:
         raise NotRealisable("kernel witness requires a realisable word")
     if cw.final_state.minus:
         return KernelVerdict(NONTRIVIAL_BY_PARITY)
-    axes = range(1, w.n + 1)
-    orders = {axis: list(initial_cyclic_order(w.n, axis)) for axis in axes}
-    sums: dict[int, Counter] = {axis: Counter() for axis in axes}
+    n = w.n
+    m = n + 1
+    axes = range(1, m)
+    starts = {axis: initial_cyclic_order(n, axis) for axis in axes}
+    rays = {axis: _RayOrder(start) for axis, start in starts.items()}
+    sums: dict[int, int] = {}  # (axis*m + x)*m + y -> the signed swap sum of pair x<y
     for axis, inner, outer, sign in _swaps(cw, axes):
-        _swap_adjacent(orders[axis], inner, outer)
-        sums[axis][min(inner, outer), max(inner, outer)] += sign
-    for axis in axes:
-        pair = _deviating_pair(initial_cyclic_order(w.n, axis), orders[axis], sums[axis])
-        if pair:
-            return KernelVerdict(NONTRIVIAL_BY_LINKING, axis, pair)
+        rays[axis].swap(inner, outer)
+        key = (axis * m + inner) * m + outer if inner < outer else (axis * m + outer) * m + inner
+        sums[key] = sums.get(key, 0) + sign
+    nonzero: dict[int, dict[tuple[int, int], int]] = {}  # axis -> pair -> sum
+    for key, value in sums.items():
+        if value:
+            axis, xy = divmod(key, m * m)
+            nonzero.setdefault(axis, {})[divmod(xy, m)] = value
+    for axis, start in starts.items():
+        order = rays[axis].order
+        if axis in nonzero or order != list(start):
+            pair = _deviating_pair(start, order, nonzero.get(axis, {}))
+            if pair:
+                return KernelVerdict(NONTRIVIAL_BY_LINKING, axis, pair)
     return KernelVerdict(TRIVIAL_CONSISTENT)

@@ -5,22 +5,30 @@ from collections import Counter, deque
 from itertools import combinations
 
 from tribraid import (
+    NONTRIVIAL_BY_LINKING,
+    NONTRIVIAL_BY_PARITY,
+    TRIVIAL_CONSISTENT,
     Configuration,
     EqualityVerdict,
     GWord,
     GenTriple,
+    KernelVerdict,
     MoveKind,
+    NotRealisable,
     OrientationState,
     RelationMove,
     SearchStats,
     all_generators,
     applicable_moves,
     apply_move,
+    classify_word,
     generator_ranks,
+    initial_cyclic_order,
     orientation,
 )
 from tribraid import group_core
 from tribraid.index_state import _central
+from tribraid.reconstruction import _swaps
 
 Triple = tuple[int, int, int]
 
@@ -219,3 +227,53 @@ def reference_equal(w1: GWord, w2: GWord, depth: int, max_len: int) -> EqualityV
             queue.append(nxt)
         peak = max(peak, len(fore_queue) + len(back_queue))
     return EqualityVerdict.unknown(stats("depth" if fore_queue and back_queue else "exhausted"))
+
+
+def dense_deviating_pair(start, order, sums):
+    """`_deviating_pair` as it was when it read the sum of every pair: the
+    oracle for reading only the pairs that swapped."""
+    moved = min(((src, dst) for src, dst in zip(start, order) if src != dst), default=None)
+    if moved:
+        return tuple(sorted(moved))
+    pairs = list(combinations(sorted(start), 2))
+    values = [sums.get(pair, 0) for pair in pairs]
+    counts = Counter(values)
+    if len(counts) == 1:
+        return None if values[0] % 2 == 0 else pairs[0]
+    mode = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
+    return next(pair for pair, value in zip(pairs, values) if value != mode)
+
+
+def reference_kernel_witness(w: GWord) -> tuple[KernelVerdict, str]:
+    """`kernel_witness` as it was before its ray orders kept each strand's
+    slot: a list order per axis searched with `list.index`, a `Counter` of
+    signed swap sums keyed by pair per axis, and every axis judged by
+    `dense_deviating_pair`.  Also returns the route of the verdict:
+    "parity", "moved slot", "off the mode", "odd common sum" or "all even"
+    (every axis has one common even sum and no slot moved)."""
+    cw = classify_word(w)
+    if not cw.realisable:
+        raise NotRealisable("kernel witness requires a realisable word")
+    if cw.final_state.minus:
+        return KernelVerdict(NONTRIVIAL_BY_PARITY), "parity"
+    axes = range(1, w.n + 1)
+    orders = {axis: list(initial_cyclic_order(w.n, axis)) for axis in axes}
+    sums = {axis: Counter() for axis in axes}
+    for axis, inner, outer, sign in _swaps(cw, axes):
+        order = orders[axis]
+        pa, pb = order.index(inner), order.index(outer)
+        assert abs(pa - pb) == 1 or {pa, pb} == {0, len(order) - 1}, (axis, order, inner, outer)
+        order[pa], order[pb] = order[pb], order[pa]
+        sums[axis][min(inner, outer), max(inner, outer)] += sign
+    for axis in axes:
+        start = initial_cyclic_order(w.n, axis)
+        pair = dense_deviating_pair(start, orders[axis], sums[axis])
+        if pair:
+            if orders[axis] != list(start):
+                route = "moved slot"
+            elif len({sums[axis][p] for p in combinations(sorted(start), 2)}) == 1:
+                route = "odd common sum"
+            else:
+                route = "off the mode"
+            return KernelVerdict(NONTRIVIAL_BY_LINKING, axis, pair), route
+    return KernelVerdict(TRIVIAL_CONSISTENT), "all even"

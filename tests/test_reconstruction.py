@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import good_walk, signed_index, word
+from helpers import dense_deviating_pair as _dense_deviating_pair
+from helpers import good_walk, reference_kernel_witness, signed_index, word
 from tribraid import (
     NONTRIVIAL_BY_LINKING,
     NONTRIVIAL_BY_PARITY,
@@ -18,6 +19,7 @@ from tribraid import (
     CylWord,
     DimensionMismatch,
     FullTwistMove,
+    GenTriple,
     GWord,
     InvalidN,
     MoveProgram,
@@ -34,6 +36,7 @@ from tribraid import (
     invariants_equal_mod_full_twist,
     is_realisable,
     kernel_witness,
+    parse_word,
     pure_braid_generator_program,
     reconstruct_axis,
     run_word,
@@ -382,21 +385,6 @@ class TestOnePassPins:
         )
 
 
-def _dense_deviating_pair(start, order, sums):
-    """`_deviating_pair` as it was when it read the sum of every pair: the
-    oracle for reading only the pairs that swapped."""
-    moved = min(((src, dst) for src, dst in zip(start, order) if src != dst), default=None)
-    if moved:
-        return tuple(sorted(moved))
-    pairs = list(combinations(sorted(start), 2))
-    values = [sums.get(pair, 0) for pair in pairs]
-    counts = Counter(values)
-    if len(counts) == 1:
-        return None if values[0] % 2 == 0 else pairs[0]
-    mode = max(counts.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
-    return next(pair for pair, value in zip(pairs, values) if value != mode)
-
-
 class TestLocality:
     """The two local facts the swap pass and the kernel verdict rest on."""
 
@@ -469,6 +457,102 @@ class TestLocality:
                 seen["off the mode"] += 1
             seen["0 entry"] += 0 in sums.values()
         assert min(seen.values()) >= 50, seen
+
+
+class TestRayOrderMessages:
+    """A rejected swap echoes the ray order clipped, as every message
+    echoes a caller's value."""
+
+    @pytest.mark.parametrize(
+        "letter, error, text",
+        [
+            (CylLetter(2, 9, 1), AdjacencyViolation, "strands 2 and 9 are not adjacent"),
+            (CylLetter(2, 900, 1), BadTriple, "swap of 2 and 900 names a strand missing"),
+        ],
+    )
+    def test_long_order_is_clipped(self, letter, error, text):
+        with pytest.raises(error) as info:
+            CylWord(500, 1, (letter,))
+        message = str(info.value)
+        assert text in message and len(message) < 200
+
+    def test_strand_too_long_to_print(self):
+        with pytest.raises(BadTriple, match="names a strand missing"):
+            CylWord(4, 4, (CylLetter(1, 10**5000, 1),))
+
+
+class TestKernelOracle:
+    """`kernel_witness` against the list-based pass it replaced
+    (`reference_kernel_witness`): the same verdict, axis and pair."""
+
+    @staticmethod
+    def _corpus():
+        # walks, their mirrors w.reverse(w) and squares up to n = 64; every
+        # gadget times the inverse of another at n = 4 and 5, where the
+        # linking mode ties; a word whose ray order about axis 1 comes back
+        # rotated with every pair sum 0 (so a moved slot alone decides),
+        # with its cyclic relabellings and their squares
+        planted = parse_word(
+            "a123 a123 a134 a124 a124 a124 a134 a124 a234 "
+            "a134 a124 a123 a234 a234 a123 a234 a134 a124",
+            4,
+        )
+        for _ in range(4):
+            yield planted
+            yield GWord(4, planted.letters * 2)
+            planted = GWord(4, tuple(GenTriple(4, [e % 4 + 1 for e in g.elems]) for g in planted.letters))
+        rng = random.Random(3333)
+        for n in (*range(4, 13), 16, 32, 48, 64):
+            for _ in range(8):
+                w = good_walk(rng, n, rng.randint(1, 40))
+                yield w
+                yield GWord(n, w.letters + w.letters[::-1])
+                if is_realisable(GWord(n, w.letters * 2)):
+                    yield GWord(n, w.letters * 2)
+        for n in (4, 5):
+            gadgets = [
+                compile_program(pure_braid_generator_program(n, i, j)).word
+                for i, j in permutations(range(1, n + 1), 2)
+            ]
+            for g in gadgets:
+                for h in gadgets:
+                    yield GWord(n, g.letters + h.letters[::-1])
+
+    def test_verdicts_match_the_list_based_pass(self):
+        routes = Counter()
+        for w in self._corpus():
+            v, route = reference_kernel_witness(w)
+            u = kernel_witness(w)
+            assert (u.kind, u.axis, u.pair) == (v.kind, v.axis, v.pair), w
+            routes[route] += 1
+        # an axis with one common odd sum cannot occur: see the next test
+        assert routes.keys() == {"parity", "moved slot", "off the mode", "all even"}
+        assert min(routes.values()) >= 20, routes
+
+    def test_odd_sums_are_even_in_number_on_every_triangle(self):
+        # Once parity passes, every letter occurs an even number of times,
+        # so pair x, y swaps around axis a as often, mod 2, as a is the
+        # central of {a,x,y}.  Such a letter flips "a lies inside x, y, z"
+        # (sign(a,x,y) = sign(a,y,z) = sign(a,z,x)) for every z, and no other
+        # letter does, so the three pairs of x, y, z have an even number of
+        # odd sums and `_deviating_pair` never meets one common odd sum.
+        # Read with a first strand r: the sum of x, y is odd exactly when
+        # one of r, x and r, y is.
+        checked = 0
+        for w in self._corpus():
+            cw = classify_word(w)
+            if w.n > 16 or cw.final_state.minus:
+                continue
+            odd = set()
+            for axis, inner, outer, sign in _swaps(cw, range(1, w.n + 1)):
+                odd ^= {(axis, min(inner, outer), max(inner, outer))}
+            for axis in range(1, w.n + 1):
+                r, *others = (s for s in range(1, w.n + 1) if s != axis)
+                for x, y in combinations(others, 2):
+                    expected = ((axis, r, x) in odd) != ((axis, r, y) in odd)
+                    assert ((axis, x, y) in odd) == expected
+                    checked += expected
+        assert checked > 1000
 
 
 class TestTetraSurvivors:
